@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from nodistill.certifier import certify, verify_certificate
 from nodistill.families import deterministic_family
 from nodistill.probvec import Axis, JointDist
-from nodistill.rat import format_rational
+from nodistill.rat import format_rational, parse_rational
 
 
 def adversary_knows_all() -> JointDist:
@@ -38,11 +38,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-m", type=int, default=6, help="largest family prefix to test")
     ap.add_argument("--out-dir", default="out/adversary_knows_all")
-    ap.add_argument("--lambda0", default="1/2")
+    ap.add_argument("--lambda0", type=parse_rational, default="1/2")
     args = ap.parse_args()
 
     g = adversary_knows_all()
-    lam0 = Fraction(args.lambda0)
+    lam0 = args.lambda0
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "g.json").write_text(g.dumps())

@@ -266,20 +266,10 @@ class CertificationLp:
         return JointDist(sp.q_axes(), entries)
 
     def objective_of(self, qk: JointDist) -> Fraction:
-        x = self.vector_from_dist(qk)
-        return sum(
-            (c * x[j] for j, c in self.problem.objective.items()), Fraction(0)
-        )
+        return ratlp.dot(self.problem.objective, self.vector_from_dist(qk))
 
     def is_feasible(self, qk: JointDist) -> bool:
-        x = self.vector_from_dist(qk)
-        for row in self.problem.rows:
-            lhs = sum((c * x[j] for j, c in row.coeffs.items()), Fraction(0))
-            if row.sense == ratlp.SENSE_LE and lhs > row.rhs:
-                return False
-            if row.sense == ratlp.SENSE_EQ and lhs != row.rhs:
-                return False
-        return True
+        return ratlp.row_violation(self.problem, self.vector_from_dist(qk)) is None
 
 
 def _scaled_to_integers(coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -544,8 +534,6 @@ def certify(
     family: MapFamily,
     lambda0: Fraction = Fraction(1, 2),
     max_dm: int = 16,
-    pivot_budget: int = 200_000,
-    rule: str = "hybrid",
 ) -> Certificate:
     """Solve the certification program exactly and package the result.
 
@@ -557,7 +545,7 @@ def certify(
     """
     setup = CertificationProblem(g=g, family=family, lambda0=ensure_fraction(lambda0), max_dm=max_dm)
     build = build_lp(setup)
-    sol = ratlp.solve(build.problem, pivot_budget=pivot_budget, rule=rule)
+    sol = ratlp.solve(build.problem)
     if sol.status != ratlp.OPTIMAL:
         raise CertifierError(
             f"certification program unexpectedly {sol.status}; it should always be "
@@ -643,12 +631,11 @@ def verify_certificate(
         if cert.primal.axes != setup.q_axes():
             return fail("witness axes do not match the program's variable layout")
         x = build.vector_from_dist(cert.primal)
-        for r, row in enumerate(lp.rows):
-            lhs = sum((c * x[j] for j, c in row.coeffs.items()), Fraction(0))
-            bad = lhs > row.rhs if row.sense == ratlp.SENSE_LE else lhs != row.rhs
-            if bad:
-                return fail(f"witness violates row {r} {build.row_info[r]}: {lhs} vs {row.rhs}")
-        obj = sum((c * x[j] for j, c in lp.objective.items()), Fraction(0))
+        bad_row = ratlp.row_violation(lp, x)
+        if bad_row is not None:
+            r, lhs = bad_row
+            return fail(f"witness violates row {r} {build.row_info[r]}: {lhs} vs {lp.rows[r].rhs}")
+        obj = ratlp.dot(lp.objective, x)
         if obj != cert.optimum:
             return fail(f"witness objective {obj} != claimed optimum {cert.optimum}")
         return VerificationResult(True)
@@ -656,21 +643,12 @@ def verify_certificate(
     y = cert.dual
     if len(y) != len(lp.rows):
         return fail(f"dual has {len(y)} multipliers for {len(lp.rows)} rows")
-    for r, (row, yr) in enumerate(zip(lp.rows, y)):
-        if row.sense == ratlp.SENSE_LE and yr < 0:
-            return fail(f"dual multiplier for row {r} {build.row_info[r]} is negative")
-    col_sums: dict[int, Fraction] = {}
-    for row, yr in zip(lp.rows, y):
-        if yr == 0:
-            continue
-        for j, c in row.coeffs.items():
-            col_sums[j] = col_sums.get(j, Fraction(0)) + yr * c
-    for j, c in lp.objective.items():
-        if col_sums.get(j, Fraction(0)) < c:
-            return fail(f"dual infeasible at variable {j}: {col_sums.get(j, Fraction(0))} < {c}")
-    for j in col_sums:
-        if j not in lp.objective and col_sums[j] < 0:
-            return fail(f"dual infeasible at variable {j}: {col_sums[j]} < 0")
+    bad_dual = ratlp.dual_violation(lp, y)
+    if bad_dual is not None:
+        kind, i, total, c = bad_dual
+        if kind == "row":
+            return fail(f"dual multiplier for row {i} {build.row_info[i]} is negative")
+        return fail(f"dual infeasible at variable {i}: {total} < {c}")
     bound = sum((yr * row.rhs for row, yr in zip(lp.rows, y)), Fraction(0))
     if bound != cert.optimum:
         return fail(f"dual bound {bound} != claimed optimum {cert.optimum}")

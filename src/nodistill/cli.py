@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Commands: lambda, lambda-max, certify, verify, batch, gen-family.
-Exit codes: 0 = completed (any verdict), 2 = input error, 3 = size-guard
-refusal, 4 = solver or internal failure.  Verdicts are results, not errors.
-All stdout output is byte-deterministic for fixed inputs and flags; timings
-go to stderr.
+Exit codes: 0 = completed (any verdict), 1 = certificate INVALID (verify),
+2 = input error, 3 = size-guard refusal, 4 = solver or internal failure.
+Verdicts are results, not errors.  All stdout output is byte-deterministic
+for fixed inputs and flags; timings go to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,14 +34,14 @@ class _InputError(Exception):
 def _load_dist(path: str) -> JointDist:
     try:
         return JointDist.loads(Path(path).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"cannot read distribution {path}: {exc}") from exc
 
 
 def _load_family(path: str) -> families.MapFamily:
     try:
         return families.MapFamily.loads(Path(path).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"cannot read family {path}: {exc}") from exc
 
 
@@ -108,10 +107,6 @@ def cmd_lambda_max(args) -> int:
     return EXIT_OK
 
 
-def _run_certify(g, family, lambda0, max_dm):
-    return certifier.certify(g, family, lambda0=lambda0, max_dm=max_dm)
-
-
 def cmd_certify(args) -> int:
     g = _load_dist(args.g)
     family = _family_for(args, g)
@@ -122,7 +117,7 @@ def cmd_certify(args) -> int:
         )
         Path(args.dump_lp).write_text(ratlp.dump_lp(certifier.build_lp(setup).problem))
     t0 = time.perf_counter()
-    cert = _run_certify(g, family, lambda0, args.max_dm)
+    cert = certifier.certify(g, family, lambda0=lambda0, max_dm=args.max_dm)
     print(f"solved in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(cert.dumps())
@@ -138,7 +133,7 @@ def cmd_verify(args) -> int:
     family = _load_family(args.family)
     try:
         cert = certifier.Certificate.loads(Path(args.cert).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"cannot read certificate {args.cert}: {exc}") from exc
     lambda0 = _parse_lambda0(args.lambda0) if args.lambda0 else cert.lambda0
     result = certifier.verify_certificate(g, family, lambda0, cert, max_dm=args.max_dm)
@@ -168,7 +163,7 @@ def _batch_row(entry: dict, base: Path, max_dm: int):
         )
         fam_desc = json.dumps(fam_spec, sort_keys=True, separators=(",", ":"))
     lambda0 = _parse_lambda0(str(entry.get("lambda0", "1/2")))
-    cert = _run_certify(g, family, lambda0, max_dm)
+    cert = certifier.certify(g, family, lambda0=lambda0, max_dm=max_dm)
     return (g_path, fam_desc, format_rational(lambda0), cert.verdict, format_rational(cert.optimum))
 
 
@@ -181,7 +176,8 @@ def cmd_batch(args) -> int:
     if not isinstance(manifest, list):
         raise _InputError("manifest must be a JSON list of {g, family, lambda0} entries")
 
-    def run_one(entry):
+    results = []
+    for entry in manifest:
         t0 = time.perf_counter()
         try:
             row = _batch_row(entry, base, args.max_dm)
@@ -195,13 +191,7 @@ def cmd_batch(args) -> int:
         except Exception as exc:
             row = (str(entry.get("g", "?")), "?", "?", "ERROR", str(exc))
             code = EXIT_SOLVER
-        return row, code, time.perf_counter() - t0
-
-    if args.jobs > 1 and len(manifest) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, manifest))
-    else:
-        results = [run_one(e) for e in manifest]
+        results.append((row, code, time.perf_counter() - t0))
 
     rows = sorted(r for r, _, _ in results)
     print("g\tfamily\tlambda0\tverdict\toptimum")
@@ -275,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("batch", help="run a manifest of certifications")
     sp.add_argument("manifest")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--max-dm", type=int, default=16, dest="max_dm")
     sp.set_defaults(func=cmd_batch)
 

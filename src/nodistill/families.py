@@ -115,8 +115,12 @@ def strip_pair(a_copy_size: int, b_copy_size: int) -> MapPair:
     )
 
 
-def _det_codes(n_symbols: int):
-    """All deterministic filter codes, lexicographic, all-discard dropped."""
+def deterministic_codes(n_symbols: int):
+    """All deterministic filter codes, lexicographic, all-discard dropped.
+
+    A code gives one action per input symbol: 0 -> bit 0, 1 -> bit 1,
+    DISCARD -> drop.
+    """
     for code in itertools.product((0, 1, DISCARD), repeat=n_symbols):
         if any(d != DISCARD for d in code):
             yield code
@@ -126,8 +130,8 @@ def _det_pairs(a_copy_size: int, b_copy_size: int):
     """Strip pair first, then code-lexicographic pairs (the strip skipped)."""
     strip = (_strip_code(a_copy_size), _strip_code(b_copy_size))
     yield strip
-    for code_a in _det_codes(2 * a_copy_size):
-        for code_b in _det_codes(2 * b_copy_size):
+    for code_a in deterministic_codes(2 * a_copy_size):
+        for code_b in deterministic_codes(2 * b_copy_size):
             if (code_a, code_b) != strip:
                 yield code_a, code_b
 

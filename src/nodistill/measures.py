@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from . import ratlp
+from .families import DISCARD, deterministic_codes
 from .probvec import Axis, JointDist, LocalMap, apply_local
 from .rat import ensure_fraction, format_rational
 
@@ -47,6 +47,10 @@ class SearchOptions:
 
     max_pairs: int | None = None
     refine_rounds: int = 0
+
+    def __post_init__(self):
+        if self.refine_rounds < 0:
+            raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
 
 
 @dataclass(frozen=True)
@@ -162,26 +166,11 @@ def lambda_advantage(p: JointDist, lambda0: Fraction) -> Fraction:
 # -- stage-1 enumeration -------------------------------------------------------
 
 
-def _codes(n: int) -> Iterator[tuple]:
-    """Canonical order of one party's candidate maps on an n-letter alphabet.
-
-    Deterministic filter codes come first, lexicographic over per-symbol
-    actions (0 = to bit 0, 1 = to bit 1, 2 = discard), skipping the
-    all-discard code; the coin map comes last.  Encodings are comparable
-    within each side: deterministic codes sort by their digit tuple and the
-    coin marker sorts after all of them.
-    """
-    for code in itertools.product((0, 1, 2), repeat=n):
-        if any(d != 2 for d in code):
-            yield code
-    yield (COIN,)
-
-
 def _code_outputs(code: tuple, x: int) -> tuple[int, ...]:
     if code[0] == COIN:
         return (0, 1)
     d = code[x]
-    return () if d == 2 else (d,)
+    return () if d == DISCARD else (d,)
 
 
 def _code_matrix(code: tuple, axis: Axis) -> LocalMap:
@@ -194,6 +183,8 @@ def _code_matrix(code: tuple, axis: Axis) -> LocalMap:
 
 
 def _enc(code: tuple) -> tuple:
+    """Sort key within one side: deterministic codes by their digit tuple,
+    the coin after all of them (the order in which they are enumerated)."""
     return (1,) if code[0] == COIN else (0,) + code
 
 
@@ -222,14 +213,18 @@ def _filtered_fraction(p_items, pos_a, pos_b, eve_pos, code_a, code_b) -> Fracti
 
 
 def _stage1_pairs(p: JointDist, budget: int | None):
-    """Yield (value, enc_a, enc_b, code_a, code_b) in canonical order."""
+    """Yield (value, enc_a, enc_b, code_a, code_b) in canonical order.
+
+    Each side runs over the deterministic filter codes of the families
+    module in their lexicographic order, then the coin map.
+    """
     pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
     n_a = p.axes[pos_a].size
     n_b = p.axes[pos_b].size
     items = list(p.items())
     examined = 0
-    for code_a in _codes(n_a):
-        for code_b in _codes(n_b):
+    for code_a in itertools.chain(deterministic_codes(n_a), [(COIN,)]):
+        for code_b in itertools.chain(deterministic_codes(n_b), [(COIN,)]):
             if budget is not None and examined >= budget:
                 raise SearchBudgetExhausted(
                     f"map-pair budget {budget} exhausted after {examined} pairs"

@@ -1,10 +1,12 @@
 """Exact rational linear programming: two-phase primal simplex with certificates.
 
 Problems are maximizations over x >= 0 with rows of sense "<=" or "=".
-Arithmetic is exact throughout (gmpy2.mpq when available, Fraction otherwise),
-so an OPTIMAL result comes with an exactly feasible primal point and an
-exactly feasible dual vector whose bound equals the primal objective;
-`check_solution` re-verifies all of that independently of the solver.
+Arithmetic is exact throughout (`fractions.Fraction`), so an OPTIMAL result
+comes with an exactly feasible primal point and an exactly feasible dual
+vector whose bound equals the primal objective.  `row_violation` and
+`dual_violation` are the one primal and the one dual checker of the package;
+`check_solution` uses them to re-verify all of that independently of the
+solver.
 
 The tableau is stored sparsely (dict per row plus a column index) because the
 certification LPs are large but very sparse.  Pivot selection is
@@ -17,14 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .rat import ensure_fraction, format_rational, parse_rational
-
-try:  # pragma: no cover - exercised implicitly everywhere
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -36,6 +33,8 @@ SENSE_EQ = "="
 # Pivots of the default rule allowed without objective progress before
 # switching to Bland's rule (switching back once the objective moves).
 _STALL_LIMIT = 60
+
+_ZERO = Fraction(0)
 
 
 class PivotBudgetExceeded(RuntimeError):
@@ -91,10 +90,6 @@ class LpSolution:
     dual: list[Fraction] = field(default_factory=list)
 
 
-def _to_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
 class _Tableau:
     """Sparse simplex tableau over exact rationals."""
 
@@ -102,13 +97,15 @@ class _Tableau:
         self.n = problem.num_vars
         m = len(problem.rows)
         self.m = m
-        self.rows: list[dict[int, object]] = []
-        self.rhs: list[object] = []
+        self.rows: list[dict[int, Fraction]] = []
+        self.rhs: list[Fraction] = []
         self.sigma: list[int] = []  # -1 where the original row was negated
         senses = []
         for row in problem.rows:
-            coeffs = {j: _Q(c.numerator, c.denominator) for j, c in row.coeffs.items()}
-            rhs = _Q(row.rhs.numerator, row.rhs.denominator)
+            # a private copy: slack and artificial columns are added in place,
+            # and several problems may share one rows tuple
+            coeffs = dict(row.coeffs)
+            rhs = row.rhs
             sense = row.sense
             sig = 1
             if rhs < 0:
@@ -129,22 +126,22 @@ class _Tableau:
             if sense == SENSE_LE:
                 j = next_col
                 next_col += 1
-                self.rows[r][j] = _Q(1)
+                self.rows[r][j] = Fraction(1)
                 self.basis[r] = j
                 self.init_col[r] = j
             elif sense == ">=":
                 js = next_col
                 ja = next_col + 1
                 next_col += 2
-                self.rows[r][js] = _Q(-1)
-                self.rows[r][ja] = _Q(1)
+                self.rows[r][js] = Fraction(-1)
+                self.rows[r][ja] = Fraction(1)
                 self.basis[r] = ja
                 self.init_col[r] = ja
                 self.artificial.add(ja)
             else:
                 ja = next_col
                 next_col += 1
-                self.rows[r][ja] = _Q(1)
+                self.rows[r][ja] = Fraction(1)
                 self.basis[r] = ja
                 self.init_col[r] = ja
                 self.artificial.add(ja)
@@ -155,16 +152,16 @@ class _Tableau:
             for j in row:
                 self.col_rows.setdefault(j, set()).add(r)
 
-        self.red: dict[int, object] = {}
-        self.obj_val = _Q(0)
+        self.red: dict[int, Fraction] = {}
+        self.obj_val = _ZERO
         self.pivots = 0
 
     # -- reduced costs ----------------------------------------------------
 
-    def set_costs(self, costs: dict[int, object]):
+    def set_costs(self, costs: Mapping[int, Fraction]):
         """Recompute reduced costs z_j - c_j and the objective value."""
-        red: dict[int, object] = {j: -c for j, c in costs.items() if c != 0}
-        val = _Q(0)
+        red: dict[int, Fraction] = {j: -c for j, c in costs.items() if c != 0}
+        val = _ZERO
         for r in range(self.m):
             cb = costs.get(self.basis[r])
             if cb:
@@ -184,7 +181,7 @@ class _Tableau:
         prow = self.rows[r]
         pval = prow[j]
         if pval != 1:
-            inv = _Q(1) / pval
+            inv = 1 / pval
             for k in list(prow):
                 prow[k] *= inv
             self.rhs[r] *= inv
@@ -260,9 +257,6 @@ class _Tableau:
                 stall = stall + 1 if degenerate else 0
 
 
-_ZERO = _Q(0)
-
-
 def solve(problem: LpProblem, pivot_budget: int = 200_000, rule: str = "hybrid") -> LpSolution:
     """Solve exactly; statuses INFEASIBLE/UNBOUNDED are results, not errors.
 
@@ -274,7 +268,7 @@ def solve(problem: LpProblem, pivot_budget: int = 200_000, rule: str = "hybrid")
     t = _Tableau(problem)
 
     if t.artificial:
-        costs1 = {j: _Q(-1) for j in t.artificial}
+        costs1 = {j: Fraction(-1) for j in t.artificial}
         t.set_costs(costs1)
         # artificials start basic; once out they never re-enter
         status = t.run(lambda j: j not in t.artificial, pivot_budget, rule)
@@ -292,26 +286,68 @@ def solve(problem: LpProblem, pivot_budget: int = 200_000, rule: str = "hybrid")
                     t.pivot(r, target)
                 # else: row is redundant; its artificial stays basic at zero
 
-    costs2 = {j: _Q(c.numerator, c.denominator) for j, c in problem.objective.items()}
-    t.set_costs(costs2)
+    t.set_costs(problem.objective)
     status = t.run(lambda j: j not in t.artificial, pivot_budget, rule)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
-    primal = [Fraction(0)] * t.n
+    primal = [_ZERO] * t.n
     for r in range(t.m):
         if t.basis[r] < t.n:
-            primal[t.basis[r]] = _to_fraction(t.rhs[r])
+            primal[t.basis[r]] = t.rhs[r]
     dual = []
     for r in range(t.m):
         w = t.red.get(t.init_col[r], _ZERO)
-        dual.append(_to_fraction(w if t.sigma[r] == 1 else -w))
-    return LpSolution(
-        status=OPTIMAL,
-        primal=primal,
-        objective_value=_to_fraction(t.obj_val),
-        dual=dual,
-    )
+        dual.append(w if t.sigma[r] == 1 else -w)
+    return LpSolution(status=OPTIMAL, primal=primal, objective_value=t.obj_val, dual=dual)
+
+
+def dot(coeffs: Mapping[int, Fraction], x: Sequence[Fraction]) -> Fraction:
+    """sum_j coeffs[j] * x[j], exactly."""
+    return sum((c * x[j] for j, c in coeffs.items()), _ZERO)
+
+
+def row_violation(problem: LpProblem, x: Sequence[Fraction]) -> tuple[int, Fraction] | None:
+    """The first row the point x violates, as (row index, left-hand side).
+
+    Returns None when x satisfies every row; the sign of x is not checked.
+    """
+    for r, row in enumerate(problem.rows):
+        lhs = dot(row.coeffs, x)
+        if lhs > row.rhs if row.sense == SENSE_LE else lhs != row.rhs:
+            return r, lhs
+    return None
+
+
+def dual_violation(
+    problem: LpProblem, y: Sequence[Fraction]
+) -> tuple[str, int, Fraction, Fraction] | None:
+    """The first violated dual condition for one multiplier per row, or None.
+
+    Each "<=" row's multiplier must be non-negative; a violation is returned
+    as ("row", r, y_r, 0).  Then, for each variable j, the column sum
+    sum_r y_r a_rj must reach the objective coefficient c_j; a violation is
+    returned as ("variable", j, column sum, c_j).  Columns are scanned in the
+    objective's order, then the other columns in order of first appearance,
+    so the reported violation is fixed by the problem.
+    """
+    for r, (row, yr) in enumerate(zip(problem.rows, y)):
+        if row.sense == SENSE_LE and yr < 0:
+            return "row", r, yr, _ZERO
+    col_sums: dict[int, Fraction] = {}
+    for row, yr in zip(problem.rows, y):
+        if yr == 0:
+            continue
+        for j, c in row.coeffs.items():
+            col_sums[j] = col_sums.get(j, _ZERO) + yr * c
+    for j, c in problem.objective.items():
+        total = col_sums.get(j, _ZERO)
+        if total < c:
+            return "variable", j, total, c
+    for j, total in col_sums.items():
+        if j not in problem.objective and total < 0:
+            return "variable", j, total, _ZERO
+    return None
 
 
 def check_solution(problem: LpProblem, sol: LpSolution) -> bool:
@@ -325,38 +361,14 @@ def check_solution(problem: LpProblem, sol: LpSolution) -> bool:
         return False
     if len(sol.primal) != problem.num_vars or len(sol.dual) != len(problem.rows):
         return False
-    for x in sol.primal:
-        if x < 0:
-            return False
-    for row, y in zip(problem.rows, sol.dual):
-        lhs = sum((c * sol.primal[j] for j, c in row.coeffs.items()), Fraction(0))
-        if row.sense == SENSE_LE:
-            if lhs > row.rhs:
-                return False
-            if y < 0:
-                return False
-        else:
-            if lhs != row.rhs:
-                return False
-    # dual feasibility: for every variable, sum_r y_r a_rj >= c_j
-    col_sums: dict[int, Fraction] = {}
-    for row, y in zip(problem.rows, sol.dual):
-        if y == 0:
-            continue
-        for j, c in row.coeffs.items():
-            col_sums[j] = col_sums.get(j, Fraction(0)) + y * c
-    for j in range(problem.num_vars):
-        if col_sums.get(j, Fraction(0)) < problem.objective.get(j, Fraction(0)):
-            return False
-    primal_obj = sum(
-        (c * sol.primal[j] for j, c in problem.objective.items()), Fraction(0)
-    )
-    dual_bound = sum(
-        (y * row.rhs for row, y in zip(problem.rows, sol.dual)), Fraction(0)
-    )
-    if primal_obj != sol.objective_value or dual_bound != sol.objective_value:
+    if any(x < 0 for x in sol.primal):
         return False
-    return True
+    if row_violation(problem, sol.primal) is not None:
+        return False
+    if dual_violation(problem, sol.dual) is not None:
+        return False
+    dual_bound = sum((y * row.rhs for row, y in zip(problem.rows, sol.dual)), _ZERO)
+    return dot(problem.objective, sol.primal) == sol.objective_value == dual_bound
 
 
 # -- text dump for external cross-checking ----------------------------------

@@ -318,6 +318,27 @@ def test_verify_math_catches_resigned_dual_sign_tamper():
     assert not res
 
 
+def test_verify_reports_negative_multiplier_row():
+    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    cert = certify(trivial_g(), fam)
+    data = cert.to_json_dict()
+    data["dual"]["row_multipliers"][3] = "-1/1000"
+    res = verify_certificate(trivial_g(), fam, HALF, redigest(data))
+    assert res.failure == "dual multiplier for row 3 ('sel-e', 0, 2) is negative"
+
+
+def test_verify_reports_first_dual_infeasible_variable():
+    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    cert = certify(trivial_g(), fam)
+    data = cert.to_json_dict()
+    # raising the family row's multiplier (rhs 0, bound unchanged) breaks the
+    # tight columns 2..13; the scan follows the objective's order, so
+    # variable 4 is reported, not variable 2
+    data["dual"]["row_multipliers"][0] = "2/1"
+    res = verify_certificate(trivial_g(), fam, HALF, redigest(data))
+    assert res.failure == "dual infeasible at variable 4: -2 < -1"
+
+
 def test_certificate_json_roundtrip(secret_bit_e):
     fam = deterministic_family(2, 2, cap=2)
     cert = certify(secret_bit_e, fam)

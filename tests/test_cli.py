@@ -112,6 +112,12 @@ def test_lambda_max_refine_rounds(workdir, capsys):
     assert witness.recheck(p) == value1
 
 
+def test_lambda_max_negative_refine_rounds_exits_2(workdir, capsys):
+    code, out, err = run(capsys, "lambda-max", workdir / "sb.json", "--refine-rounds", -1)
+    assert code == 2 and out == ""
+    assert err == "error: refine_rounds must be >= 0, got -1\n"
+
+
 def test_lambda_max_zero_budget_status(workdir, capsys):
     code, out, _ = run(capsys, "lambda-max", workdir / "sb.json", "--max-pairs", 0)
     assert code == 0 and out.startswith("no witness searched")
@@ -185,6 +191,28 @@ def test_verify_wrong_g_exits_nonzero(workdir, capsys):
     assert code == 1 and "fingerprint" in out
 
 
+@pytest.mark.parametrize(
+    "kind, doc, argv",
+    [
+        ("distribution", {"axes": 5, "entries": []}, ("lambda", "{bad}")),
+        ("family", {"pairs": 5}, ("certify", "{dir}/triv.json", "--family", "{bad}")),
+        (
+            "certificate",
+            {"verdict": "undistillable", "optimum": "0/1", "lambda0": "1/2",
+             "fingerprint": "", "dual": 5},
+            ("verify", "{dir}/triv.json", "{dir}/fam1.json", "{bad}"),
+        ),
+    ],
+    ids=["distribution", "family", "certificate"],
+)
+def test_malformed_top_level_shape_exits_2(workdir, capsys, kind, doc, argv):
+    bad = workdir / "shape.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.format(dir=workdir, bad=bad) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {kind} ") and err.count("\n") == 1
+
+
 def test_certify_rejects_float_lambda0(workdir, capsys):
     code, _, err = run(
         capsys, "certify", workdir / "sb.json", "--family", workdir / "fam22.json",
@@ -229,12 +257,12 @@ def test_batch_table_matches_certify(workdir, capsys):
     assert lines[2].startswith("triv.json") and "undistillable" in lines[2]
 
 
-def test_batch_duplicates_and_jobs_deterministic(workdir, capsys):
+def test_batch_duplicates_deterministic(workdir, capsys):
     rows = manifest_rows(workdir) + manifest_rows(workdir)
     path = workdir / "manifest2.json"
     path.write_text(json.dumps(rows))
     code1, out1, _ = run(capsys, "batch", path)
-    code2, out2, _ = run(capsys, "batch", path, "--jobs", 4)
+    code2, out2, _ = run(capsys, "batch", path)
     assert code1 == code2 == 0
     assert out1 == out2
 
