@@ -476,6 +476,8 @@ class Certificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Certificate":
+        if not isinstance(data, dict):
+            raise ValueError("certificate JSON must be an object")
         dual = data.get("dual")
         return Certificate(
             verdict=str(data["verdict"]),

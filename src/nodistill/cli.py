@@ -145,12 +145,16 @@ def cmd_verify(args) -> int:
 
 
 def _batch_row(entry: dict, base: Path, max_dm: int):
+    if not isinstance(entry, dict):
+        raise _InputError(f"manifest entry must be an object, got {json.dumps(entry)}")
     g_path = str(entry["g"])
     g = _load_dist(str(base / g_path))
     fam_spec = entry["family"]
     if isinstance(fam_spec, str):
         family = _load_family(str(base / fam_spec))
         fam_desc = fam_spec
+    elif not isinstance(fam_spec, dict):
+        raise _InputError(f"family must be a path or an object, got {json.dumps(fam_spec)}")
     else:
         family = _generate_family(
             fam_spec.get("gen"),
@@ -179,17 +183,18 @@ def cmd_batch(args) -> int:
     results = []
     for entry in manifest:
         t0 = time.perf_counter()
+        label = str(entry.get("g", "?")) if isinstance(entry, dict) else "?"
         try:
             row = _batch_row(entry, base, args.max_dm)
             code = EXIT_OK
         except certifier.SizeGuardError as exc:
-            row = (str(entry.get("g", "?")), "?", "?", "ERROR", str(exc))
+            row = (label, "?", "?", "ERROR", str(exc))
             code = EXIT_GUARD
         except (_InputError, ValueError, KeyError) as exc:
-            row = (str(entry.get("g", "?")), "?", "?", "ERROR", str(exc))
+            row = (label, "?", "?", "ERROR", str(exc))
             code = EXIT_INPUT
         except Exception as exc:
-            row = (str(entry.get("g", "?")), "?", "?", "ERROR", str(exc))
+            row = (label, "?", "?", "ERROR", str(exc))
             code = EXIT_SOLVER
         results.append((row, code, time.perf_counter() - t0))
 

@@ -49,6 +49,27 @@ class Axis:
                 )
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _axis_to_json(ax: Axis) -> dict:
+    d = {"party": ax.party, "size": ax.size}
+    if ax.factors is not None:
+        d["factors"] = list(ax.factors)
+    return d
+
+
+def _axis_from_json(d: dict) -> Axis:
+    factors = d.get("factors")
+    if factors is not None:
+        factors = tuple(_json_int(f, "axis factor") for f in factors)
+    return Axis(str(d["party"]), _json_int(d["size"], "axis size"), factors)
+
+
 class JointDist:
     """Sparse non-negative rational tensor over labeled axes.
 
@@ -232,29 +253,21 @@ class JointDist:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        axes = []
-        for ax in self.axes:
-            d = {"party": ax.party, "size": ax.size}
-            if ax.factors is not None:
-                d["factors"] = list(ax.factors)
-            axes.append(d)
         entries = [
             {"index": list(idx), "p": format_rational(v)}
             for idx, v in sorted(self.items())
         ]
-        return {"axes": axes, "entries": entries}
+        return {"axes": [_axis_to_json(ax) for ax in self.axes], "entries": entries}
 
     @staticmethod
     def from_json_dict(data: dict) -> "JointDist":
         if not isinstance(data, dict) or "axes" not in data or "entries" not in data:
             raise ValueError("distribution JSON needs 'axes' and 'entries'")
-        axes = []
-        for d in data["axes"]:
-            axes.append(Axis(str(d["party"]), int(d["size"]), d.get("factors")))
+        axes = [_axis_from_json(d) for d in data["axes"]]
         seen: set[Index] = set()
         entries: dict[Index, Fraction] = {}
         for e in data["entries"]:
-            idx = tuple(int(i) for i in e["index"])
+            idx = tuple(_json_int(i, "entry index") for i in e["index"])
             if idx in seen:
                 raise ValueError(f"duplicate index {list(idx)} in distribution JSON")
             seen.add(idx)
@@ -358,24 +371,17 @@ class LocalMap:
         return LocalMap(in_ax, out_ax, rows)
 
     def to_json_dict(self) -> dict:
-        def axis_dict(ax: Axis) -> dict:
-            d = {"party": ax.party, "size": ax.size}
-            if ax.factors is not None:
-                d["factors"] = list(ax.factors)
-            return d
-
         return {
-            "input": axis_dict(self.input_axis),
-            "output": axis_dict(self.output_axis),
+            "input": _axis_to_json(self.input_axis),
+            "output": _axis_to_json(self.output_axis),
             "coeffs": [[format_rational(c) for c in row] for row in self.coeffs],
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "LocalMap":
-        def axis_from(d: dict) -> Axis:
-            return Axis(str(d["party"]), int(d["size"]), d.get("factors"))
-
-        return LocalMap(axis_from(data["input"]), axis_from(data["output"]), data["coeffs"])
+        return LocalMap(
+            _axis_from_json(data["input"]), _axis_from_json(data["output"]), data["coeffs"]
+        )
 
 
 # -- module-level operations ----------------------------------------------

@@ -1,24 +1,30 @@
 """Exact rational linear programming: two-phase primal simplex with certificates.
 
 Problems are maximizations over x >= 0 with rows of sense "<=" or "=".
-Arithmetic is exact throughout (`fractions.Fraction`), so an OPTIMAL result
-comes with an exactly feasible primal point and an exactly feasible dual
-vector whose bound equals the primal objective.  `row_violation` and
-`dual_violation` are the one primal and the one dual checker of the package;
-`check_solution` uses them to re-verify all of that independently of the
-solver.
+Arithmetic is exact throughout, so an OPTIMAL result comes with an exactly
+feasible primal point and an exactly feasible dual vector whose bound equals
+the primal objective.  `row_violation` and `dual_violation` are the one
+primal and the one dual checker of the package; they work on
+`fractions.Fraction`, and `check_solution` uses them to re-verify all of
+that independently of the solver.
 
-The tableau is stored sparsely (dict per row plus a column index) because the
+The tableau keeps each row as Python int numerators over one positive row
+denominator and updates it by fraction-free pivoting (Bareiss, Math. Comp.
+22, 1968), dividing out each changed row's content; `Fraction` appears only
+where rows come in and where the primal, dual and objective go out.  Rows
+are stored sparsely (dict per row plus a column index) because the
 certification LPs are large but very sparse.  Pivot selection is
-deterministic: the default rule takes the most-negative reduced cost and
-falls back to Bland's least-index rule during long degenerate stalls, which
-keeps the method finite; `rule="bland"` forces pure Bland pivoting.
+deterministic and depends only on the exact rational values: the default
+rule takes the most-negative reduced cost and falls back to Bland's
+least-index rule during long degenerate stalls, which keeps the method
+finite; `rule="bland"` forces pure Bland pivoting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .rat import ensure_fraction, format_rational, parse_rational
@@ -88,24 +94,39 @@ class LpSolution:
     primal: list[Fraction] = field(default_factory=list)
     objective_value: Fraction = Fraction(0)
     dual: list[Fraction] = field(default_factory=list)
+    pivots: tuple[int, int] = (0, 0)  # (phase 1, phase 2); kept out of certificates
 
 
 class _Tableau:
-    """Sparse simplex tableau over exact rationals."""
+    """Sparse simplex tableau over integer rows.
+
+    Row r holds integer numerators `rows[r]` and `rhs[r]` over one positive
+    row denominator `den[r]`; the rational row is rows[r] / den[r].  Its basic
+    variable has numerator den[r], i.e. coefficient 1.  The reduced costs
+    z_j - c_j are the numerators `red` over one shared positive denominator
+    `red_den`, and the objective value of the basis is `obj` / `red_den`.
+
+    A pivot keeps the pivot row's numerators and makes the pivot numerator
+    its denominator, then clears the pivot column from every other row with
+    `_eliminate`.  The represented rationals are those of a Fraction
+    tableau, so pivot choices, which depend only on them, are too: the
+    entering column compares numerators over the shared positive
+    denominator, and the ratio test compares rhs/a by cross-multiplication.
+    """
 
     def __init__(self, problem: LpProblem):
         self.n = problem.num_vars
         m = len(problem.rows)
         self.m = m
-        self.rows: list[dict[int, Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.rows: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.den: list[int] = []
         self.sigma: list[int] = []  # -1 where the original row was negated
         senses = []
         for row in problem.rows:
-            # a private copy: slack and artificial columns are added in place,
-            # and several problems may share one rows tuple
-            coeffs = dict(row.coeffs)
-            rhs = row.rhs
+            den = lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs.values()))
+            coeffs = {j: c.numerator * (den // c.denominator) for j, c in row.coeffs.items()}
+            rhs = row.rhs.numerator * (den // row.rhs.denominator)
             sense = row.sense
             sig = 1
             if rhs < 0:
@@ -115,6 +136,7 @@ class _Tableau:
                 sig = -1
             self.rows.append(coeffs)
             self.rhs.append(rhs)
+            self.den.append(den)
             self.sigma.append(sig)
             senses.append(sense)
 
@@ -123,25 +145,26 @@ class _Tableau:
         self.artificial: set[int] = set()
         next_col = self.n
         for r, sense in enumerate(senses):
+            den = self.den[r]
             if sense == SENSE_LE:
                 j = next_col
                 next_col += 1
-                self.rows[r][j] = Fraction(1)
+                self.rows[r][j] = den
                 self.basis[r] = j
                 self.init_col[r] = j
             elif sense == ">=":
                 js = next_col
                 ja = next_col + 1
                 next_col += 2
-                self.rows[r][js] = Fraction(-1)
-                self.rows[r][ja] = Fraction(1)
+                self.rows[r][js] = -den
+                self.rows[r][ja] = den
                 self.basis[r] = ja
                 self.init_col[r] = ja
                 self.artificial.add(ja)
             else:
                 ja = next_col
                 next_col += 1
-                self.rows[r][ja] = Fraction(1)
+                self.rows[r][ja] = den
                 self.basis[r] = ja
                 self.init_col[r] = ja
                 self.artificial.add(ja)
@@ -152,67 +175,60 @@ class _Tableau:
             for j in row:
                 self.col_rows.setdefault(j, set()).add(r)
 
-        self.red: dict[int, Fraction] = {}
-        self.obj_val = _ZERO
+        self.red: dict[int, int] = {}
+        self.red_den = 1
+        self.obj = 0
         self.pivots = 0
 
     # -- reduced costs ----------------------------------------------------
 
     def set_costs(self, costs: Mapping[int, Fraction]):
         """Recompute reduced costs z_j - c_j and the objective value."""
-        red: dict[int, Fraction] = {j: -c for j, c in costs.items() if c != 0}
-        val = _ZERO
-        for r in range(self.m):
-            cb = costs.get(self.basis[r])
-            if cb:
-                val += cb * self.rhs[r]
-                for j, a in self.rows[r].items():
-                    s = red.get(j, _ZERO) + cb * a
-                    if s:
-                        red[j] = s
-                    elif j in red:
-                        del red[j]
-        self.red = red
-        self.obj_val = val
+        basic = [(r, costs[self.basis[r]]) for r in range(self.m) if costs.get(self.basis[r])]
+        d = lcm(
+            *(c.denominator for c in costs.values()),
+            *(cb.denominator * self.den[r] for r, cb in basic),
+        )
+        red = {j: -c.numerator * (d // c.denominator) for j, c in costs.items() if c}
+        obj = 0
+        for r, cb in basic:
+            mult = cb.numerator * (d // (cb.denominator * self.den[r]))
+            obj += mult * self.rhs[r]
+            for j, a in self.rows[r].items():
+                s = red.get(j, 0) + mult * a
+                if s:
+                    red[j] = s
+                elif j in red:
+                    del red[j]
+        g = gcd(d, obj, *red.values())
+        self.red = {j: v // g for j, v in red.items()}
+        self.red_den = d // g
+        self.obj = obj // g
 
     # -- pivoting ---------------------------------------------------------
 
     def pivot(self, r: int, j: int):
         prow = self.rows[r]
-        pval = prow[j]
-        if pval != 1:
-            inv = 1 / pval
-            for k in list(prow):
-                prow[k] *= inv
-            self.rhs[r] *= inv
-        touched = self.col_rows.get(j, set()) - {r}
-        for rr in touched:
-            row = self.rows[rr]
-            f = row[j]
-            for k, pv in prow.items():
-                cur = row.get(k)
-                if cur is None:
-                    row[k] = -f * pv
-                    self.col_rows[k].add(rr)
-                else:
-                    nv = cur - f * pv
-                    if nv:
-                        row[k] = nv
-                    else:
-                        del row[k]
-                        self.col_rows[k].discard(rr)
-            self.rhs[rr] -= f * self.rhs[r]
-        f = self.red.get(j)
-        if f:
-            red = self.red
-            for k, pv in prow.items():
-                cur = red.get(k, _ZERO)
-                nv = cur - f * pv
-                if nv:
-                    red[k] = nv
-                elif k in red:
-                    del red[k]
-            self.obj_val -= f * self.rhs[r]
+        p = prow[j]
+        pb = self.rhs[r]
+        if p < 0:
+            for k, v in prow.items():
+                prow[k] = -v
+            p, pb = -p, -pb
+        g = gcd(pb, *prow.values())
+        if g > 1:
+            for k, v in prow.items():
+                prow[k] = v // g
+            p //= g
+            pb //= g
+        self.rhs[r] = pb
+        self.den[r] = p
+        for rr in self.col_rows[j] - {r}:
+            self.rhs[rr], self.den[rr] = _eliminate(
+                self.rows[rr], self.rhs[rr], self.den[rr], j, prow, pb, rr, self.col_rows
+            )
+        if j in self.red:
+            self.obj, self.red_den = _eliminate(self.red, self.obj, self.red_den, j, prow, pb)
         self.basis[r] = j
         self.pivots += 1
 
@@ -220,6 +236,7 @@ class _Tableau:
         """Pivot until optimal or unbounded; returns OPTIMAL or UNBOUNDED."""
         stall = 0
         bland = rule == "bland"
+        rows, rhs, basis = self.rows, self.rhs, self.basis
         while True:
             entering = None
             if bland or stall > _STALL_LIMIT:
@@ -236,25 +253,74 @@ class _Tableau:
                             entering = j
             if entering is None:
                 return OPTIMAL
+            # ratio test: least rhs/a over a > 0, ties to the least basic
+            # index; rows share no denominator, but rhs/a is the ratio of
+            # numerators, compared by cross-multiplication
             leaving = None
-            best_key = None
             for r in self.col_rows.get(entering, ()):
-                a = self.rows[r][entering]
+                a = rows[r][entering]
                 if a > 0:
-                    key = (self.rhs[r] / a, self.basis[r])
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        leaving = r
+                    b = rhs[r]
+                    if leaving is not None:
+                        lhs, rhs_best = b * best_a, best_b * a
+                        if lhs > rhs_best or (lhs == rhs_best and basis[r] > basis[leaving]):
+                            continue
+                    leaving, best_a, best_b = r, a, b
             if leaving is None:
                 return UNBOUNDED
             if self.pivots >= budget:
                 raise PivotBudgetExceeded(
                     f"pivot budget {budget} exhausted after {self.pivots} pivots"
                 )
-            degenerate = best_key[0] == 0
+            degenerate = best_b == 0
             self.pivot(leaving, entering)
             if not bland:
                 stall = stall + 1 if degenerate else 0
+
+
+def _eliminate(row, b, d, j, prow, pb, r=None, col_rows=None):
+    """Clear column j of one integer row against the pivot row.
+
+    `row` and `b` are numerators over the positive denominator `d`; the pivot
+    row `prow`, `pb` is over its own pivot entry p = prow[j].  The row
+    becomes (row * p/c - f/c * prow) over d * p/c, with f = row[j] and
+    c = gcd(f, p), so when p divides f only the pivot row's columns change.
+    A scaled row has its content divided out.  `col_rows`, when given,
+    records the columns row r occupies.  Returns the new (b, d).
+    """
+    p = prow[j]
+    f = row[j]
+    c = gcd(f, p)
+    q = f // c
+    s = p // c
+    if s != 1:
+        for k, v in row.items():
+            row[k] = v * s
+        b *= s
+        d *= s
+    for k, pv in prow.items():
+        cur = row.get(k)
+        if cur is None:
+            row[k] = -q * pv
+            if col_rows is not None:
+                col_rows[k].add(r)
+        else:
+            nv = cur - q * pv
+            if nv:
+                row[k] = nv
+            else:
+                del row[k]
+                if col_rows is not None:
+                    col_rows[k].discard(r)
+    b -= q * pb
+    if s != 1:
+        g = gcd(d, b, *row.values())
+        if g > 1:
+            for k, v in row.items():
+                row[k] = v // g
+            b //= g
+            d //= g
+    return b, d
 
 
 def solve(problem: LpProblem, pivot_budget: int = 200_000, rule: str = "hybrid") -> LpSolution:
@@ -262,6 +328,8 @@ def solve(problem: LpProblem, pivot_budget: int = 200_000, rule: str = "hybrid")
 
     OPTIMAL solutions carry the primal point, exact objective value and one
     dual multiplier per input row (valid for the rows exactly as given).
+    Every result carries its pivot counts as (phase 1, phase 2); phase 1
+    includes the pivots that drive basic artificials out of the basis.
     """
     if rule not in ("hybrid", "bland"):
         raise ValueError(f"unknown pivot rule {rule!r}")
@@ -274,8 +342,8 @@ def solve(problem: LpProblem, pivot_budget: int = 200_000, rule: str = "hybrid")
         status = t.run(lambda j: j not in t.artificial, pivot_budget, rule)
         if status != OPTIMAL:
             raise RuntimeError("phase 1 cannot be unbounded; solver invariant broken")
-        if t.obj_val != 0:
-            return LpSolution(status=INFEASIBLE)
+        if t.obj != 0:
+            return LpSolution(status=INFEASIBLE, pivots=(t.pivots, 0))
         for r in range(t.m):
             if t.basis[r] in t.artificial:
                 target = None
@@ -285,21 +353,29 @@ def solve(problem: LpProblem, pivot_budget: int = 200_000, rule: str = "hybrid")
                 if target is not None:
                     t.pivot(r, target)
                 # else: row is redundant; its artificial stays basic at zero
+    phase1 = t.pivots
 
     t.set_costs(problem.objective)
     status = t.run(lambda j: j not in t.artificial, pivot_budget, rule)
+    pivots = (phase1, t.pivots - phase1)
     if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED)
+        return LpSolution(status=UNBOUNDED, pivots=pivots)
 
     primal = [_ZERO] * t.n
     for r in range(t.m):
         if t.basis[r] < t.n:
-            primal[t.basis[r]] = t.rhs[r]
+            primal[t.basis[r]] = Fraction(t.rhs[r], t.den[r])
     dual = []
     for r in range(t.m):
-        w = t.red.get(t.init_col[r], _ZERO)
-        dual.append(w if t.sigma[r] == 1 else -w)
-    return LpSolution(status=OPTIMAL, primal=primal, objective_value=t.obj_val, dual=dual)
+        w = t.red.get(t.init_col[r], 0)
+        dual.append(Fraction(w if t.sigma[r] == 1 else -w, t.red_den))
+    return LpSolution(
+        status=OPTIMAL,
+        primal=primal,
+        objective_value=Fraction(t.obj, t.red_den),
+        dual=dual,
+        pivots=pivots,
+    )
 
 
 def dot(coeffs: Mapping[int, Fraction], x: Sequence[Fraction]) -> Fraction:

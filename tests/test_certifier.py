@@ -236,6 +236,49 @@ def test_empty_family_optimum_nonincreasing_in_lambda0():
     assert optima == sorted(optima, reverse=True)
 
 
+# Certificate digests and (phase 1, phase 2) pivot counts recorded with the
+# Fraction tableau that the integer-row tableau replaced: the same pivot path
+# gives the same bytes.
+PINNED = [
+    pytest.param(
+        "eve_knows_all", deterministic_family(2, 2, cap=3),
+        "1296755c470077a3486b05e296ee5dbb1730bb3698d0842a1ef2007230f6a571", (61, 56),
+        id="eka-det3",
+    ),
+    pytest.param(
+        "eve_knows_all", deterministic_family(2, 2, cap=4),
+        "25baa51ec3b249b004739391ed54ba4fe57a1b5405d5b7f04fc4e45f6d35656e", (253, 139),
+        id="eka-det4",
+    ),
+    pytest.param(
+        "uniform_bits", deterministic_family(2, 2, cap=3),
+        "30011a7ae6bb5ce47c763c15ff8d33e7f593c1bce0feddf36a5ec925315ef2fd", (33, 6),
+        id="unif-det3",
+    ),
+    pytest.param(
+        "uniform_bits", random_filter_family(2, 2, m=2, seed=3, denom_bound=4),
+        "e9bf3a6f39c1ea62d712cb2764306f75e169705a65cba85c87cdb7de4c92cc19", (32, 58),
+        id="unif-rand",
+    ),
+]
+
+
+@pytest.mark.parametrize("g_name, family, digest, pivots", PINNED)
+def test_certificate_digests_pinned(request, g_name, family, digest, pivots):
+    g = request.getfixturevalue(g_name)
+    cert = certify(g, family)
+    assert cert.digest == digest
+    assert verify_certificate(g, family, HALF, cert)
+
+
+@pytest.mark.parametrize("g_name, family, digest, pivots", PINNED)
+def test_pivot_counts_pinned(request, g_name, family, digest, pivots):
+    build = build_lp(CertificationProblem(g=request.getfixturevalue(g_name), family=family))
+    sol = ratlp.solve(build.problem)
+    assert sol.status == ratlp.OPTIMAL
+    assert sol.pivots == pivots
+
+
 # -- verification -----------------------------------------------------------------------
 
 

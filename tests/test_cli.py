@@ -202,8 +202,9 @@ def test_verify_wrong_g_exits_nonzero(workdir, capsys):
              "fingerprint": "", "dual": 5},
             ("verify", "{dir}/triv.json", "{dir}/fam1.json", "{bad}"),
         ),
+        ("certificate", [], ("verify", "{dir}/triv.json", "{dir}/fam1.json", "{bad}")),
     ],
-    ids=["distribution", "family", "certificate"],
+    ids=["distribution", "family", "certificate", "certificate-list"],
 )
 def test_malformed_top_level_shape_exits_2(workdir, capsys, kind, doc, argv):
     bad = workdir / "shape.json"
@@ -211,6 +212,50 @@ def test_malformed_top_level_shape_exits_2(workdir, capsys, kind, doc, argv):
     code, out, err = run(capsys, *(a.format(dir=workdir, bad=bad) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot read {kind} ") and err.count("\n") == 1
+
+
+def axes_doc(*sizes):
+    return [{"party": party, "size": size} for party, size in zip("ABE", sizes)]
+
+
+@pytest.mark.parametrize(
+    "kind, doc, argv",
+    [
+        (
+            "distribution",
+            {"axes": axes_doc(2, 2, 2.9), "entries": [{"index": [0, 0, 0], "p": "1/1"}]},
+            ("lambda", "{bad}"),
+        ),
+        (
+            "distribution",
+            {"axes": axes_doc(2, 2, 2), "entries": [{"index": [0, 0.7, 0], "p": "1/1"}]},
+            ("lambda", "{bad}"),
+        ),
+        (
+            "distribution",
+            {"axes": axes_doc(2, 2, 2), "entries": [{"index": [0, True, 0], "p": "1/1"}]},
+            ("lambda", "{bad}"),
+        ),
+        (
+            "family",
+            {"pairs": [{
+                "map_a": {"input": {"party": "A", "size": 1.0},
+                          "output": {"party": "A", "size": 1}, "coeffs": [["1/1"]]},
+                "map_b": {"input": {"party": "B", "size": 1},
+                          "output": {"party": "B", "size": 1}, "coeffs": [["1/1"]]},
+            }]},
+            ("certify", "{dir}/triv.json", "--family", "{bad}"),
+        ),
+    ],
+    ids=["float-size", "float-index", "bool-index", "map-float-size"],
+)
+def test_non_integer_size_or_index_exits_2(workdir, capsys, kind, doc, argv):
+    bad = workdir / "inexact.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.format(dir=workdir, bad=bad) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {kind} ") and err.count("\n") == 1
+    assert "must be an integer" in err
 
 
 def test_certify_rejects_float_lambda0(workdir, capsys):
@@ -273,6 +318,24 @@ def test_batch_reports_row_failures(workdir, capsys):
     path.write_text(json.dumps(rows))
     code, out, _ = run(capsys, "batch", path)
     assert code == 2 and "ERROR" in out
+
+
+def test_batch_non_object_entry_is_an_error_row(workdir, capsys):
+    rows = [
+        5,
+        {"g": "triv.json", "family": 7},
+        {"g": "triv.json", "family": {"gen": "deterministic", "cap": 1}},
+    ]
+    path = workdir / "manifest4.json"
+    path.write_text(json.dumps(rows))
+    code, out, _ = run(capsys, "batch", path)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[1:] == [
+        "?\t?\t?\tERROR\tmanifest entry must be an object, got 5",
+        "triv.json\t?\t?\tERROR\tfamily must be a path or an object, got 7",
+        'triv.json\t{"cap":1,"gen":"deterministic"}\t1/2\tundistillable\t0/1',
+    ]
 
 
 # -- gen-family ---------------------------------------------------------------------------
