@@ -230,6 +230,11 @@ def group_by_selector(q: JointDist, g: JointDist, family: MapFamily) -> JointDis
 # -- program assembly ---------------------------------------------------------
 
 
+def _cell(sa: int, sb: int, a: int, x: int, b: int, y: int) -> int:
+    """Variable (a, x, b, y, k) is cell * num_selectors + k (row-major q_axes())."""
+    return ((a * sa + x) * 2 + b) * sb + y
+
+
 @dataclass(frozen=True)
 class CertificationLp:
     """The assembled program plus the variable/row bookkeeping around it."""
@@ -240,7 +245,7 @@ class CertificationLp:
 
     def var_index(self, a: int, x: int, b: int, y: int, k: int) -> int:
         sp = self.setup
-        return (((a * sp.size_a + x) * 2 + b) * sp.size_b + y) * sp.num_selectors + k
+        return _cell(sp.size_a, sp.size_b, a, x, b, y) * sp.num_selectors + k
 
     def vector_from_dist(self, qk: JointDist) -> list[Fraction]:
         if qk.axes != self.setup.q_axes():
@@ -252,34 +257,37 @@ class CertificationLp:
 
     def dist_from_vector(self, vec) -> JointDist:
         sp = self.setup
+        nk, sa, sb = sp.num_selectors, sp.size_a, sp.size_b
         entries = {}
-        pos = 0
-        for a in range(2):
-            for xa in range(sp.size_a):
-                for b in range(2):
-                    for yb in range(sp.size_b):
-                        for k in range(sp.num_selectors):
-                            v = vec[pos]
-                            pos += 1
-                            if v:
-                                entries[(a, xa, b, yb, k)] = Fraction(v)
+        for j, v in enumerate(vec):
+            if v:
+                cell, k = divmod(j, nk)
+                cell, y = divmod(cell, sb)
+                cell, b = divmod(cell, 2)
+                a, x = divmod(cell, sa)
+                entries[(a, x, b, y, k)] = Fraction(v)
         return JointDist(sp.q_axes(), entries)
 
-    def objective_of(self, qk: JointDist) -> Fraction:
-        return ratlp.dot(self.problem.objective, self.vector_from_dist(qk))
 
-    def is_feasible(self, qk: JointDist) -> bool:
-        return ratlp.row_violation(self.problem, self.vector_from_dist(qk)) is None
+def _scaled_to_integers(tables):
+    """Multiply (cell, coefficient) tables by the lcm of all their denominators."""
+    scale = reduce(lcm, (c.denominator for t in tables for _, c in t), 1)
+    return [[(cell, c * scale) for cell, c in t] for t in tables]
 
 
-def _scaled_to_integers(coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Multiply a homogeneous row by the lcm of denominators (sign-preserving)."""
-    if not coeffs:
-        return coeffs
-    scale = reduce(lcm, (c.denominator for c in coeffs.values()), 1)
-    if scale == 1:
-        return coeffs
-    return {j: c * scale for j, c in coeffs.items()}
+def _product_table(terms) -> list[tuple[int, Fraction]]:
+    """Per cell, the sum of coef * wa[sym_a] * wb[sym_b] over (coef, wa, wb) terms.
+
+    wa and wb are indexed by the composite symbols a*|A| + x and b*|B| + y, so
+    the row-major position of (sym_a, sym_b) is the cell.  Zeros are left out.
+    """
+    _, wa0, wb0 = terms[0]
+    table = []
+    for cell, (i, j) in enumerate(itertools.product(range(len(wa0)), range(len(wb0)))):
+        c = sum(coef * wa[i] * wb[j] for coef, wa, wb in terms)
+        if c:
+            table.append((cell, c))
+    return table
 
 
 def build_lp(problem: CertificationProblem) -> CertificationLp:
@@ -294,34 +302,38 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     the feasible set and cannot raise a zero maximum).  Constraint rows are
     scaled to integer coefficients; empty and exactly duplicated rows are
     dropped.
+
+    A coefficient depends on the selector block k only through one selector
+    bit (through the d adversary bits for the objective), so each one is
+    computed once per bit value as a (cell, coefficient) table and copied
+    into every block k at cell * num_selectors + k.
     """
     problem.check_size_guard()
     sp = problem
-    g = sp.g
     lam2 = 2 * sp.lambda0
-    d, m, nk = sp.d, sp.m, sp.num_selectors
+    d, nk = sp.d, sp.num_selectors
     sa, sb = sp.size_a, sp.size_b
 
-    def var(a, x, b, y, k):
-        return (((a * sa + x) * 2 + b) * sb + y) * nk + k
+    def placed(tables, shift, mask, ks=range(nk)) -> dict[int, Fraction]:
+        """tables[(k >> shift) & mask] copied into block k, for each k in ks."""
+        return {cell * nk + k: c for k in ks for cell, c in tables[(k >> shift) & mask]}
 
     g_slices: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(d)]
     g_total: dict[tuple[int, int], Fraction] = {}
-    for (x, y, e), v in g.items():
+    for (x, y, e), v in sp.g.items():
         g_slices[e][(x, y)] = v
         g_total[(x, y)] = g_total.get((x, y), Fraction(0)) + v
 
-    tables = _family_tables(sp.family)
-
-    # objective: 4 * [selected diagonal of the lift] - 2*lambda0 * [lift sum]
-    objective: dict[int, Fraction] = {}
-    for k in range(nk):
-        bits = selector_bits(k, d + m)
+    # objective: 4 * [selected diagonal of the lift] - 2*lambda0 * [lift sum],
+    # one table per value of the adversary bits k mod 2^d
+    obj_tables = []
+    for t in range(1 << d):
         diag_sum: list[dict[tuple[int, int], Fraction]] = [dict(), dict()]
         for e in range(d):
-            target = diag_sum[bits[e]]
+            target = diag_sum[(t >> e) & 1]
             for xy, v in g_slices[e].items():
                 target[xy] = target.get(xy, Fraction(0)) + v
+        table = []
         for (x, y), tot in g_total.items():
             base = -lam2 * tot
             for a in range(2):
@@ -330,67 +342,49 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
                     if a == b:
                         c = c + 4 * diag_sum[a].get((x, y), Fraction(0))
                     if c:
-                        objective[var(a, x, b, y, k)] = c
+                        table.append((_cell(sa, sb, a, x, b, y), c))
+        obj_tables.append(table)
+    objective = placed(obj_tables, 0, (1 << d) - 1)
 
     rows: list[ratlp.LpRow] = []
     row_info: list[tuple] = []
-    seen_rows: dict[tuple, int] = {}
+    seen_rows: set[tuple] = set()
 
-    def emit(coeffs: dict[int, Fraction], sense: str, rhs: Fraction, info: tuple):
-        if not coeffs:
-            return
-        coeffs = _scaled_to_integers(coeffs)
-        key = (tuple(sorted(coeffs.items())), sense, rhs)
-        if key in seen_rows:
-            return
-        seen_rows[key] = len(rows)
-        rows.append(ratlp.LpRow(coeffs, sense, rhs))
-        row_info.append(info)
+    def emit(coeffs: dict[int, Fraction], info: tuple):
+        n = len(seen_rows)
+        seen_rows.add(tuple(sorted(coeffs.items())))  # hashes the key once
+        if coeffs and len(seen_rows) > n:
+            rows.append(ratlp.LpRow(coeffs, ratlp.SENSE_LE, Fraction(0)))
+            row_info.append(info)
+
+    fam = _family_tables(sp.family)
 
     # family advantage rows: filtered advantage <= 0
-    for i, (ma, mb, col_a, col_b) in enumerate(tables):
-        coeffs: dict[int, Fraction] = {}
-        for k in range(nk):
-            sel = selector_bits(k, d + m)[d + i]
-            for a in range(2):
-                for x in range(sa):
-                    wa_sel = ma[sel][a * sa + x]
-                    wa_tot = col_a[a * sa + x]
-                    for b in range(2):
-                        for y in range(sb):
-                            c = 4 * wa_sel * mb[sel][b * sb + y] - lam2 * wa_tot * col_b[b * sb + y]
-                            if c:
-                                coeffs[var(a, x, b, y, k)] = c
-        emit(coeffs, ratlp.SENSE_LE, Fraction(0), ("family", i))
+    for i, (ma, mb, col_a, col_b) in enumerate(fam):
+        tables = _scaled_to_integers(
+            [_product_table(((4, ma[s], mb[s]), (-lam2, col_a, col_b))) for s in range(2)]
+        )
+        emit(placed(tables, d + i, 1), ("family", i))
 
-    # selector rows for the lifted product: selected diagonal <= other diagonal
-    for e in range(d):
-        sl = g_slices[e]
+    # selector rows for the lifted product: selected diagonal <= other diagonal.
+    # A selector row holds one of its two tables, and the two negate each
+    # other (here and for the filters below), so one lcm scales both.
+    for e, sl in enumerate(g_slices):
+        tables = [[], []]
+        for (x, y), v in sl.items():
+            for s in range(2):
+                tables[s] += [(_cell(sa, sb, s, x, s, y), v), (_cell(sa, sb, 1 - s, x, 1 - s, y), -v)]
+        tables = _scaled_to_integers(tables)
         for k in range(nk):
-            sel = selector_bits(k, d + m)[e]
-            coeffs = {}
-            for (x, y), v in sl.items():
-                coeffs[var(sel, x, sel, y, k)] = coeffs.get(var(sel, x, sel, y, k), Fraction(0)) + v
-                j = var(1 - sel, x, 1 - sel, y, k)
-                coeffs[j] = coeffs.get(j, Fraction(0)) - v
-            coeffs = {j: c for j, c in coeffs.items() if c}
-            emit(coeffs, ratlp.SENSE_LE, Fraction(0), ("sel-e", e, k))
+            emit(placed(tables, e, 1, (k,)), ("sel-e", e, k))
 
     # selector rows for each family filter
-    for i, (ma, mb, _, _) in enumerate(tables):
+    for i, (ma, mb, _, _) in enumerate(fam):
+        tables = _scaled_to_integers(
+            [_product_table(((1, ma[s], mb[s]), (-1, ma[1 - s], mb[1 - s]))) for s in range(2)]
+        )
         for k in range(nk):
-            sel = selector_bits(k, d + m)[d + i]
-            coeffs = {}
-            for a in range(2):
-                for x in range(sa):
-                    w_sel = ma[sel][a * sa + x]
-                    w_oth = ma[1 - sel][a * sa + x]
-                    for b in range(2):
-                        for y in range(sb):
-                            c = w_sel * mb[sel][b * sb + y] - w_oth * mb[1 - sel][b * sb + y]
-                            if c:
-                                coeffs[var(a, x, b, y, k)] = c
-            emit(coeffs, ratlp.SENSE_LE, Fraction(0), ("sel-i", i, k))
+            emit(placed(tables, d + i, 1, (k,)), ("sel-i", i, k))
 
     norm = {j: Fraction(1) for j in range(sp.num_vars)}
     rows.append(ratlp.LpRow(norm, ratlp.SENSE_EQ, Fraction(1)))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import certifier, families, measures, ratlp
-from .probvec import JointDist
+from .probvec import JointDist, _json_int
 from .rat import format_rational, parse_rational
 
 EXIT_OK = 0
@@ -156,15 +156,11 @@ def _batch_row(entry: dict, base: Path, max_dm: int):
     elif not isinstance(fam_spec, dict):
         raise _InputError(f"family must be a path or an object, got {json.dumps(fam_spec)}")
     else:
-        family = _generate_family(
-            fam_spec.get("gen"),
-            g.axis("A").size,
-            g.axis("B").size,
-            fam_spec.get("M"),
-            fam_spec.get("cap"),
-            fam_spec.get("seed"),
-            fam_spec.get("denom_bound"),
-        )
+        ints = [
+            None if fam_spec.get(k) is None else _json_int(fam_spec[k], f"family {k}")
+            for k in ("M", "cap", "seed", "denom_bound")
+        ]
+        family = _generate_family(fam_spec.get("gen"), g.axis("A").size, g.axis("B").size, *ints)
         fam_desc = json.dumps(fam_spec, sort_keys=True, separators=(",", ":"))
     lambda0 = _parse_lambda0(str(entry.get("lambda0", "1/2")))
     cert = certifier.certify(g, family, lambda0=lambda0, max_dm=max_dm)

@@ -49,6 +49,8 @@ class SearchOptions:
     refine_rounds: int = 0
 
     def __post_init__(self):
+        if self.max_pairs is not None and self.max_pairs < 0:
+            raise ValueError(f"max_pairs must be >= 0, got {self.max_pairs}")
         if self.refine_rounds < 0:
             raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
 
@@ -247,7 +249,7 @@ def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> 
     lower bound only: the witness recheck is exact, no claim of optimality is
     made.
     """
-    if opts.max_pairs is not None and opts.max_pairs <= 0:
+    if opts.max_pairs == 0:
         raise SearchBudgetExhausted("empty search: map-pair budget is 0")
     if p.total_mass() == 0:
         raise ValueError("lambda-max search needs positive total mass")
@@ -298,7 +300,7 @@ def distillability_witness(
     from .probvec import tensor_power
 
     lambda0 = ensure_fraction(lambda0)
-    if opts.max_pairs is not None and opts.max_pairs <= 0:
+    if opts.max_pairs == 0:
         raise SearchBudgetExhausted("empty search: map-pair budget is 0")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")

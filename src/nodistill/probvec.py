@@ -11,7 +11,6 @@ functions, so concurrent use needs no locking.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -470,12 +469,3 @@ def tensor_power(p: JointDist, n: int) -> JointDist:
         merged = [l] + [f"{l}#{c}" for c in range(2, n + 1)]
         result = result.merge_axes(merged, l)
     return result.permute(base_labels)
-
-
-def basis_dist(axes: Sequence[Axis], idx: Index) -> JointDist:
-    """Unit mass on a single outcome."""
-    return JointDist(tuple(axes), {tuple(idx): Fraction(1)})
-
-
-def all_indices(axes: Sequence[Axis]):
-    return itertools.product(*(range(ax.size) for ax in axes))

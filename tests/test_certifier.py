@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -89,9 +90,10 @@ def test_grouping_preserves_objective_and_family_values():
             else MapFamily(pairs=())
         )
         grouped = group_by_selector(q, g, fam)
-        assert lifted_objective_value(q, g, HALF) == build_lp(
-            CertificationProblem(g=g, family=fam)
-        ).objective_of(grouped)
+        build = build_lp(CertificationProblem(g=g, family=fam))
+        assert lifted_objective_value(q, g, HALF) == ratlp.dot(
+            build.problem.objective, build.vector_from_dist(grouped)
+        )
         for pair in fam.pairs:
             assert family_constraint_value(q, pair, HALF) == family_constraint_value(
                 grouped, pair, HALF
@@ -160,7 +162,7 @@ def test_canonical_witness_feasible_with_correct_selectors(secret_bit_e, eve_kno
         fam = deterministic_family(2, 2, cap=3)
         build = build_lp(CertificationProblem(g=g, family=fam))
         grouped = group_by_selector(canonical_witness_q(g), g, fam)
-        assert build.is_feasible(grouped)
+        assert ratlp.row_violation(build.problem, build.vector_from_dist(grouped)) is None
 
 
 def test_canonical_witness_needs_binary_alphabets():
@@ -277,6 +279,49 @@ def test_pivot_counts_pinned(request, g_name, family, digest, pivots):
     sol = ratlp.solve(build.problem)
     assert sol.status == ratlp.OPTIMAL
     assert sol.pivots == pivots
+
+
+@pytest.fixture
+def rand_3x2x3():
+    return rand_dist(random.Random(7), (3, 2, 3))
+
+
+# SHA-256 of the assembled program: rows and their order, every coefficient,
+# the insertion order of the objective and of each row, and row_info
+# (recorded with the block-by-block assembly the per-bit tables replaced).
+PINNED_LP = [
+    pytest.param(
+        "eve_knows_all", deterministic_family(2, 2, cap=4), HALF,
+        "2f265d76d30b8aaf2c430f8b2e396e9d78e1c2a23888fdfa29e79d13ea6adbdd",
+        id="eka-det4",
+    ),
+    pytest.param(
+        "eve_knows_all", deterministic_family(2, 2, cap=3), F(2, 3),
+        "c74f50fd2a19912615537cab956f97cc1dff0b2c0662c79704857e829e413f3a",
+        id="eka-det3-two-thirds",
+    ),
+    pytest.param(
+        "rand_3x2x3", random_filter_family(3, 2, m=2, seed=1, denom_bound=3), HALF,
+        "2f17064a848e8865718c6c5d95dd2b45c0512e97182a3c1d8aff4147c4f34da1",
+        id="rand3x2x3-rand2",
+    ),
+]
+
+
+@pytest.mark.parametrize("g_name, family, lambda0, digest", PINNED_LP)
+def test_build_lp_pinned(request, g_name, family, lambda0, digest):
+    g = request.getfixturevalue(g_name)
+    build = build_lp(CertificationProblem(g=g, family=family, lambda0=lambda0))
+    lp = build.problem
+    blob = repr(
+        (
+            lp.num_vars,
+            list(lp.objective.items()),
+            [(list(r.coeffs.items()), r.sense, r.rhs) for r in lp.rows],
+            build.row_info,
+        )
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 # -- verification -----------------------------------------------------------------------

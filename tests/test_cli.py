@@ -118,6 +118,12 @@ def test_lambda_max_negative_refine_rounds_exits_2(workdir, capsys):
     assert err == "error: refine_rounds must be >= 0, got -1\n"
 
 
+def test_lambda_max_negative_max_pairs_exits_2(workdir, capsys):
+    code, out, err = run(capsys, "lambda-max", workdir / "sb.json", "--max-pairs", -1)
+    assert code == 2 and out == ""
+    assert err == "error: max_pairs must be >= 0, got -1\n"
+
+
 def test_lambda_max_zero_budget_status(workdir, capsys):
     code, out, _ = run(capsys, "lambda-max", workdir / "sb.json", "--max-pairs", 0)
     assert code == 0 and out.startswith("no witness searched")
@@ -335,6 +341,28 @@ def test_batch_non_object_entry_is_an_error_row(workdir, capsys):
         "?\t?\t?\tERROR\tmanifest entry must be an object, got 5",
         "triv.json\t?\t?\tERROR\tfamily must be a path or an object, got 7",
         'triv.json\t{"cap":1,"gen":"deterministic"}\t1/2\tundistillable\t0/1',
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"gen": "random", "M": "2"}, "M"),
+        ({"gen": "random", "M": 2, "denom_bound": 2.0}, "denom_bound"),
+        ({"gen": "random", "M": 2, "seed": 1.5}, "seed"),
+        ({"gen": "random", "M": True}, "M"),
+        ({"gen": "deterministic", "cap": True}, "cap"),
+    ],
+    ids=["string-M", "float-denom-bound", "float-seed", "bool-M", "bool-cap"],
+)
+def test_batch_non_integer_generator_field_is_an_error_row(workdir, capsys, spec, field):
+    path = workdir / "manifest5.json"
+    path.write_text(json.dumps([{"g": "sb.json", "family": spec}]))
+    code, out, _ = run(capsys, "batch", path)
+    assert code == 2
+    value = json.dumps(spec[field])
+    assert out.splitlines()[1:] == [
+        f"sb.json\t?\t?\tERROR\tfamily {field} must be an integer, got {value}"
     ]
 
 

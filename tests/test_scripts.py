@@ -1,0 +1,38 @@
+"""Smoke tests: both experiment scripts run end to end through certify."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args, cwd):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_run_adversary_knows_all(tmp_path):
+    out_dir = tmp_path / "eka"
+    lines = run_script("run_adversary_knows_all.py", "--max-m", 2, "--out-dir", out_dir, cwd=tmp_path)
+    # the fourth column is a wall time
+    assert [line.split("\t")[:3] for line in lines] == [
+        ["M", "verdict", "optimum"],
+        ["0", "inconclusive", "1/2"],
+        ["1", "inconclusive", "1/4"],
+        ["2", "inconclusive", "1/4"],
+    ]
+    assert (out_dir / "cert_m2.json").is_file()
+
+
+def test_run_family_sweep(tmp_path):
+    lines = run_script("run_family_sweep.py", "--dists", 2, "--max-m", 2, "--seed", 0, cwd=tmp_path)
+    assert lines == [
+        "dist\tM=0\tM=1\tM=2",
+        "g0\t13/7\t113/126\t113/126",
+        "g1\t9/5\t9/10\t9/10",
+    ]
