@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -29,9 +28,7 @@ from math import lcm
 
 from . import ratlp
 from .families import MapFamily
-from .lifting import lift
-from .measures import lambda_advantage
-from .probvec import Axis, JointDist, apply_local
+from .probvec import Axis, JointDist
 from .rat import ensure_fraction, format_rational
 
 UNDISTILLABLE = "undistillable"
@@ -44,27 +41,6 @@ class SizeGuardError(ValueError):
 
 class CertifierError(RuntimeError):
     """Internal failure (solver anomaly); never reported as a verdict."""
-
-
-# -- selector vectors --------------------------------------------------------
-
-
-def selector_index(bits) -> int:
-    """Pack selector components into an integer, component j at bit j."""
-    k = 0
-    for j, b in enumerate(bits):
-        if b:
-            k |= 1 << j
-    return k
-
-
-def selector_bits(k: int, width: int) -> tuple[int, ...]:
-    return tuple((k >> j) & 1 for j in range(width))
-
-
-def _sign_selector(diff: Fraction) -> int:
-    """0 when the first diagonal entry attains the minimum; ties pick 0."""
-    return 1 if diff > 0 else 0
 
 
 # -- problem shape ------------------------------------------------------------
@@ -141,92 +117,6 @@ class CertificationProblem:
         )
 
 
-# -- grouping -----------------------------------------------------------------
-
-
-def _family_tables(family: MapFamily):
-    """Per pair: output-row coefficient tables and column sums per side."""
-    tables = []
-    for pair in family.pairs:
-        ma, mb = pair.map_a.coeffs, pair.map_b.coeffs
-        col_a = [ma[0][s] + ma[1][s] for s in range(len(ma[0]))]
-        col_b = [mb[0][s] + mb[1][s] for s in range(len(mb[0]))]
-        tables.append((ma, mb, col_a, col_b))
-    return tables
-
-
-def group_by_selector(q: JointDist, g: JointDist, family: MapFamily) -> JointDist:
-    """Collapse the helper axis onto the selector alphabet.
-
-    For each helper symbol e' the selector vector stacks, per adversary symbol
-    of g, the sign of the lifted diagonal difference, then per family member
-    the sign of the filtered diagonal difference (zero differences select 0).
-    Slices with equal selector vectors are summed; every lifted or filtered
-    value of interest is unchanged because mins on a common side add.
-    """
-    if len(q.axes) != 5:
-        raise ValueError("q must have 5 axes (A-bit, A-copy, B-bit, B-copy, E')")
-    abit, acopy, bbit, bcopy, _ep = q.axes
-    if len(g.axes) != 3 or g.labels[:2] != ("A", "B"):
-        raise ValueError(
-            f"g must have exactly three axes ordered (A, B, adversary), got {g.labels}"
-        )
-    ga, gb, ge = g.axes
-    if abit.size != 2 or bbit.size != 2:
-        raise ValueError("q's bit axes must have size 2")
-    if acopy.size != ga.size or bcopy.size != gb.size:
-        raise ValueError("q's copy alphabets must match g's alphabets")
-    d = ge.size
-    m = len(family)
-    tables = _family_tables(family)
-    for i, (ma, mb, _, _) in enumerate(tables):
-        if len(ma[0]) != 2 * ga.size or len(mb[0]) != 2 * gb.size:
-            raise ValueError(f"family pair {i} does not act on q's composite alphabets")
-
-    g_slices: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(d)]
-    for (x, y, e), v in g.items():
-        g_slices[e][(x, y)] = v
-
-    by_ep: dict[int, list] = {}
-    for idx, v in q.items():
-        by_ep.setdefault(idx[4], []).append((idx, v))
-
-    out_axes = (
-        Axis("A-bit", 2),
-        Axis("A-copy", acopy.size),
-        Axis("B-bit", 2),
-        Axis("B-copy", bcopy.size),
-        Axis("K", 1 << (d + m)),
-    )
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for ep, items in sorted(by_ep.items()):
-        bits = []
-        for e in range(d):
-            diff = Fraction(0)
-            sl = g_slices[e]
-            for (a, x, b, y, _), v in items:
-                if a == b:
-                    gv = sl.get((x, y))
-                    if gv:
-                        diff += (gv * v) if a == 0 else -(gv * v)
-            bits.append(_sign_selector(diff))
-        for ma, mb, _, _ in tables:
-            diff = Fraction(0)
-            for (a, x, b, y, _), v in items:
-                sym_a = a * acopy.size + x
-                sym_b = b * bcopy.size + y
-                term0 = ma[0][sym_a] * mb[0][sym_b]
-                term1 = ma[1][sym_a] * mb[1][sym_b]
-                if term0 or term1:
-                    diff += (term0 - term1) * v
-            bits.append(_sign_selector(diff))
-        k = selector_index(bits)
-        for (a, x, b, y, _), v in items:
-            key = (a, x, b, y, k)
-            entries[key] = entries.get(key, Fraction(0)) + v
-    return JointDist(out_axes, entries)
-
-
 # -- program assembly ---------------------------------------------------------
 
 
@@ -288,6 +178,17 @@ def _product_table(terms) -> list[tuple[int, Fraction]]:
         if c:
             table.append((cell, c))
     return table
+
+
+def _family_tables(family: MapFamily):
+    """Per pair: output-row coefficient tables and column sums per side."""
+    tables = []
+    for pair in family.pairs:
+        ma, mb = pair.map_a.coeffs, pair.map_b.coeffs
+        col_a = [ma[0][s] + ma[1][s] for s in range(len(ma[0]))]
+        col_b = [mb[0][s] + mb[1][s] for s in range(len(mb[0]))]
+        tables.append((ma, mb, col_a, col_b))
+    return tables
 
 
 def build_lp(problem: CertificationProblem) -> CertificationLp:
@@ -392,45 +293,6 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
 
     lp = ratlp.LpProblem(num_vars=sp.num_vars, objective=objective, rows=tuple(rows))
     return CertificationLp(problem=lp, setup=sp, row_info=tuple(row_info))
-
-
-# -- reference values (used by tests and the spot check) ----------------------
-
-
-def lifted_objective_value(q: JointDist, g: JointDist, lambda0: Fraction) -> Fraction:
-    """Objective evaluated with true minima on an explicit helper alphabet."""
-    return 2 * lambda_advantage(lift(q, g), ensure_fraction(lambda0))
-
-
-def filtered_by_pair(q: JointDist, pair) -> JointDist:
-    """Apply a family pair to the merged composite alphabets of q."""
-    merged = q.merge_axes(["A-bit", "A-copy"], "A").merge_axes(["B-bit", "B-copy"], "B")
-    return apply_local(pair.map_a, apply_local(pair.map_b, merged, "B"), "A")
-
-
-def family_constraint_value(q: JointDist, pair, lambda0: Fraction) -> Fraction:
-    """Filtered advantage (doubled), the quantity each family row bounds by 0."""
-    return 2 * lambda_advantage(filtered_by_pair(q, pair), ensure_fraction(lambda0))
-
-
-def canonical_witness_q(g: JointDist) -> JointDist:
-    """The bit-to-alphabet embedding with perfectly correlated copy factors.
-
-    Mass 1/4 on each (a', a', b', b') with a', b' in {0, 1}, trivial helper
-    axis.  Its two sides are independent of each other, so every filter pair
-    stays at or below the trivial fraction, while lifting it reproduces g on
-    the bit axes at weight 1/4.
-    """
-    sa, sb = g.axis("A").size, g.axis("B").size
-    if sa < 2 or sb < 2:
-        raise ValueError("canonical witness needs alphabets of size >= 2 on A and B")
-    axes = (Axis("A-bit", 2), Axis("A-copy", sa), Axis("B-bit", 2), Axis("B-copy", sb), Axis("E'", 1))
-    quarter = Fraction(1, 4)
-    entries = {}
-    for a in range(2):
-        for b in range(2):
-            entries[(a, a, b, b, 0)] = quarter
-    return JointDist(axes, entries)
 
 
 # -- certificates -------------------------------------------------------------
@@ -649,78 +511,3 @@ def verify_certificate(
     if bound != cert.optimum:
         return fail(f"dual bound {bound} != claimed optimum {cert.optimum}")
     return VerificationResult(True)
-
-
-# -- feasible-point sampling around an undistillable verdict ------------------
-
-
-@dataclass(frozen=True)
-class SpotcheckReport:
-    samples: int
-    max_advantage: Fraction
-    violations: tuple[str, ...]
-
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def activation_spotcheck(
-    g: JointDist,
-    family: MapFamily,
-    lambda0: Fraction,
-    cert: Certificate,
-    seed: int = 0,
-    vertices: int = 8,
-    mixtures: int = 8,
-) -> SpotcheckReport:
-    """Sample feasible points of a zero-maximum program; none may activate.
-
-    Solves the same feasible region under seeded alternative objectives to
-    collect vertices, mixes them with rational convex weights, and recomputes
-    each point's lifted advantage from scratch (true minima, no selectors).
-    Every advantage must be <= 0 exactly; a violation would mean the verdict
-    machinery is unsound.  A zero maximum therefore also rules out g raising
-    the extractable fraction of any distribution the family already pins to
-    the trivial value, which is what makes products with g inert.
-    """
-    if cert.verdict != UNDISTILLABLE:
-        raise ValueError("spot check applies to undistillable verdicts only")
-    lambda0 = ensure_fraction(lambda0)
-    setup = CertificationProblem(g=g, family=family, lambda0=lambda0)
-    build = build_lp(setup)
-    rng = random.Random(seed)
-    points: list[JointDist] = []
-    base = ratlp.solve(build.problem)
-    if base.status == ratlp.OPTIMAL:
-        points.append(build.dist_from_vector(base.primal))
-    for _ in range(max(0, vertices - 1)):
-        alt_obj = {
-            j: Fraction(rng.randint(-9, 9))
-            for j in rng.sample(range(build.problem.num_vars), min(12, build.problem.num_vars))
-        }
-        alt = ratlp.LpProblem(
-            num_vars=build.problem.num_vars, objective=alt_obj, rows=build.problem.rows
-        )
-        sol = ratlp.solve(alt)
-        if sol.status == ratlp.OPTIMAL:
-            points.append(build.dist_from_vector(sol.primal))
-    for _ in range(mixtures):
-        if len(points) < 2:
-            break
-        a, b = rng.sample(range(len(points)), 2)
-        w = Fraction(rng.randint(1, 9), 10)
-        points.append(points[a].scale(w).add(points[b].scale(1 - w)))
-
-    max_adv: Fraction | None = None
-    violations = []
-    for n, qk in enumerate(points):
-        adv = lambda_advantage(lift(qk, g), lambda0)
-        if max_adv is None or adv > max_adv:
-            max_adv = adv
-        if adv > 0:
-            violations.append(f"sample {n}: lifted advantage {adv} > 0")
-    return SpotcheckReport(
-        samples=len(points),
-        max_advantage=max_adv if max_adv is not None else Fraction(0),
-        violations=tuple(violations),
-    )

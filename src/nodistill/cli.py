@@ -31,18 +31,21 @@ class _InputError(Exception):
     pass
 
 
-def _load_dist(path: str) -> JointDist:
+def _read(kind: str, path: str, loads):
+    """loads(text of path); a failure becomes one line naming the file and why."""
     try:
-        return JointDist.loads(Path(path).read_text())
+        return loads(Path(path).read_text())
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _InputError(f"cannot read distribution {path}: {exc}") from exc
+        reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise _InputError(f"cannot read {kind} {path}: {reason}") from exc
+
+
+def _load_dist(path: str) -> JointDist:
+    return _read("distribution", path, JointDist.loads)
 
 
 def _load_family(path: str) -> families.MapFamily:
-    try:
-        return families.MapFamily.loads(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _InputError(f"cannot read family {path}: {exc}") from exc
+    return _read("family", path, families.MapFamily.loads)
 
 
 def _parse_lambda0(text: str) -> Fraction:
@@ -131,10 +134,7 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     g = _load_dist(args.g)
     family = _load_family(args.family)
-    try:
-        cert = certifier.Certificate.loads(Path(args.cert).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _InputError(f"cannot read certificate {args.cert}: {exc}") from exc
+    cert = _read("certificate", args.cert, certifier.Certificate.loads)
     lambda0 = _parse_lambda0(args.lambda0) if args.lambda0 else cert.lambda0
     result = certifier.verify_certificate(g, family, lambda0, cert, max_dm=args.max_dm)
     if result:

@@ -16,9 +16,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .probvec import Axis, LocalMap
+from .probvec import Axis, LocalMap, _json_int
 
-DISCARD = 2  # per-symbol action code: 0 -> bit 0, 1 -> bit 1, 2 -> drop
+# per-symbol action codes: 0 -> bit 0, 1 -> bit 1, DISCARD -> drop, BOTH -> both bits
+DISCARD = 2
+BOTH = 3
+OUTPUTS = ((0,), (1,), (), (0, 1))  # the bits each action sends a symbol to
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,11 @@ class MapFamily:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MapFamily":
+        seed = data.get("seed")
         return MapFamily(
             pairs=tuple(MapPair.from_json_dict(p) for p in data["pairs"]),
             generator=str(data.get("generator", "custom")),
-            seed=data.get("seed"),
+            seed=None if seed is None else _json_int(seed, "family seed"),
         )
 
     def dumps(self) -> str:
@@ -93,13 +97,18 @@ def _side_axes(party: str, copy_size: int) -> tuple[Axis, Axis]:
     return in_axis, Axis(party, 2)
 
 
-def _map_from_code(party: str, copy_size: int, code: tuple[int, ...]) -> LocalMap:
-    in_axis, out_axis = _side_axes(party, copy_size)
+def code_map(in_axis: Axis, code: tuple[int, ...]) -> LocalMap:
+    """The 0/1 bit-valued map sending input symbol x to the bits OUTPUTS[code[x]]."""
     rows = [[Fraction(0)] * in_axis.size for _ in range(2)]
     for sym, action in enumerate(code):
-        if action != DISCARD:
-            rows[action][sym] = Fraction(1)
-    return LocalMap(in_axis, out_axis, rows)
+        for bit in OUTPUTS[action]:
+            rows[bit][sym] = Fraction(1)
+    return LocalMap(in_axis, Axis(in_axis.party, 2), rows)
+
+
+def _map_from_code(party: str, copy_size: int, code: tuple[int, ...]) -> LocalMap:
+    in_axis, _ = _side_axes(party, copy_size)
+    return code_map(in_axis, code)
 
 
 def _strip_code(copy_size: int) -> tuple[int, ...]:

@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlp
-from .families import DISCARD, deterministic_codes
+from .families import BOTH, OUTPUTS, code_map, deterministic_codes
 from .probvec import Axis, JointDist, LocalMap, apply_local
 from .rat import ensure_fraction, format_rational
-
-COIN = "coin"  # marker code for the send-to-both-bits map
 
 
 class SearchBudgetExhausted(RuntimeError):
@@ -123,41 +121,6 @@ def secret_bit_fraction(p: JointDist) -> Fraction:
     return 2 * mins / mass
 
 
-def secret_bit_fraction_by_decomposition(p: JointDist) -> Fraction:
-    """Independent oracle: the best decomposition weight, found by a small LP.
-
-    Maximizes mu = 2 * sum_e t_e over per-Eve-symbol weights t_e bounded by
-    both diagonal entries.  Requires p normalized to total mass 1.
-    """
-    pos_a, pos_b, eve = _ab_eve_split(p)
-    if p.total_mass() != 1:
-        raise ValueError("decomposition oracle requires total mass exactly 1")
-    diag: dict[tuple, list[Fraction]] = {}
-    for idx, v in p.items():
-        a, b = idx[pos_a], idx[pos_b]
-        if a == b:
-            key = tuple(idx[i] for i in eve)
-            cell = diag.setdefault(key, [Fraction(0), Fraction(0)])
-            cell[a] += v
-    symbols = sorted(k for k, c in diag.items() if c[0] > 0 and c[1] > 0)
-    if not symbols:
-        return Fraction(0)
-    rows = []
-    for j, key in enumerate(symbols):
-        d0, d1 = diag[key]
-        rows.append(ratlp.LpRow({j: Fraction(1)}, "<=", d0))
-        rows.append(ratlp.LpRow({j: Fraction(1)}, "<=", d1))
-    problem = ratlp.LpProblem(
-        num_vars=len(symbols),
-        objective={j: Fraction(2) for j in range(len(symbols))},
-        rows=tuple(rows),
-    )
-    sol = ratlp.solve(problem)
-    if sol.status != ratlp.OPTIMAL:
-        raise RuntimeError(f"decomposition program unexpectedly {sol.status}")
-    return sol.objective_value
-
-
 def lambda_advantage(p: JointDist, lambda0: Fraction) -> Fraction:
     """2 * sum_e min_a p(a,a,e) - lambda0 * mass(p); positive iff fraction > lambda0."""
     lambda0 = ensure_fraction(lambda0)
@@ -168,37 +131,15 @@ def lambda_advantage(p: JointDist, lambda0: Fraction) -> Fraction:
 # -- stage-1 enumeration -------------------------------------------------------
 
 
-def _code_outputs(code: tuple, x: int) -> tuple[int, ...]:
-    if code[0] == COIN:
-        return (0, 1)
-    d = code[x]
-    return () if d == DISCARD else (d,)
-
-
-def _code_matrix(code: tuple, axis: Axis) -> LocalMap:
-    out_axis = Axis(axis.party, 2)
-    rows = [[Fraction(0)] * axis.size for _ in range(2)]
-    for x in range(axis.size):
-        for a in _code_outputs(code, x):
-            rows[a][x] = Fraction(1)
-    return LocalMap(axis, out_axis, rows)
-
-
-def _enc(code: tuple) -> tuple:
-    """Sort key within one side: deterministic codes by their digit tuple,
-    the coin after all of them (the order in which they are enumerated)."""
-    return (1,) if code[0] == COIN else (0,) + code
-
-
 def _filtered_fraction(p_items, pos_a, pos_b, eve_pos, code_a, code_b) -> Fraction | None:
     """Fraction of the pair-filtered distribution, or None on zero mass."""
     diag: dict[tuple, list[Fraction]] = {}
     mass = Fraction(0)
     for idx, v in p_items:
-        outs_a = _code_outputs(code_a, idx[pos_a])
+        outs_a = OUTPUTS[code_a[idx[pos_a]]]
         if not outs_a:
             continue
-        outs_b = _code_outputs(code_b, idx[pos_b])
+        outs_b = OUTPUTS[code_b[idx[pos_b]]]
         if not outs_b:
             continue
         mass += v * len(outs_a) * len(outs_b)
@@ -215,18 +156,19 @@ def _filtered_fraction(p_items, pos_a, pos_b, eve_pos, code_a, code_b) -> Fracti
 
 
 def _stage1_pairs(p: JointDist, budget: int | None):
-    """Yield (value, enc_a, enc_b, code_a, code_b) in canonical order.
+    """Yield (value, code_a, code_b) in canonical order, pairs of zero mass skipped.
 
     Each side runs over the deterministic filter codes of the families
-    module in their lexicographic order, then the coin map.
+    module in their lexicographic order, then the coin code (every symbol to
+    both bits), so the order is lexicographic in (code_a, code_b).
     """
     pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
     n_a = p.axes[pos_a].size
     n_b = p.axes[pos_b].size
     items = list(p.items())
     examined = 0
-    for code_a in itertools.chain(deterministic_codes(n_a), [(COIN,)]):
-        for code_b in itertools.chain(deterministic_codes(n_b), [(COIN,)]):
+    for code_a in itertools.chain(deterministic_codes(n_a), [(BOTH,) * n_a]):
+        for code_b in itertools.chain(deterministic_codes(n_b), [(BOTH,) * n_b]):
             if budget is not None and examined >= budget:
                 raise SearchBudgetExhausted(
                     f"map-pair budget {budget} exhausted after {examined} pairs"
@@ -234,14 +176,22 @@ def _stage1_pairs(p: JointDist, budget: int | None):
             examined += 1
             value = _filtered_fraction(items, pos_a, pos_b, eve, code_a, code_b)
             if value is not None:
-                yield value, _enc(code_a), _enc(code_b), code_a, code_b
+                yield value, code_a, code_b
+
+
+def _witness(p: JointDist, value: Fraction, code_a: tuple, code_b: tuple) -> LambdaWitness:
+    """The stage-1 pair (code_a, code_b) of filtered fraction `value`, as maps on p."""
+    pos_a, pos_b, _ = _ab_eve_split(p, require_bits=False)
+    return LambdaWitness(
+        value=value, map_a=code_map(p.axes[pos_a], code_a), map_b=code_map(p.axes[pos_b], code_b)
+    )
 
 
 def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> LambdaWitness:
     """Best witnessed lower bound on the extractable secret bit fraction.
 
     Stage 1 enumerates the deterministic-plus-coin class exhaustively (ties
-    resolved toward the lexicographically smallest pair encoding); optional
+    resolved toward the first pair in canonical order); optional
     refinement rounds alternately re-optimize one side's map coefficients by
     exact linear-fractional programming, seeded from both the best pair and
     the best fully deterministic pair (the coin is a stationary point of the
@@ -255,29 +205,19 @@ def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> 
         raise ValueError("lambda-max search needs positive total mass")
     best = None
     best_det = None
-    for value, enc_a, enc_b, code_a, code_b in _stage1_pairs(p, opts.max_pairs):
-        key = (-value, enc_a, enc_b)
-        if best is None or key < best[0]:
-            best = (key, value, code_a, code_b)
-        if code_a[0] != COIN and code_b[0] != COIN and (best_det is None or key < best_det[0]):
-            best_det = (key, value, code_a, code_b)
+    for entry in _stage1_pairs(p, opts.max_pairs):
+        value, code_a, code_b = entry
+        if best is None or value > best[0]:
+            best = entry
+        if BOTH not in code_a + code_b and (best_det is None or value > best_det[0]):
+            best_det = entry
     if best is None:
         raise SearchBudgetExhausted("no map pair with positive filtered mass found")
-    pos_a, pos_b, _ = _ab_eve_split(p, require_bits=False)
-
-    def to_witness(entry) -> LambdaWitness:
-        _, value, code_a, code_b = entry
-        return LambdaWitness(
-            value=value,
-            map_a=_code_matrix(code_a, p.axes[pos_a]),
-            map_b=_code_matrix(code_b, p.axes[pos_b]),
-        )
-
-    witness = to_witness(best)
+    witness = _witness(p, *best)
     if opts.refine_rounds > 0:
         seeds = [witness]
-        if best_det is not None and best_det[0] != best[0]:
-            seeds.append(to_witness(best_det))
+        if best_det is not None and best_det != best:
+            seeds.append(_witness(p, *best_det))
         for seed in seeds:
             refined = _refine(p, seed, opts.refine_rounds)
             if refined.value > witness.value:
@@ -307,15 +247,10 @@ def distillability_witness(
     budget = opts.max_pairs
     for n in range(1, max_n + 1):
         pn = tensor_power(p, n)
-        pos_a, pos_b, _ = _ab_eve_split(pn, require_bits=False)
         try:
-            for value, _ea, _eb, code_a, code_b in _stage1_pairs(pn, budget):
+            for value, code_a, code_b in _stage1_pairs(pn, budget):
                 if value > lambda0:
-                    return LambdaWitness(
-                        value=value,
-                        map_a=_code_matrix(code_a, pn.axes[pos_a]),
-                        map_b=_code_matrix(code_b, pn.axes[pos_b]),
-                    )
+                    return _witness(pn, value, code_a, code_b)
         except SearchBudgetExhausted:
             raise SearchBudgetExhausted(
                 f"budget exhausted at tensor power n={n} before covering the space"

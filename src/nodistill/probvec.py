@@ -63,6 +63,8 @@ def _axis_to_json(ax: Axis) -> dict:
 
 
 def _axis_from_json(d: dict) -> Axis:
+    if not isinstance(d, dict):
+        raise ValueError(f"axis must be an object, got {json.dumps(d)}")
     factors = d.get("factors")
     if factors is not None:
         factors = tuple(_json_int(f, "axis factor") for f in factors)
@@ -266,6 +268,8 @@ class JointDist:
         seen: set[Index] = set()
         entries: dict[Index, Fraction] = {}
         for e in data["entries"]:
+            if not isinstance(e, dict):
+                raise ValueError(f"distribution entry must be an object, got {json.dumps(e)}")
             idx = tuple(_json_int(i, "entry index") for i in e["index"])
             if idx in seen:
                 raise ValueError(f"duplicate index {list(idx)} in distribution JSON")

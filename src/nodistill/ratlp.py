@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .rat import ensure_fraction, format_rational, parse_rational
+from .rat import ensure_fraction, format_rational
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -462,29 +462,3 @@ def dump_lp(problem: LpProblem) -> str:
         lines.append(f"row {terms} {row.sense} {format_rational(row.rhs)}".replace("  ", " "))
     return "\n".join(lines) + "\n"
 
-
-def parse_lp(text: str) -> LpProblem:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("vars "):
-        raise ValueError("LP dump must start with a 'vars <n>' line")
-    num_vars = int(lines[0].split()[1])
-    if len(lines) < 2 or not lines[1].startswith("max"):
-        raise ValueError("LP dump needs a 'max ...' objective line")
-
-    def parse_terms(tokens: Iterable[str]) -> dict[int, Fraction]:
-        out = {}
-        for tok in tokens:
-            j, _, val = tok.partition(":")
-            out[int(j)] = parse_rational(val)
-        return out
-
-    objective = parse_terms(lines[1].split()[1:])
-    rows = []
-    for ln in lines[2:]:
-        tokens = ln.split()
-        if tokens[0] != "row" or len(tokens) < 3:
-            raise ValueError(f"malformed row line: {ln!r}")
-        sense = tokens[-2]
-        rhs = parse_rational(tokens[-1])
-        rows.append(LpRow(parse_terms(tokens[1:-2]), sense, rhs))
-    return LpProblem(num_vars=num_vars, objective=objective, rows=tuple(rows))

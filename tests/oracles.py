@@ -1,0 +1,406 @@
+"""Reference implementations the tests compare the program against.
+
+No command reaches these.  They are the constructions that justify the
+certification program (the universal copy-matching map, currying, lifted
+products, selector grouping, true-minimum lifted values, feasible-point spot
+checks) and independent recomputations of values the program works out
+another way (the decomposition form of the secret bit fraction, the LP text
+parser).  Each reaches its value by a route other than the one the program
+takes, which is what makes it an oracle.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
+
+from nodistill import ratlp
+from nodistill.certifier import UNDISTILLABLE, Certificate, CertificationProblem, build_lp
+from nodistill.families import MapFamily
+from nodistill.measures import _ab_eve_split, lambda_advantage
+from nodistill.probvec import Axis, JointDist, LocalMap, apply_local
+from nodistill.ratlp import LpProblem, LpRow
+from nodistill.rat import ensure_fraction, parse_rational
+
+# -- universal copy-matching map, currying, lifted products --------------------
+#
+# Any non-negative map M: H1 (x) H2 -> H3 factors as U . (M' (x) id), where M'
+# is a pure re-indexing of M into a map H1 -> H3 (x) H2 and U is a fixed map
+# that matches the carried H2 factor against a fresh H2 system:
+#
+#     U[y3 | (x3, x2, y2)] = [y3 == x3] * [x2 == y2].
+#
+# `lift` applies the A-side and B-side instances of U to q (x) g without ever
+# materializing U: the double delta reduces the contraction to
+#
+#     out(a', b', e', e) = sum_{x,y} q(a', x, b', y, e') * g(x, y, e).
+
+
+def universal_map(out_size: int, copy_size: int) -> LocalMap:
+    """The fixed matching map on input triples (x3, x2, y2), output x3.
+
+    Exactly out_size * copy_size coefficients are 1, all others 0.
+    """
+    if out_size < 1 or copy_size < 1:
+        raise ValueError("universal_map sizes must be >= 1")
+    n_in = out_size * copy_size * copy_size
+    in_ax = Axis("U-in", n_in, (out_size, copy_size, copy_size))
+    out_ax = Axis("U-out", out_size)
+    rows = [[Fraction(0)] * n_in for _ in range(out_size)]
+    for x3 in range(out_size):
+        for x2 in range(copy_size):
+            idx = (x3 * copy_size + x2) * copy_size + x2
+            rows[x3][idx] = Fraction(1)
+    return LocalMap(in_ax, out_ax, rows)
+
+
+def curry(m: LocalMap, split: tuple[int, int]) -> LocalMap:
+    """Re-index a map on a product alphabet into a map on the first factor.
+
+    Input symbols of `m` are read as pairs (x1, x2) with x1 outermost
+    (index = x1 * size2 + x2).  The result sends x1 to the composite output
+    (x3, x2), x3 outermost; coefficients are moved, never changed, so
+    universal_map(out, size2) composed with curry(m) (x) id reproduces m.
+    """
+    size1, size2 = split
+    if size1 < 1 or size2 < 1 or m.input_axis.size != size1 * size2:
+        raise ValueError(
+            f"input size {m.input_axis.size} does not factor as {size1}*{size2}"
+        )
+    out_size = m.output_axis.size
+    in_ax = Axis(m.input_axis.party, size1)
+    out_ax = Axis(
+        f"{m.output_axis.party}*{m.input_axis.party}", out_size * size2, (out_size, size2)
+    )
+    rows = [[Fraction(0)] * size1 for _ in range(out_size * size2)]
+    for x3 in range(out_size):
+        for x1 in range(size1):
+            for x2 in range(size2):
+                rows[x3 * size2 + x2][x1] = m.coeffs[x3][x1 * size2 + x2]
+    return LocalMap(in_ax, out_ax, rows)
+
+
+def lift(q: JointDist, g: JointDist) -> JointDist:
+    """Apply the A- and B-side universal maps to q (x) g.
+
+    `q` must have five axes (A-bit, A-copy, B-bit, B-copy, E'), positional,
+    with bit axes of size 2 and copy axes matching g's A and B alphabets;
+    `g` has three axes (A, B, E).  The result lives on (A, B, E', E) with
+
+        out(a', b', e', e) = sum_{x,y} q(a', x, b', y, e') g(x, y, e).
+    """
+    if len(q.axes) != 5:
+        raise ValueError(f"q must have 5 axes (A-bit, A-copy, B-bit, B-copy, E'), got {len(q.axes)}")
+    if len(g.axes) != 3:
+        raise ValueError(f"g must have 3 axes (A, B, E), got {len(g.axes)}")
+    abit, acopy, bbit, bcopy, eprime = q.axes
+    ga, gb, ge = g.axes
+    if abit.size != 2 or bbit.size != 2:
+        raise ValueError("q's bit axes must have size 2")
+    if acopy.size != ga.size:
+        raise ValueError(f"A-copy size {acopy.size} does not match g's A alphabet {ga.size}")
+    if bcopy.size != gb.size:
+        raise ValueError(f"B-copy size {bcopy.size} does not match g's B alphabet {gb.size}")
+
+    by_copy: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for (x, y, e), v in g.items():
+        by_copy.setdefault((x, y), []).append((e, v))
+
+    ep_label = eprime.party
+    while ep_label in {ga.party, gb.party, ge.party}:
+        ep_label += "'"
+    out_axes = (
+        Axis(ga.party, 2),
+        Axis(gb.party, 2),
+        Axis(ep_label, eprime.size, eprime.factors),
+        ge,
+    )
+    entries: dict[tuple[int, ...], Fraction] = {}
+    for (a, x, b, y, ep), qv in q.items():
+        hits = by_copy.get((x, y))
+        if not hits:
+            continue
+        for e, gv in hits:
+            key = (a, b, ep, e)
+            entries[key] = entries.get(key, Fraction(0)) + qv * gv
+    return JointDist(out_axes, entries)
+
+
+# -- selector vectors --------------------------------------------------------
+
+
+def selector_index(bits) -> int:
+    """Pack selector components into an integer, component j at bit j."""
+    k = 0
+    for j, b in enumerate(bits):
+        if b:
+            k |= 1 << j
+    return k
+
+
+def selector_bits(k: int, width: int) -> tuple[int, ...]:
+    return tuple((k >> j) & 1 for j in range(width))
+
+
+def _sign_selector(diff: Fraction) -> int:
+    """0 when the first diagonal entry attains the minimum; ties pick 0."""
+    return 1 if diff > 0 else 0
+
+
+# -- grouping -----------------------------------------------------------------
+
+
+def group_by_selector(q: JointDist, g: JointDist, family: MapFamily) -> JointDist:
+    """Collapse the helper axis onto the selector alphabet.
+
+    For each helper symbol e' the selector vector stacks, per adversary symbol
+    of g, the sign of the lifted diagonal difference, then per family member
+    the sign of the filtered diagonal difference (zero differences select 0).
+    Slices with equal selector vectors are summed; every lifted or filtered
+    value of interest is unchanged because mins on a common side add.
+    """
+    if len(q.axes) != 5:
+        raise ValueError("q must have 5 axes (A-bit, A-copy, B-bit, B-copy, E')")
+    abit, acopy, bbit, bcopy, _ep = q.axes
+    if len(g.axes) != 3 or g.labels[:2] != ("A", "B"):
+        raise ValueError(
+            f"g must have exactly three axes ordered (A, B, adversary), got {g.labels}"
+        )
+    ga, gb, ge = g.axes
+    if abit.size != 2 or bbit.size != 2:
+        raise ValueError("q's bit axes must have size 2")
+    if acopy.size != ga.size or bcopy.size != gb.size:
+        raise ValueError("q's copy alphabets must match g's alphabets")
+    d = ge.size
+    m = len(family)
+    tables = [(pair.map_a.coeffs, pair.map_b.coeffs) for pair in family.pairs]
+    for i, (ma, mb) in enumerate(tables):
+        if len(ma[0]) != 2 * ga.size or len(mb[0]) != 2 * gb.size:
+            raise ValueError(f"family pair {i} does not act on q's composite alphabets")
+
+    g_slices: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(d)]
+    for (x, y, e), v in g.items():
+        g_slices[e][(x, y)] = v
+
+    by_ep: dict[int, list] = {}
+    for idx, v in q.items():
+        by_ep.setdefault(idx[4], []).append((idx, v))
+
+    out_axes = (
+        Axis("A-bit", 2),
+        Axis("A-copy", acopy.size),
+        Axis("B-bit", 2),
+        Axis("B-copy", bcopy.size),
+        Axis("K", 1 << (d + m)),
+    )
+    entries: dict[tuple[int, ...], Fraction] = {}
+    for ep, items in sorted(by_ep.items()):
+        bits = []
+        for e in range(d):
+            diff = Fraction(0)
+            sl = g_slices[e]
+            for (a, x, b, y, _), v in items:
+                if a == b:
+                    gv = sl.get((x, y))
+                    if gv:
+                        diff += (gv * v) if a == 0 else -(gv * v)
+            bits.append(_sign_selector(diff))
+        for ma, mb in tables:
+            diff = Fraction(0)
+            for (a, x, b, y, _), v in items:
+                sym_a = a * acopy.size + x
+                sym_b = b * bcopy.size + y
+                term0 = ma[0][sym_a] * mb[0][sym_b]
+                term1 = ma[1][sym_a] * mb[1][sym_b]
+                if term0 or term1:
+                    diff += (term0 - term1) * v
+            bits.append(_sign_selector(diff))
+        k = selector_index(bits)
+        for (a, x, b, y, _), v in items:
+            key = (a, x, b, y, k)
+            entries[key] = entries.get(key, Fraction(0)) + v
+    return JointDist(out_axes, entries)
+
+
+# -- reference values ------------------------------------------------------------
+
+
+def lifted_objective_value(q: JointDist, g: JointDist, lambda0: Fraction) -> Fraction:
+    """Objective evaluated with true minima on an explicit helper alphabet."""
+    return 2 * lambda_advantage(lift(q, g), ensure_fraction(lambda0))
+
+
+def filtered_by_pair(q: JointDist, pair) -> JointDist:
+    """Apply a family pair to the merged composite alphabets of q."""
+    merged = q.merge_axes(["A-bit", "A-copy"], "A").merge_axes(["B-bit", "B-copy"], "B")
+    return apply_local(pair.map_a, apply_local(pair.map_b, merged, "B"), "A")
+
+
+def family_constraint_value(q: JointDist, pair, lambda0: Fraction) -> Fraction:
+    """Filtered advantage (doubled), the quantity each family row bounds by 0."""
+    return 2 * lambda_advantage(filtered_by_pair(q, pair), ensure_fraction(lambda0))
+
+
+def canonical_witness_q(g: JointDist) -> JointDist:
+    """The bit-to-alphabet embedding with perfectly correlated copy factors.
+
+    Mass 1/4 on each (a', a', b', b') with a', b' in {0, 1}, trivial helper
+    axis.  Its two sides are independent of each other, so every filter pair
+    stays at or below the trivial fraction, while lifting it reproduces g on
+    the bit axes at weight 1/4.
+    """
+    sa, sb = g.axis("A").size, g.axis("B").size
+    if sa < 2 or sb < 2:
+        raise ValueError("canonical witness needs alphabets of size >= 2 on A and B")
+    axes = (Axis("A-bit", 2), Axis("A-copy", sa), Axis("B-bit", 2), Axis("B-copy", sb), Axis("E'", 1))
+    quarter = Fraction(1, 4)
+    entries = {}
+    for a in range(2):
+        for b in range(2):
+            entries[(a, a, b, b, 0)] = quarter
+    return JointDist(axes, entries)
+
+
+# -- feasible-point sampling around an undistillable verdict ------------------
+
+
+@dataclass(frozen=True)
+class SpotcheckReport:
+    samples: int
+    max_advantage: Fraction
+    violations: tuple[str, ...]
+
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def activation_spotcheck(
+    g: JointDist,
+    family: MapFamily,
+    lambda0: Fraction,
+    cert: Certificate,
+    seed: int = 0,
+    vertices: int = 8,
+    mixtures: int = 8,
+) -> SpotcheckReport:
+    """Sample feasible points of a zero-maximum program; none may activate.
+
+    Solves the same feasible region under seeded alternative objectives to
+    collect vertices, mixes them with rational convex weights, and recomputes
+    each point's lifted advantage from scratch (true minima, no selectors).
+    Every advantage must be <= 0 exactly; a violation would mean the verdict
+    machinery is unsound.  A zero maximum therefore also rules out g raising
+    the extractable fraction of any distribution the family already pins to
+    the trivial value, which is what makes products with g inert.
+    """
+    if cert.verdict != UNDISTILLABLE:
+        raise ValueError("spot check applies to undistillable verdicts only")
+    lambda0 = ensure_fraction(lambda0)
+    setup = CertificationProblem(g=g, family=family, lambda0=lambda0)
+    build = build_lp(setup)
+    rng = random.Random(seed)
+    points: list[JointDist] = []
+    base = ratlp.solve(build.problem)
+    if base.status == ratlp.OPTIMAL:
+        points.append(build.dist_from_vector(base.primal))
+    for _ in range(max(0, vertices - 1)):
+        alt_obj = {
+            j: Fraction(rng.randint(-9, 9))
+            for j in rng.sample(range(build.problem.num_vars), min(12, build.problem.num_vars))
+        }
+        alt = ratlp.LpProblem(
+            num_vars=build.problem.num_vars, objective=alt_obj, rows=build.problem.rows
+        )
+        sol = ratlp.solve(alt)
+        if sol.status == ratlp.OPTIMAL:
+            points.append(build.dist_from_vector(sol.primal))
+    for _ in range(mixtures):
+        if len(points) < 2:
+            break
+        a, b = rng.sample(range(len(points)), 2)
+        w = Fraction(rng.randint(1, 9), 10)
+        points.append(points[a].scale(w).add(points[b].scale(1 - w)))
+
+    max_adv: Fraction | None = None
+    violations = []
+    for n, qk in enumerate(points):
+        adv = lambda_advantage(lift(qk, g), lambda0)
+        if max_adv is None or adv > max_adv:
+            max_adv = adv
+        if adv > 0:
+            violations.append(f"sample {n}: lifted advantage {adv} > 0")
+    return SpotcheckReport(
+        samples=len(points),
+        max_advantage=max_adv if max_adv is not None else Fraction(0),
+        violations=tuple(violations),
+    )
+
+
+# -- the secret bit fraction as a decomposition program ------------------------
+
+
+def secret_bit_fraction_by_decomposition(p: JointDist) -> Fraction:
+    """Independent oracle: the best decomposition weight, found by a small LP.
+
+    Maximizes mu = 2 * sum_e t_e over per-Eve-symbol weights t_e bounded by
+    both diagonal entries.  Requires p normalized to total mass 1.
+    """
+    pos_a, pos_b, eve = _ab_eve_split(p)
+    if p.total_mass() != 1:
+        raise ValueError("decomposition oracle requires total mass exactly 1")
+    diag: dict[tuple, list[Fraction]] = {}
+    for idx, v in p.items():
+        a, b = idx[pos_a], idx[pos_b]
+        if a == b:
+            key = tuple(idx[i] for i in eve)
+            cell = diag.setdefault(key, [Fraction(0), Fraction(0)])
+            cell[a] += v
+    symbols = sorted(k for k, c in diag.items() if c[0] > 0 and c[1] > 0)
+    if not symbols:
+        return Fraction(0)
+    rows = []
+    for j, key in enumerate(symbols):
+        d0, d1 = diag[key]
+        rows.append(ratlp.LpRow({j: Fraction(1)}, "<=", d0))
+        rows.append(ratlp.LpRow({j: Fraction(1)}, "<=", d1))
+    problem = ratlp.LpProblem(
+        num_vars=len(symbols),
+        objective={j: Fraction(2) for j in range(len(symbols))},
+        rows=tuple(rows),
+    )
+    sol = ratlp.solve(problem)
+    if sol.status != ratlp.OPTIMAL:
+        raise RuntimeError(f"decomposition program unexpectedly {sol.status}")
+    return sol.objective_value
+
+
+# -- reading back the LP text dump ------------------------------------------------
+
+
+def parse_lp(text: str) -> LpProblem:
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines or not lines[0].startswith("vars "):
+        raise ValueError("LP dump must start with a 'vars <n>' line")
+    num_vars = int(lines[0].split()[1])
+    if len(lines) < 2 or not lines[1].startswith("max"):
+        raise ValueError("LP dump needs a 'max ...' objective line")
+
+    def parse_terms(tokens: Iterable[str]) -> dict[int, Fraction]:
+        out = {}
+        for tok in tokens:
+            j, _, val = tok.partition(":")
+            out[int(j)] = parse_rational(val)
+        return out
+
+    objective = parse_terms(lines[1].split()[1:])
+    rows = []
+    for ln in lines[2:]:
+        tokens = ln.split()
+        if tokens[0] != "row" or len(tokens) < 3:
+            raise ValueError(f"malformed row line: {ln!r}")
+        sense = tokens[-2]
+        rhs = parse_rational(tokens[-1])
+        rows.append(LpRow(parse_terms(tokens[1:-2]), sense, rhs))
+    return LpProblem(num_vars=num_vars, objective=objective, rows=tuple(rows))

@@ -21,18 +21,13 @@ from nodistill.certifier import (
     CertificationProblem,
     build_lp,
     certify,
-    family_constraint_value,
-    group_by_selector,
-    lifted_objective_value,
     verify_certificate,
 )
 from nodistill.families import MapFamily, deterministic_family, random_filter_family
-from nodistill.lifting import curry, lift, universal_map
 from nodistill.measures import (
     SearchOptions,
     estimate_lambda_max,
     secret_bit_fraction,
-    secret_bit_fraction_by_decomposition,
 )
 from nodistill.probvec import (
     Axis,
@@ -45,6 +40,15 @@ from nodistill.probvec import (
 )
 
 from conftest import normalized, rand_dist, trivial_eve
+from oracles import (
+    curry,
+    family_constraint_value,
+    group_by_selector,
+    lift,
+    lifted_objective_value,
+    secret_bit_fraction_by_decomposition,
+    universal_map,
+)
 from test_ratlp import brute_force, random_problem
 
 HALF = F(1, 2)

@@ -12,22 +12,24 @@ from nodistill.certifier import (
     Certificate,
     CertificationProblem,
     SizeGuardError,
-    activation_spotcheck,
     build_lp,
-    canonical_witness_q,
     certify,
-    family_constraint_value,
-    group_by_selector,
-    lifted_objective_value,
     problem_fingerprint,
-    selector_bits,
-    selector_index,
     verify_certificate,
 )
 from nodistill.families import MapFamily, deterministic_family, random_filter_family, strip_pair
 from nodistill.probvec import Axis, JointDist
 
 from conftest import rand_dist
+from oracles import (
+    activation_spotcheck,
+    canonical_witness_q,
+    family_constraint_value,
+    group_by_selector,
+    lifted_objective_value,
+    selector_bits,
+    selector_index,
+)
 
 HALF = F(1, 2)
 
@@ -474,8 +476,8 @@ def test_spotcheck_requires_undistillable(secret_bit_e):
 def test_canonical_witness_activates_private_bit(secret_bit_e):
     """A bounded-shape q can lift a distillable g above 1/2 while every
     family filter stays at or below it."""
-    from nodistill.lifting import lift
     from nodistill.measures import estimate_lambda_max, secret_bit_fraction
+    from oracles import lift
 
     q = canonical_witness_q(secret_bit_e)
     lifted = lift(q, secret_bit_e)

@@ -264,6 +264,86 @@ def test_non_integer_size_or_index_exits_2(workdir, capsys, kind, doc, argv):
     assert "must be an integer" in err
 
 
+MAP_A = {"input": {"party": "A", "size": 1}, "output": {"party": "A", "size": 2},
+         "coeffs": [["1/1"], ["0/1"]]}
+
+
+@pytest.mark.parametrize(
+    "kind, doc, argv, reason",
+    [
+        (
+            "distribution",
+            {"axes": [{"size": 2}], "entries": []},
+            ("lambda", "{bad}"),
+            "missing key 'party'",
+        ),
+        (
+            "distribution",
+            {"axes": axes_doc(2, 2, 1), "entries": [{"p": "1/1"}]},
+            ("lambda", "{bad}"),
+            "missing key 'index'",
+        ),
+        (
+            "distribution",
+            {"axes": axes_doc(2, 2, 1), "entries": [5]},
+            ("lambda", "{bad}"),
+            "distribution entry must be an object, got 5",
+        ),
+        (
+            "distribution",
+            {"axes": [5], "entries": []},
+            ("lambda", "{bad}"),
+            "axis must be an object, got 5",
+        ),
+        (
+            "family",
+            {"pairs": [{"map_a": {k: v for k, v in MAP_A.items() if k != "input"},
+                        "map_b": MAP_A}]},
+            ("certify", "{dir}/triv.json", "--family", "{bad}"),
+            "missing key 'input'",
+        ),
+        (
+            "certificate",
+            {"optimum": "0/1", "lambda0": "1/2", "fingerprint": "", "dual": None},
+            ("verify", "{dir}/triv.json", "{dir}/fam1.json", "{bad}"),
+            "missing key 'verdict'",
+        ),
+    ],
+    ids=["dist-party", "dist-index", "dist-entry-not-object", "dist-axis-not-object",
+         "family-input", "cert-verdict"],
+)
+def test_missing_key_or_non_object_entry_exits_2(workdir, capsys, kind, doc, argv, reason):
+    bad = workdir / "incomplete.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.format(dir=workdir, bad=bad) for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {kind} {bad}: {reason}\n"
+
+
+def family_with_seed(workdir, seed):
+    doc = json.loads((workdir / "fam1.json").read_text())
+    doc["seed"] = seed
+    path = workdir / "seeded.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), ("x", '"x"'), (True, "true")],
+                         ids=["float", "string", "bool"])
+def test_family_seed_must_be_an_integer(workdir, capsys, seed, shown):
+    path = family_with_seed(workdir, seed)
+    code, out, err = run(capsys, "certify", workdir / "triv.json", "--family", path)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read family {path}: family seed must be an integer, got {shown}\n"
+
+
+@pytest.mark.parametrize("seed", [None, 7], ids=["null", "int"])
+def test_family_seed_null_or_int_loads(workdir, capsys, seed):
+    path = family_with_seed(workdir, seed)
+    code, out, _ = run(capsys, "certify", workdir / "triv.json", "--family", path)
+    assert code == 0 and out == "UNDISTILLABLE\n"
+
+
 def test_certify_rejects_float_lambda0(workdir, capsys):
     code, _, err = run(
         capsys, "certify", workdir / "sb.json", "--family", workdir / "fam22.json",

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from nodistill.lifting import curry, lift, universal_map
 from nodistill.probvec import Axis, JointDist, LocalMap, marginal, tensor_power
 
 from conftest import rand_dist
+from oracles import curry, lift, universal_map
 
 
 def rand_map(rng, n_out, n_in, party="A", denom_max=7):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodistill.measures import (
-    COIN,
     LambdaWitness,
     SearchBudgetExhausted,
     SearchOptions,
@@ -14,11 +15,11 @@ from nodistill.measures import (
     estimate_lambda_max,
     lambda_advantage,
     secret_bit_fraction,
-    secret_bit_fraction_by_decomposition,
 )
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local, tensor
 
 from conftest import normalized, rand_dist, trivial_eve
+from oracles import secret_bit_fraction_by_decomposition
 
 
 def product_dist(rng, size_a=2, size_b=2, size_e=2):
@@ -238,6 +239,33 @@ def test_refinement_never_loses_and_rechecks():
 def test_refinement_keeps_perfect_value(secret_bit_e):
     w = estimate_lambda_max(secret_bit_e, SearchOptions(refine_rounds=1))
     assert w.value == 1
+
+
+RAND_TIE = "689ccfa3e9e055a36b5771bdb804a6bf4ae48c9d561fbba020a291590f86c4ed"
+COIN_WINS = "b3fe911ccab6449c74393ed733ac8729add23a807f5362f3272b70a992a06c2b"
+
+
+@pytest.mark.parametrize(
+    "name, refine_rounds, value, digest",
+    [
+        # six map pairs tie at 70/127; the first in canonical order must win
+        ("rand-3x3x2", 0, F(70, 127), RAND_TIE),
+        ("rand-3x3x2", 1, F(70, 127), RAND_TIE),
+        ("eve_knows_all", 0, F(1, 2), COIN_WINS),
+        ("eve_knows_all", 1, F(1, 2), COIN_WINS),
+        ("uniform_bits", 0, F(1, 2), "4b01e9d9dfbb3eb6d5a0c601552d474a67cdca2735836ac744540c35265c03c2"),
+    ],
+)
+def test_stage1_witness_pinned(request, name, refine_rounds, value, digest):
+    """Which map pair wins a tie is part of the output: pin the witness bytes."""
+    if name == "rand-3x3x2":
+        p = rand_dist(random.Random(183), (3, 3, 2))
+    else:
+        p = request.getfixturevalue(name)
+    w = estimate_lambda_max(p, SearchOptions(refine_rounds=refine_rounds))
+    assert w.value == value
+    blob = json.dumps(w.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 # -- tensor-power witness search ---------------------------------------------------

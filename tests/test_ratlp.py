@@ -14,9 +14,10 @@ from nodistill.ratlp import (
     PivotBudgetExceeded,
     check_solution,
     dump_lp,
-    parse_lp,
     solve,
 )
+
+from oracles import parse_lp
 
 
 def lp(num_vars, objective, rows):
