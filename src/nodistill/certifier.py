@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -29,7 +29,7 @@ from math import lcm
 from . import ratlp
 from .families import MapFamily
 from .probvec import Axis, JointDist
-from .rat import ensure_fraction, format_rational
+from .rat import ensure_fraction, format_rational, parse_rational
 
 UNDISTILLABLE = "undistillable"
 INCONCLUSIVE = "inconclusive"
@@ -335,16 +335,23 @@ class Certificate:
         if not isinstance(data, dict):
             raise ValueError("certificate JSON must be an object")
         dual = data.get("dual")
+        if dual is not None and not (
+            isinstance(dual, dict) and isinstance(dual.get("row_multipliers"), list)
+        ):
+            raise ValueError(
+                "certificate dual must be null or an object with a row_multipliers list, "
+                f"got {json.dumps(dual)}"
+            )
         return Certificate(
             verdict=str(data["verdict"]),
-            optimum=ensure_fraction(data["optimum"]),
-            lambda0=ensure_fraction(data["lambda0"]),
+            optimum=parse_rational(data["optimum"]),
+            lambda0=parse_rational(data["lambda0"]),
             fingerprint=str(data["fingerprint"]),
             primal=(
                 JointDist.from_json_dict(data["primal"]) if data.get("primal") is not None else None
             ),
             dual=(
-                tuple(ensure_fraction(y) for y in dual["row_multipliers"])
+                tuple(parse_rational(y) for y in dual["row_multipliers"])
                 if dual is not None
                 else None
             ),
@@ -375,18 +382,6 @@ def _certificate_digest(cert: Certificate) -> str:
     return _canonical_hash(cert.body_json_dict())
 
 
-def _with_digest(cert: Certificate) -> Certificate:
-    return Certificate(
-        verdict=cert.verdict,
-        optimum=cert.optimum,
-        lambda0=cert.lambda0,
-        fingerprint=cert.fingerprint,
-        primal=cert.primal,
-        dual=cert.dual,
-        digest=_certificate_digest(cert),
-    )
-
-
 def certify(
     g: JointDist,
     family: MapFamily,
@@ -411,25 +406,16 @@ def certify(
         )
     if not ratlp.check_solution(build.problem, sol):
         raise CertifierError("solver output failed its independent optimality check")
-    optimum = sol.objective_value
-    fp = problem_fingerprint(g, family, setup.lambda0)
-    if optimum > 0:
-        cert = Certificate(
-            verdict=INCONCLUSIVE,
-            optimum=optimum,
-            lambda0=setup.lambda0,
-            fingerprint=fp,
-            primal=build.dist_from_vector(sol.primal),
-        )
-    else:
-        cert = Certificate(
-            verdict=UNDISTILLABLE,
-            optimum=optimum,
-            lambda0=setup.lambda0,
-            fingerprint=fp,
-            dual=tuple(sol.dual),
-        )
-    return _with_digest(cert)
+    positive = sol.objective_value > 0
+    cert = Certificate(
+        verdict=INCONCLUSIVE if positive else UNDISTILLABLE,
+        optimum=sol.objective_value,
+        lambda0=setup.lambda0,
+        fingerprint=problem_fingerprint(g, family, setup.lambda0),
+        primal=build.dist_from_vector(sol.primal) if positive else None,
+        dual=None if positive else tuple(sol.dual),
+    )
+    return replace(cert, digest=_certificate_digest(cert))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ class MapPair:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MapPair":
+        if not isinstance(data, dict):
+            raise ValueError(f"family pair must be an object, got {json.dumps(data)}")
         return MapPair(
             map_a=LocalMap.from_json_dict(data["map_a"]),
             map_b=LocalMap.from_json_dict(data["map_b"]),
@@ -77,6 +79,10 @@ class MapFamily:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MapFamily":
+        if not isinstance(data, dict):
+            raise ValueError(f"family JSON must be an object, got {json.dumps(data)}")
+        if not isinstance(data["pairs"], list):
+            raise ValueError(f"family pairs must be a list, got {json.dumps(data['pairs'])}")
         seed = data.get("seed")
         return MapFamily(
             pairs=tuple(MapPair.from_json_dict(p) for p in data["pairs"]),

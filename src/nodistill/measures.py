@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import ratlp
 from .families import BOTH, OUTPUTS, code_map, deterministic_codes
 from .probvec import Axis, JointDist, LocalMap, apply_local
-from .rat import ensure_fraction, format_rational
+from .rat import ensure_fraction, format_rational, parse_rational
 
 
 class SearchBudgetExhausted(RuntimeError):
@@ -76,7 +76,7 @@ class LambdaWitness:
     @staticmethod
     def from_json_dict(data: dict) -> "LambdaWitness":
         return LambdaWitness(
-            value=ensure_fraction(data["value"]),
+            value=parse_rational(data["value"]),
             map_a=LocalMap.from_json_dict(data["map_a"]),
             map_b=LocalMap.from_json_dict(data["map_b"]),
         )
@@ -98,19 +98,30 @@ def _ab_eve_split(p: JointDist, require_bits: bool = True):
     return pos_a, pos_b, eve
 
 
-def _diagonal_mins_and_mass(p: JointDist) -> tuple[Fraction, Fraction]:
-    pos_a, pos_b, eve = _ab_eve_split(p)
+def _mins_and_mass(p_items, pos_a, pos_b, eve_pos, code_a, code_b) -> tuple[Fraction, Fraction]:
+    """sum_e min_a q(a,a,e) and the total mass of q, the pair-filtered distribution."""
     diag: dict[tuple, list[Fraction]] = {}
     mass = Fraction(0)
-    for idx, v in p.items():
-        mass += v
-        a, b = idx[pos_a], idx[pos_b]
-        if a == b:
-            key = tuple(idx[i] for i in eve)
-            cell = diag.setdefault(key, [Fraction(0), Fraction(0)])
-            cell[a] += v
+    for idx, v in p_items:
+        outs_a = OUTPUTS[code_a[idx[pos_a]]]
+        if not outs_a:
+            continue
+        outs_b = OUTPUTS[code_b[idx[pos_b]]]
+        if not outs_b:
+            continue
+        mass += v * len(outs_a) * len(outs_b)
+        key = tuple(idx[i] for i in eve_pos)
+        for a in outs_a:
+            for b in outs_b:
+                if a == b:
+                    cell = diag.setdefault(key, [Fraction(0), Fraction(0)])
+                    cell[a] += v
     mins = sum((min(c) for c in diag.values()), Fraction(0))
     return mins, mass
+
+
+def _diagonal_mins_and_mass(p: JointDist) -> tuple[Fraction, Fraction]:
+    return _mins_and_mass(p.items(), *_ab_eve_split(p), (0, 1), (0, 1))
 
 
 def secret_bit_fraction(p: JointDist) -> Fraction:
@@ -133,25 +144,9 @@ def lambda_advantage(p: JointDist, lambda0: Fraction) -> Fraction:
 
 def _filtered_fraction(p_items, pos_a, pos_b, eve_pos, code_a, code_b) -> Fraction | None:
     """Fraction of the pair-filtered distribution, or None on zero mass."""
-    diag: dict[tuple, list[Fraction]] = {}
-    mass = Fraction(0)
-    for idx, v in p_items:
-        outs_a = OUTPUTS[code_a[idx[pos_a]]]
-        if not outs_a:
-            continue
-        outs_b = OUTPUTS[code_b[idx[pos_b]]]
-        if not outs_b:
-            continue
-        mass += v * len(outs_a) * len(outs_b)
-        key = tuple(idx[i] for i in eve_pos)
-        for a in outs_a:
-            for b in outs_b:
-                if a == b:
-                    cell = diag.setdefault(key, [Fraction(0), Fraction(0)])
-                    cell[a] += v
+    mins, mass = _mins_and_mass(p_items, pos_a, pos_b, eve_pos, code_a, code_b)
     if mass == 0:
         return None
-    mins = sum((min(c) for c in diag.values()), Fraction(0))
     return 2 * mins / mass
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .rat import ensure_fraction, format_rational
+from .rat import ensure_fraction, format_rational, parse_rational
 
 Index = tuple[int, ...]
 
@@ -119,10 +119,7 @@ class JointDist:
         return tuple(ax.party for ax in self.axes)
 
     def axis(self, label: str) -> Axis:
-        for ax in self.axes:
-            if ax.party == label:
-                return ax
-        raise KeyError(f"no axis labeled {label!r} (have {list(self.labels)})")
+        return self.axes[self.axis_pos(label)]
 
     def axis_pos(self, label: str) -> int:
         for pos, ax in enumerate(self.axes):
@@ -274,7 +271,7 @@ class JointDist:
             if idx in seen:
                 raise ValueError(f"duplicate index {list(idx)} in distribution JSON")
             seen.add(idx)
-            entries[idx] = ensure_fraction(e["p"])
+            entries[idx] = parse_rational(e["p"])
         return JointDist(axes, entries)
 
     def dumps(self) -> str:
@@ -382,9 +379,14 @@ class LocalMap:
 
     @staticmethod
     def from_json_dict(data: dict) -> "LocalMap":
-        return LocalMap(
-            _axis_from_json(data["input"]), _axis_from_json(data["output"]), data["coeffs"]
-        )
+        if not isinstance(data, dict):
+            raise ValueError(f"map must be an object, got {json.dumps(data)}")
+        input_axis, output_axis = _axis_from_json(data["input"]), _axis_from_json(data["output"])
+        coeffs = data["coeffs"]
+        if not (isinstance(coeffs, list) and all(isinstance(row, list) for row in coeffs)):
+            raise ValueError(f"map coeffs must be a list of rows, got {json.dumps(coeffs)}")
+        rows = [[parse_rational(c) for c in row] for row in coeffs]
+        return LocalMap(input_axis, output_axis, rows)
 
 
 # -- module-level operations ----------------------------------------------

@@ -14,10 +14,11 @@ denominator and updates it by fraction-free pivoting (Bareiss, Math. Comp.
 where rows come in and where the primal, dual and objective go out.  Rows
 are stored sparsely (dict per row plus a column index) because the
 certification LPs are large but very sparse.  Pivot selection is
-deterministic and depends only on the exact rational values: the default
-rule takes the most-negative reduced cost and falls back to Bland's
-least-index rule during long degenerate stalls, which keeps the method
-finite; `rule="bland"` forces pure Bland pivoting.
+deterministic and depends only on the exact rational values: the entering
+column has the most-negative reduced cost, falling back to Bland's
+least-index rule during long degenerate stalls (more than `_STALL_LIMIT`
+pivots without progress), which keeps the method finite.  A solve that
+needs more than `_PIVOT_BUDGET` pivots raises `PivotBudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ UNBOUNDED = "unbounded"
 SENSE_LE = "<="
 SENSE_EQ = "="
 
-# Pivots of the default rule allowed without objective progress before
+# Most-negative-cost pivots allowed without objective progress before
 # switching to Bland's rule (switching back once the objective moves).
 _STALL_LIMIT = 60
+# Pivots allowed per solve, both phases together; past it the solve raises.
+_PIVOT_BUDGET = 200_000
 
 _ZERO = Fraction(0)
 
@@ -102,7 +105,11 @@ class _Tableau:
 
     Row r holds integer numerators `rows[r]` and `rhs[r]` over one positive
     row denominator `den[r]`; the rational row is rows[r] / den[r].  Its basic
-    variable has numerator den[r], i.e. coefficient 1.  The reduced costs
+    variable has numerator den[r], i.e. coefficient 1.  Rows are negated to
+    make rhs >= 0, and each row gets one basic column of its own, numbered
+    after the variables in row order: a slack for a "<=" row whose rhs was
+    already >= 0, else an artificial; a negated "<=" row also gets a surplus
+    column (numerator -den[r]) just before its artificial.  The reduced costs
     z_j - c_j are the numerators `red` over one shared positive denominator
     `red_den`, and the objective value of the basis is `obj` / `red_den`.
 
@@ -116,59 +123,36 @@ class _Tableau:
 
     def __init__(self, problem: LpProblem):
         self.n = problem.num_vars
-        m = len(problem.rows)
-        self.m = m
+        self.m = len(problem.rows)
         self.rows: list[dict[int, int]] = []
         self.rhs: list[int] = []
         self.den: list[int] = []
         self.sigma: list[int] = []  # -1 where the original row was negated
-        senses = []
+        self.basis: list[int] = []
+        self.artificial: set[int] = set()
+        next_col = self.n
         for row in problem.rows:
             den = lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs.values()))
             coeffs = {j: c.numerator * (den // c.denominator) for j, c in row.coeffs.items()}
             rhs = row.rhs.numerator * (den // row.rhs.denominator)
-            sense = row.sense
             sig = 1
             if rhs < 0:
                 coeffs = {j: -c for j, c in coeffs.items()}
                 rhs = -rhs
-                sense = ">=" if sense == SENSE_LE else SENSE_EQ
                 sig = -1
+            if row.sense == SENSE_LE and sig == -1:
+                coeffs[next_col] = -den
+                next_col += 1
+            if row.sense != SENSE_LE or sig == -1:
+                self.artificial.add(next_col)
+            coeffs[next_col] = den
+            self.basis.append(next_col)
+            next_col += 1
             self.rows.append(coeffs)
             self.rhs.append(rhs)
             self.den.append(den)
             self.sigma.append(sig)
-            senses.append(sense)
-
-        self.basis: list[int] = [0] * m
-        self.init_col: list[int] = [0] * m
-        self.artificial: set[int] = set()
-        next_col = self.n
-        for r, sense in enumerate(senses):
-            den = self.den[r]
-            if sense == SENSE_LE:
-                j = next_col
-                next_col += 1
-                self.rows[r][j] = den
-                self.basis[r] = j
-                self.init_col[r] = j
-            elif sense == ">=":
-                js = next_col
-                ja = next_col + 1
-                next_col += 2
-                self.rows[r][js] = -den
-                self.rows[r][ja] = den
-                self.basis[r] = ja
-                self.init_col[r] = ja
-                self.artificial.add(ja)
-            else:
-                ja = next_col
-                next_col += 1
-                self.rows[r][ja] = den
-                self.basis[r] = ja
-                self.init_col[r] = ja
-                self.artificial.add(ja)
-        self.total_cols = next_col
+        self.init_col = list(self.basis)
 
         self.col_rows: dict[int, set[int]] = {}
         for r, row in enumerate(self.rows):
@@ -232,27 +216,22 @@ class _Tableau:
         self.basis[r] = j
         self.pivots += 1
 
-    def run(self, eligible, budget: int, rule: str) -> str:
-        """Pivot until optimal or unbounded; returns OPTIMAL or UNBOUNDED."""
+    def run(self) -> str:
+        """Pivot until optimal or unbounded; returns OPTIMAL or UNBOUNDED.
+
+        Artificials never enter: they start basic, and once out stay out.
+        """
         stall = 0
-        bland = rule == "bland"
         rows, rhs, basis = self.rows, self.rhs, self.basis
+        red, art = self.red, self.artificial
         while True:
-            entering = None
-            if bland or stall > _STALL_LIMIT:
-                for j, v in self.red.items():
-                    if v < 0 and eligible(j) and (entering is None or j < entering):
-                        entering = j
-            else:
-                best = None
-                for j, v in self.red.items():
-                    if v < 0 and eligible(j):
-                        key = (v, j)
-                        if best is None or key < best:
-                            best = key
-                            entering = j
-            if entering is None:
+            cands = [(v, j) for j, v in red.items() if v < 0 and j not in art]
+            if not cands:
                 return OPTIMAL
+            if stall > _STALL_LIMIT:
+                entering = min(j for _, j in cands)
+            else:
+                entering = min(cands)[1]
             # ratio test: least rhs/a over a > 0, ties to the least basic
             # index; rows share no denominator, but rhs/a is the ratio of
             # numerators, compared by cross-multiplication
@@ -268,14 +247,12 @@ class _Tableau:
                     leaving, best_a, best_b = r, a, b
             if leaving is None:
                 return UNBOUNDED
-            if self.pivots >= budget:
+            if self.pivots >= _PIVOT_BUDGET:
                 raise PivotBudgetExceeded(
-                    f"pivot budget {budget} exhausted after {self.pivots} pivots"
+                    f"pivot budget {_PIVOT_BUDGET} exhausted after {self.pivots} pivots"
                 )
-            degenerate = best_b == 0
             self.pivot(leaving, entering)
-            if not bland:
-                stall = stall + 1 if degenerate else 0
+            stall = stall + 1 if best_b == 0 else 0
 
 
 def _eliminate(row, b, d, j, prow, pb, r=None, col_rows=None):
@@ -323,7 +300,7 @@ def _eliminate(row, b, d, j, prow, pb, r=None, col_rows=None):
     return b, d
 
 
-def solve(problem: LpProblem, pivot_budget: int = 200_000, rule: str = "hybrid") -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Solve exactly; statuses INFEASIBLE/UNBOUNDED are results, not errors.
 
     OPTIMAL solutions carry the primal point, exact objective value and one
@@ -331,32 +308,24 @@ def solve(problem: LpProblem, pivot_budget: int = 200_000, rule: str = "hybrid")
     Every result carries its pivot counts as (phase 1, phase 2); phase 1
     includes the pivots that drive basic artificials out of the basis.
     """
-    if rule not in ("hybrid", "bland"):
-        raise ValueError(f"unknown pivot rule {rule!r}")
     t = _Tableau(problem)
 
     if t.artificial:
-        costs1 = {j: Fraction(-1) for j in t.artificial}
-        t.set_costs(costs1)
-        # artificials start basic; once out they never re-enter
-        status = t.run(lambda j: j not in t.artificial, pivot_budget, rule)
-        if status != OPTIMAL:
+        t.set_costs({j: Fraction(-1) for j in t.artificial})
+        if t.run() != OPTIMAL:
             raise RuntimeError("phase 1 cannot be unbounded; solver invariant broken")
         if t.obj != 0:
             return LpSolution(status=INFEASIBLE, pivots=(t.pivots, 0))
         for r in range(t.m):
             if t.basis[r] in t.artificial:
-                target = None
-                for j in t.rows[r]:
-                    if j not in t.artificial and (target is None or j < target):
-                        target = j
+                target = min((j for j in t.rows[r] if j not in t.artificial), default=None)
                 if target is not None:
                     t.pivot(r, target)
                 # else: row is redundant; its artificial stays basic at zero
     phase1 = t.pivots
 
     t.set_costs(problem.objective)
-    status = t.run(lambda j: j not in t.artificial, pivot_budget, rule)
+    status = t.run()
     pivots = (phase1, t.pivots - phase1)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, pivots=pivots)

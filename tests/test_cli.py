@@ -320,6 +320,80 @@ def test_missing_key_or_non_object_entry_exits_2(workdir, capsys, kind, doc, arg
     assert err == f"error: cannot read {kind} {bad}: {reason}\n"
 
 
+def undistillable_cert_doc(workdir):
+    code = main(["certify", str(workdir / "triv.json"), "--family", str(workdir / "fam1.json"),
+                 "--out", str(workdir / "cert.json")])
+    assert code == 0
+    return json.loads((workdir / "cert.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "kind, doc, reason",
+    [
+        ("family", 5, "family JSON must be an object, got 5"),
+        ("family", {"pairs": 5}, "family pairs must be a list, got 5"),
+        ("family", {"pairs": [5]}, "family pair must be an object, got 5"),
+        ("family", {"pairs": [{"map_a": 5, "map_b": MAP_A}]}, "map must be an object, got 5"),
+        ("family", {"pairs": [{"map_a": {**MAP_A, "coeffs": 5}, "map_b": MAP_A}]},
+         "map coeffs must be a list of rows, got 5"),
+        ("certificate", {"dual": 5},
+         "certificate dual must be null or an object with a row_multipliers list, got 5"),
+        ("certificate", {"dual": {"row_multipliers": 5}},
+         "certificate dual must be null or an object with a row_multipliers list, "
+         'got {"row_multipliers": 5}'),
+    ],
+    ids=["family-not-object", "pairs-not-list", "pair-not-object", "map-not-object",
+         "coeffs-not-rows", "dual-not-object", "multipliers-not-list"],
+)
+def test_non_object_pair_map_or_dual_exits_2(workdir, capsys, kind, doc, reason):
+    if kind == "certificate":
+        doc = {**undistillable_cert_doc(workdir), **doc}
+        capsys.readouterr()
+        argv = ("verify", workdir / "triv.json", workdir / "fam1.json")
+    else:
+        argv = ("certify", workdir / "triv.json", "--family")
+    bad = workdir / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, bad)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {kind} {bad}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, path",
+    [
+        ("distribution", ("entries", 0, "p")),
+        ("family", ("pairs", 0, "map_a", "coeffs", 0, 0)),
+        ("certificate", ("optimum",)),
+        ("certificate", ("lambda0",)),
+        ("certificate", ("dual", "row_multipliers", 0)),
+    ],
+    ids=["dist-p", "map-coeff", "cert-optimum", "cert-lambda0", "cert-multiplier"],
+)
+def test_json_number_for_a_rational_exits_2(workdir, capsys, kind, path):
+    """Rationals are "num/den" strings in every input file; a JSON number is refused."""
+    source = {"distribution": workdir / "triv.json", "family": workdir / "fam1.json"}
+    if kind == "certificate":
+        doc = undistillable_cert_doc(workdir)
+        capsys.readouterr()
+    else:
+        doc = json.loads(source[kind].read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = int(node[path[-1]].split("/")[0])
+    bad = workdir / "numeric.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "distribution": ("certify", bad, "--family", workdir / "fam1.json"),
+        "family": ("certify", workdir / "triv.json", "--family", bad),
+        "certificate": ("verify", workdir / "triv.json", workdir / "fam1.json", bad),
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {kind} {bad}: rational must be a string, got int\n"
+
+
 def family_with_seed(workdir, seed):
     doc = json.loads((workdir / "fam1.json").read_text())
     doc["seed"] = seed

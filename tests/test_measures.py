@@ -307,3 +307,10 @@ def test_witness_json_roundtrip(secret_bit_e):
     assert back.value == w.value
     assert back.map_a.coeffs == w.map_a.coeffs
     assert back.map_b.coeffs == w.map_b.coeffs
+
+
+def test_witness_json_number_value_is_refused(secret_bit_e):
+    data = estimate_lambda_max(secret_bit_e).to_json_dict()
+    data["value"] = 1
+    with pytest.raises(ValueError, match="rational must be a string, got int"):
+        LambdaWitness.from_json_dict(data)

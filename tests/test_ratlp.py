@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from nodistill import ratlp
 from nodistill.ratlp import (
     INFEASIBLE,
     OPTIMAL,
@@ -129,18 +131,25 @@ def test_row_scaling_keeps_primal_and_objective():
     assert check_solution(scaled, t)
 
 
-def test_pivot_budget_aborts_loudly():
+def test_pivot_budget_aborts_loudly(monkeypatch):
     p = lp(2, {0: 1, 1: 1}, [({0: 1, 1: 2}, "<=", 4), ({0: 3, 1: 1}, "<=", 6)])
+    monkeypatch.setattr(ratlp, "_PIVOT_BUDGET", 0)
     with pytest.raises(PivotBudgetExceeded):
-        solve(p, pivot_budget=0)
+        solve(p)
 
 
-def test_bland_rule_agrees():
+def _pure_bland(monkeypatch):
+    # stall starts at 0, so a limit of -1 makes every pivot a Bland pivot
+    monkeypatch.setattr(ratlp, "_STALL_LIMIT", -1)
+
+
+def test_bland_rule_agrees(monkeypatch):
     rng = random.Random(1)
-    for _ in range(30):
-        p = random_problem(rng)
-        a = solve(p)
-        b = solve(p, rule="bland")
+    problems = [random_problem(rng) for _ in range(30)]
+    default = [solve(p) for p in problems]
+    _pure_bland(monkeypatch)
+    for p, a in zip(problems, default):
+        b = solve(p)
         assert a.status == b.status
         if a.status == OPTIMAL:
             assert a.objective_value == b.objective_value
@@ -240,6 +249,32 @@ def test_matches_brute_force(seed):
         if want_status == OPTIMAL:
             assert s.objective_value == want_value
             assert check_solution(p, s)
+
+
+def _general_lp_digest():
+    out = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(40):
+            s = solve(random_problem(rng))
+            out.append((s.status, s.primal, s.objective_value, s.dual, s.pivots))
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def test_general_lp_solutions_pinned(monkeypatch):
+    """160 general programs: 35 optimal, 101 infeasible, 24 unbounded.
+
+    Unlike certification programs they have "<=" rows with negative rhs, so
+    surplus and artificial columns; every pivot, primal and dual is pinned
+    under the default column rule and under pure Bland.
+    """
+    assert _general_lp_digest() == (
+        "befd7ed5b6ef0baecfcee2b6aa7d2b5d66dca997a05642e51f3eb3aed906425f"
+    )
+    _pure_bland(monkeypatch)
+    assert _general_lp_digest() == (
+        "e06779b365a5beb5e0a976487fd960d01ad02a5ec1b7ff4cc2a545f4847816b1"
+    )
 
 
 def test_matches_brute_force_four_vars():
