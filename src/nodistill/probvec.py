@@ -55,6 +55,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_list(value, what: str) -> list:
+    """A list read from JSON; any other type is refused."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {json.dumps(value)}")
+    return value
+
+
 def _axis_to_json(ax: Axis) -> dict:
     d = {"party": ax.party, "size": ax.size}
     if ax.factors is not None:
@@ -65,10 +72,13 @@ def _axis_to_json(ax: Axis) -> dict:
 def _axis_from_json(d: dict) -> Axis:
     if not isinstance(d, dict):
         raise ValueError(f"axis must be an object, got {json.dumps(d)}")
+    party = d["party"]
+    if not isinstance(party, str):
+        raise ValueError(f"axis party must be a string, got {json.dumps(party)}")
     factors = d.get("factors")
     if factors is not None:
-        factors = tuple(_json_int(f, "axis factor") for f in factors)
-    return Axis(str(d["party"]), _json_int(d["size"], "axis size"), factors)
+        factors = tuple(_json_int(f, "axis factor") for f in _json_list(factors, "axis factors"))
+    return Axis(party, _json_int(d["size"], "axis size"), factors)
 
 
 class JointDist:
@@ -88,6 +98,7 @@ class JointDist:
             raise ValueError(f"duplicate axis label {dup!r}")
         items = entries.items() if isinstance(entries, Mapping) else entries
         store: dict[Index, Fraction] = {}
+        seen: set[Index] = set()
         for idx, val in items:
             idx = tuple(idx)
             if len(idx) != len(axes):
@@ -100,12 +111,11 @@ class JointDist:
             val = ensure_fraction(val)
             if val < 0:
                 raise ValueError(f"negative entry {val} at {idx}: distributions are non-negative")
-            if val != 0:
-                if idx in store:
-                    raise ValueError(f"duplicate index {idx}")
-                store[idx] = val
-            elif idx in store:
+            if idx in seen:
                 raise ValueError(f"duplicate index {idx}")
+            seen.add(idx)
+            if val != 0:
+                store[idx] = val
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "_entries", store)
 
@@ -261,17 +271,13 @@ class JointDist:
     def from_json_dict(data: dict) -> "JointDist":
         if not isinstance(data, dict) or "axes" not in data or "entries" not in data:
             raise ValueError("distribution JSON needs 'axes' and 'entries'")
-        axes = [_axis_from_json(d) for d in data["axes"]]
-        seen: set[Index] = set()
-        entries: dict[Index, Fraction] = {}
-        for e in data["entries"]:
+        axes = [_axis_from_json(d) for d in _json_list(data["axes"], "distribution axes")]
+        entries = []
+        for e in _json_list(data["entries"], "distribution entries"):
             if not isinstance(e, dict):
                 raise ValueError(f"distribution entry must be an object, got {json.dumps(e)}")
-            idx = tuple(_json_int(i, "entry index") for i in e["index"])
-            if idx in seen:
-                raise ValueError(f"duplicate index {list(idx)} in distribution JSON")
-            seen.add(idx)
-            entries[idx] = parse_rational(e["p"])
+            idx = tuple(_json_int(i, "entry index") for i in _json_list(e["index"], "entry index"))
+            entries.append((idx, parse_rational(e["p"])))
         return JointDist(axes, entries)
 
     def dumps(self) -> str:

@@ -8,17 +8,19 @@ primal and the one dual checker of the package; they work on
 `fractions.Fraction`, and `check_solution` uses them to re-verify all of
 that independently of the solver.
 
-The tableau keeps each row as Python int numerators over one positive row
-denominator and updates it by fraction-free pivoting (Bareiss, Math. Comp.
-22, 1968), dividing out each changed row's content; `Fraction` appears only
-where rows come in and where the primal, dual and objective go out.  Rows
-are stored sparsely (dict per row plus a column index) because the
-certification LPs are large but very sparse.  Pivot selection is
-deterministic and depends only on the exact rational values: the entering
-column has the most-negative reduced cost, falling back to Bland's
-least-index rule during long degenerate stalls (more than `_STALL_LIMIT`
-pivots without progress), which keeps the method finite.  A solve that
-needs more than `_PIVOT_BUDGET` pivots raises `PivotBudgetExceeded`.
+The tableau keeps each row as Python int numerators over the row's own
+basic entry, and the objective as one more row, z - c.x = 0 (Dantzig,
+Linear Programming and Extensions, 1963); every row is updated alike, by
+fraction-free pivoting (Bareiss, Math. Comp. 22, 1968) that divides out
+each changed row's content.  `Fraction` appears only where rows come in and
+where the primal, dual and objective go out.  Rows are stored sparsely
+(dict per row plus a column index) because the certification LPs are large
+but very sparse.  Pivot selection is deterministic and depends only on the
+exact rational values: the entering column has the most-negative reduced
+cost, falling back to Bland's least-index rule during long degenerate
+stalls (more than `_STALL_LIMIT` pivots without progress), which keeps the
+method finite.  A solve that needs more than `_PIVOT_BUDGET` pivots raises
+`PivotBudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ _STALL_LIMIT = 60
 _PIVOT_BUDGET = 200_000
 
 _ZERO = Fraction(0)
+# Tableau column of the objective variable z, basic in the objective row.
+_Z = -1
 
 
 class PivotBudgetExceeded(RuntimeError):
@@ -103,22 +107,22 @@ class LpSolution:
 class _Tableau:
     """Sparse simplex tableau over integer rows.
 
-    Row r holds integer numerators `rows[r]` and `rhs[r]` over one positive
-    row denominator `den[r]`; the rational row is rows[r] / den[r].  Its basic
-    variable has numerator den[r], i.e. coefficient 1.  Rows are negated to
-    make rhs >= 0, and each row gets one basic column of its own, numbered
-    after the variables in row order: a slack for a "<=" row whose rhs was
-    already >= 0, else an artificial; a negated "<=" row also gets a surplus
-    column (numerator -den[r]) just before its artificial.  The reduced costs
-    z_j - c_j are the numerators `red` over one shared positive denominator
-    `red_den`, and the objective value of the basis is `obj` / `red_den`.
+    Rows 0..m-1 are the constraints; row m is the objective row z - c.x = 0,
+    with z in column `_Z`.  Row r is the integer numerators `rows[r]`,
+    `rhs[r]` over its basic entry, rows[r][basis[r]] > 0 (z's for row m).
+    Rows are negated to make rhs >= 0, and each constraint row gets one
+    basic column of its own, numbered after the variables in row order: a
+    slack for a "<=" row whose rhs was already >= 0, else an artificial; a
+    negated "<=" row also gets a surplus column (minus its denominator) just
+    before its artificial.  Over rows[m][_Z], row m holds the reduced costs
+    z_j - c_j and rhs[m] the objective value of the basis.
 
-    A pivot keeps the pivot row's numerators and makes the pivot numerator
-    its denominator, then clears the pivot column from every other row with
-    `_eliminate`.  The represented rationals are those of a Fraction
-    tableau, so pivot choices, which depend only on them, are too: the
-    entering column compares numerators over the shared positive
-    denominator, and the ratio test compares rhs/a by cross-multiplication.
+    A pivot makes the pivot entry its row's denominator, then clears the
+    pivot column from every other row with `_eliminate`.  The represented
+    rationals are those of a Fraction tableau, so pivot choices, which depend
+    only on them, are too: the entering column compares numerators over the
+    one denominator of row m, and the ratio test compares rhs/a by
+    cross-multiplication.
     """
 
     def __init__(self, problem: LpProblem):
@@ -126,7 +130,6 @@ class _Tableau:
         self.m = len(problem.rows)
         self.rows: list[dict[int, int]] = []
         self.rhs: list[int] = []
-        self.den: list[int] = []
         self.sigma: list[int] = []  # -1 where the original row was negated
         self.basis: list[int] = []
         self.artificial: set[int] = set()
@@ -150,69 +153,54 @@ class _Tableau:
             next_col += 1
             self.rows.append(coeffs)
             self.rhs.append(rhs)
-            self.den.append(den)
             self.sigma.append(sig)
         self.init_col = list(self.basis)
+        self.rows.append({_Z: 1})
+        self.rhs.append(0)
 
         self.col_rows: dict[int, set[int]] = {}
         for r, row in enumerate(self.rows):
             for j in row:
                 self.col_rows.setdefault(j, set()).add(r)
-
-        self.red: dict[int, int] = {}
-        self.red_den = 1
-        self.obj = 0
         self.pivots = 0
 
-    # -- reduced costs ----------------------------------------------------
+    # -- objective row ----------------------------------------------------
 
     def set_costs(self, costs: Mapping[int, Fraction]):
-        """Recompute reduced costs z_j - c_j and the objective value."""
-        basic = [(r, costs[self.basis[r]]) for r in range(self.m) if costs.get(self.basis[r])]
-        d = lcm(
-            *(c.denominator for c in costs.values()),
-            *(cb.denominator * self.den[r] for r, cb in basic),
-        )
-        red = {j: -c.numerator * (d // c.denominator) for j, c in costs.items() if c}
-        obj = 0
-        for r, cb in basic:
-            mult = cb.numerator * (d // (cb.denominator * self.den[r]))
-            obj += mult * self.rhs[r]
-            for j, a in self.rows[r].items():
-                s = red.get(j, 0) + mult * a
-                if s:
-                    red[j] = s
-                elif j in red:
-                    del red[j]
-        g = gcd(d, obj, *red.values())
-        self.red = {j: v // g for j, v in red.items()}
-        self.red_den = d // g
-        self.obj = obj // g
+        """Make row m z - c.x = 0 for `costs`: basic columns cleared, content divided out."""
+        m, col_rows = self.m, self.col_rows
+        for j in self.rows[m]:
+            col_rows[j].discard(m)
+        d = lcm(*(c.denominator for c in costs.values()))
+        row = {j: -c.numerator * (d // c.denominator) for j, c in costs.items() if c}
+        row[_Z] = d
+        for j in row:
+            col_rows.setdefault(j, set()).add(m)
+        b = 0
+        for r in range(m):
+            if self.basis[r] in row:
+                b = _eliminate(row, b, self.basis[r], self.rows[r], self.rhs[r], m, col_rows)
+        g = gcd(b, *row.values())
+        self.rows[m] = {k: v // g for k, v in row.items()}
+        self.rhs[m] = b // g
 
     # -- pivoting ---------------------------------------------------------
 
     def pivot(self, r: int, j: int):
         prow = self.rows[r]
-        p = prow[j]
         pb = self.rhs[r]
-        if p < 0:
+        if prow[j] < 0:
             for k, v in prow.items():
                 prow[k] = -v
-            p, pb = -p, -pb
+            pb = -pb
         g = gcd(pb, *prow.values())
         if g > 1:
             for k, v in prow.items():
                 prow[k] = v // g
-            p //= g
             pb //= g
         self.rhs[r] = pb
-        self.den[r] = p
         for rr in self.col_rows[j] - {r}:
-            self.rhs[rr], self.den[rr] = _eliminate(
-                self.rows[rr], self.rhs[rr], self.den[rr], j, prow, pb, rr, self.col_rows
-            )
-        if j in self.red:
-            self.obj, self.red_den = _eliminate(self.red, self.obj, self.red_den, j, prow, pb)
+            self.rhs[rr] = _eliminate(self.rows[rr], self.rhs[rr], j, prow, pb, rr, self.col_rows)
         self.basis[r] = j
         self.pivots += 1
 
@@ -223,7 +211,7 @@ class _Tableau:
         """
         stall = 0
         rows, rhs, basis = self.rows, self.rhs, self.basis
-        red, art = self.red, self.artificial
+        red, art = self.rows[self.m], self.artificial
         while True:
             cands = [(v, j) for j, v in red.items() if v < 0 and j not in art]
             if not cands:
@@ -233,10 +221,10 @@ class _Tableau:
             else:
                 entering = min(cands)[1]
             # ratio test: least rhs/a over a > 0, ties to the least basic
-            # index; rows share no denominator, but rhs/a is the ratio of
-            # numerators, compared by cross-multiplication
+            # index; rhs/a is a ratio of numerators, compared by
+            # cross-multiplication.  Row m has a < 0 here, so never leaves.
             leaving = None
-            for r in self.col_rows.get(entering, ()):
+            for r in self.col_rows[entering]:
                 a = rows[r][entering]
                 if a > 0:
                     b = rhs[r]
@@ -255,15 +243,15 @@ class _Tableau:
             stall = stall + 1 if best_b == 0 else 0
 
 
-def _eliminate(row, b, d, j, prow, pb, r=None, col_rows=None):
-    """Clear column j of one integer row against the pivot row.
+def _eliminate(row, b, j, prow, pb, r, col_rows):
+    """Clear column j of tableau row r against the pivot row; returns the new rhs.
 
-    `row` and `b` are numerators over the positive denominator `d`; the pivot
-    row `prow`, `pb` is over its own pivot entry p = prow[j].  The row
-    becomes (row * p/c - f/c * prow) over d * p/c, with f = row[j] and
-    c = gcd(f, p), so when p divides f only the pivot row's columns change.
-    A scaled row has its content divided out.  `col_rows`, when given,
-    records the columns row r occupies.  Returns the new (b, d).
+    `row`, `b` are over row r's basic entry, and the pivot row `prow`, `pb`
+    over its pivot entry p = prow[j].  The row becomes row * p/c - f/c * prow,
+    with f = row[j] and c = gcd(f, p), so when p divides f only the pivot
+    row's columns change; prow is zero in row r's basic column, so the basic
+    entry stays the denominator.  A scaled row has its content divided out.
+    `col_rows` records the columns row r occupies.
     """
     p = prow[j]
     f = row[j]
@@ -274,30 +262,26 @@ def _eliminate(row, b, d, j, prow, pb, r=None, col_rows=None):
         for k, v in row.items():
             row[k] = v * s
         b *= s
-        d *= s
     for k, pv in prow.items():
         cur = row.get(k)
         if cur is None:
             row[k] = -q * pv
-            if col_rows is not None:
-                col_rows[k].add(r)
+            col_rows[k].add(r)
         else:
             nv = cur - q * pv
             if nv:
                 row[k] = nv
             else:
                 del row[k]
-                if col_rows is not None:
-                    col_rows[k].discard(r)
+                col_rows[k].discard(r)
     b -= q * pb
     if s != 1:
-        g = gcd(d, b, *row.values())
+        g = gcd(b, *row.values())
         if g > 1:
             for k, v in row.items():
                 row[k] = v // g
             b //= g
-            d //= g
-    return b, d
+    return b
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -314,7 +298,7 @@ def solve(problem: LpProblem) -> LpSolution:
         t.set_costs({j: Fraction(-1) for j in t.artificial})
         if t.run() != OPTIMAL:
             raise RuntimeError("phase 1 cannot be unbounded; solver invariant broken")
-        if t.obj != 0:
+        if t.rhs[t.m] != 0:
             return LpSolution(status=INFEASIBLE, pivots=(t.pivots, 0))
         for r in range(t.m):
             if t.basis[r] in t.artificial:
@@ -333,15 +317,16 @@ def solve(problem: LpProblem) -> LpSolution:
     primal = [_ZERO] * t.n
     for r in range(t.m):
         if t.basis[r] < t.n:
-            primal[t.basis[r]] = Fraction(t.rhs[r], t.den[r])
+            primal[t.basis[r]] = Fraction(t.rhs[r], t.rows[r][t.basis[r]])
+    red = t.rows[t.m]
     dual = []
     for r in range(t.m):
-        w = t.red.get(t.init_col[r], 0)
-        dual.append(Fraction(w if t.sigma[r] == 1 else -w, t.red_den))
+        w = red.get(t.init_col[r], 0)
+        dual.append(Fraction(w if t.sigma[r] == 1 else -w, red[_Z]))
     return LpSolution(
         status=OPTIMAL,
         primal=primal,
-        objective_value=Fraction(t.obj, t.red_den),
+        objective_value=Fraction(t.rhs[t.m], red[_Z]),
         dual=dual,
         pivots=pivots,
     )

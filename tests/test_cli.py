@@ -296,6 +296,37 @@ MAP_A = {"input": {"party": "A", "size": 1}, "output": {"party": "A", "size": 2}
             "axis must be an object, got 5",
         ),
         (
+            "distribution",
+            {"axes": 5, "entries": []},
+            ("lambda", "{bad}"),
+            "distribution axes must be a list, got 5",
+        ),
+        (
+            "distribution",
+            {"axes": axes_doc(2, 2, 1), "entries": 5},
+            ("lambda", "{bad}"),
+            "distribution entries must be a list, got 5",
+        ),
+        (
+            "distribution",
+            {"axes": axes_doc(2, 2, 1), "entries": [{"index": 5, "p": "1/1"}]},
+            ("lambda", "{bad}"),
+            "entry index must be a list, got 5",
+        ),
+        (
+            "distribution",
+            {"axes": [{"party": "A", "size": 2, "factors": 5}, *axes_doc(2, 2, 1)[1:]],
+             "entries": []},
+            ("lambda", "{bad}"),
+            "axis factors must be a list, got 5",
+        ),
+        (
+            "distribution",
+            {"axes": [{"party": 5, "size": 2}, *axes_doc(2, 2, 1)[1:]], "entries": []},
+            ("lambda", "{bad}"),
+            "axis party must be a string, got 5",
+        ),
+        (
             "family",
             {"pairs": [{"map_a": {k: v for k, v in MAP_A.items() if k != "input"},
                         "map_b": MAP_A}]},
@@ -310,7 +341,8 @@ MAP_A = {"input": {"party": "A", "size": 1}, "output": {"party": "A", "size": 2}
         ),
     ],
     ids=["dist-party", "dist-index", "dist-entry-not-object", "dist-axis-not-object",
-         "family-input", "cert-verdict"],
+         "dist-axes-not-list", "dist-entries-not-list", "dist-index-not-list",
+         "dist-factors-not-list", "dist-party-not-string", "family-input", "cert-verdict"],
 )
 def test_missing_key_or_non_object_entry_exits_2(workdir, capsys, kind, doc, argv, reason):
     bad = workdir / "incomplete.json"

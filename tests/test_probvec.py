@@ -242,6 +242,13 @@ def test_json_duplicate_index_rejected():
         JointDist.loads(text)
 
 
+def test_repeated_index_rejected_whatever_the_values():
+    axes = [Axis("A", 2)]
+    for entries in ([((0,), F(1, 2)), ((0,), F(0))], [((0,), F(0)), ((0,), F(1, 2))]):
+        with pytest.raises(ValueError, match="duplicate index"):
+            JointDist(axes, entries)
+
+
 def test_json_omitted_indices_are_zero():
     text = '{"axes": [{"party": "A", "size": 3}], "entries": [{"index": [1], "p": "2/3"}]}'
     p = JointDist.loads(text)

@@ -103,6 +103,24 @@ def test_check_rejects_infeasible_primal():
     assert not check_solution(p, bad)
 
 
+@pytest.mark.parametrize(
+    "primal, dual",
+    [
+        ([F(-1), F(2)], [F(1)]),
+        ([F(1), F(0), F(5)], [F(1)]),
+        ([F(1), F(0)], [F(1), F(0)]),
+    ],
+    ids=["negative-primal", "primal-length", "dual-length"],
+)
+def test_check_rejects_malformed_point(primal, dual):
+    # max x + y s.t. x + y <= 1 has optimum 1 and dual [1]; each point keeps
+    # the row, the dual columns and the objective balanced, and breaks only
+    # the sign of x or the length of one vector
+    p = lp(2, {0: 1, 1: 1}, [({0: 1, 1: 1}, "<=", 1)])
+    assert check_solution(p, LpSolution(OPTIMAL, [F(1), F(0)], F(1), [F(1)]))
+    assert not check_solution(p, LpSolution(OPTIMAL, primal, F(1), dual))
+
+
 # -- determinism, scaling, budget ----------------------------------------------------
 
 
@@ -275,6 +293,33 @@ def test_general_lp_solutions_pinned(monkeypatch):
     assert _general_lp_digest() == (
         "e06779b365a5beb5e0a976487fd960d01ad02a5ec1b7ff4cc2a545f4847816b1"
     )
+
+
+def test_redundant_equality_row_pinned():
+    """A redundant "=" row keeps its artificial basic, at zero, into phase 2."""
+    cases = [
+        (
+            lp(2, {0: 1}, [({0: 1, 1: 1}, "=", 1), ({0: 2, 1: 2}, "=", 2)]),
+            ([F(1), F(0)], F(1), [F(1), F(0)], (1, 0)),
+        ),
+        (
+            lp(
+                3,
+                {0: F(1, 2), 2: 1},
+                [
+                    ({0: 1, 1: 1, 2: 1}, "=", 1),
+                    ({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}, "=", F(1, 3)),
+                    ({0: 1}, "<=", F(1, 2)),
+                ],
+            ),
+            ([F(0), F(0), F(1)], F(1), [F(1), F(0), F(0)], (2, 2)),
+        ),
+    ]
+    for p, want in cases:
+        s = solve(p)
+        assert s.status == OPTIMAL
+        assert (s.primal, s.objective_value, s.dual, s.pivots) == want
+        assert check_solution(p, s)
 
 
 def test_matches_brute_force_four_vars():
