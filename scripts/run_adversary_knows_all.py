@@ -3,10 +3,12 @@
 
 The input distribution is g(a, a, a) = 1/2: the honest parties share a
 uniform correlated bit that the adversary knows exactly, so its secret bit
-fraction is 0 and intuition says it should certify as undistillable.  Whether
-a small deterministic constraint family is rich enough to drive the program's
-maximum to zero is an open experimental question; this script reports the
-exact optimum for each family prefix and leaves verified certificates behind.
+fraction is 0 and intuition says it should certify as undistillable.  This
+script reports the exact optimum for each deterministic family prefix and
+leaves verified certificates behind.  The prefixes stay inconclusive (1/4
+from M = 1 on at lambda0 = 1/2), but a two-pair family does certify it: the
+copy-projection pairs 1863 and 4941 of the canonical order give
+UNDISTILLABLE at M = 2 (tests/test_certifier.py pins that certificate).
 
 Usage:
     python scripts/run_adversary_knows_all.py [--max-m 6] [--out-dir out/eka]

@@ -137,13 +137,11 @@ class CertificationLp:
         sp = self.setup
         return _cell(sp.size_a, sp.size_b, a, x, b, y) * sp.num_selectors + k
 
-    def vector_from_dist(self, qk: JointDist) -> list[Fraction]:
+    def vector_from_dist(self, qk: JointDist) -> dict[int, Fraction]:
+        """The program point of qk, as its nonzero entries {variable: value}."""
         if qk.axes != self.setup.q_axes():
             raise ValueError("distribution axes do not match the program's variable axes")
-        x = [Fraction(0)] * self.problem.num_vars
-        for (a, xa, b, yb, k), v in qk.items():
-            x[self.var_index(a, xa, b, yb, k)] = v
-        return x
+        return {self.var_index(*idx): v for idx, v in qk.items()}
 
     def dist_from_vector(self, vec) -> JointDist:
         sp = self.setup
@@ -418,6 +416,18 @@ def certify(
     return replace(cert, digest=_certificate_digest(cert))
 
 
+# verify's message for each kind of failure `ratlp.violation` reports
+_FAILURES = {
+    "entry": "witness is negative at variable {i}: {got}",
+    "row": "witness violates row {i} {info}: {got} vs {want}",
+    "objective": "witness objective {got} != claimed optimum {want}",
+    "length": "dual has {got} multipliers for {want} rows",
+    "multiplier": "dual multiplier for row {i} {info} is negative",
+    "column": "dual infeasible at variable {i}: {got} < {want}",
+    "bound": "dual bound {got} != claimed optimum {want}",
+}
+
+
 @dataclass(frozen=True)
 class VerificationResult:
     ok: bool
@@ -469,31 +479,15 @@ def verify_certificate(
         build = build_lp(setup)
     except (ValueError, SizeGuardError) as exc:
         return fail(f"cannot rebuild program: {exc}")
-    lp = build.problem
 
     if cert.verdict == INCONCLUSIVE:
         if cert.primal.axes != setup.q_axes():
             return fail("witness axes do not match the program's variable layout")
-        x = build.vector_from_dist(cert.primal)
-        bad_row = ratlp.row_violation(lp, x)
-        if bad_row is not None:
-            r, lhs = bad_row
-            return fail(f"witness violates row {r} {build.row_info[r]}: {lhs} vs {lp.rows[r].rhs}")
-        obj = ratlp.dot(lp.objective, x)
-        if obj != cert.optimum:
-            return fail(f"witness objective {obj} != claimed optimum {cert.optimum}")
+        bad = ratlp.violation(build.problem, cert.optimum, x=build.vector_from_dist(cert.primal))
+    else:
+        bad = ratlp.violation(build.problem, cert.optimum, y=cert.dual)
+    if bad is None:
         return VerificationResult(True)
-
-    y = cert.dual
-    if len(y) != len(lp.rows):
-        return fail(f"dual has {len(y)} multipliers for {len(lp.rows)} rows")
-    bad_dual = ratlp.dual_violation(lp, y)
-    if bad_dual is not None:
-        kind, i, total, c = bad_dual
-        if kind == "row":
-            return fail(f"dual multiplier for row {i} {build.row_info[i]} is negative")
-        return fail(f"dual infeasible at variable {i}: {total} < {c}")
-    bound = sum((yr * row.rhs for row, yr in zip(lp.rows, y)), Fraction(0))
-    if bound != cert.optimum:
-        return fail(f"dual bound {bound} != claimed optimum {cert.optimum}")
-    return VerificationResult(True)
+    kind, i, got, want = bad
+    info = build.row_info[i] if kind in ("row", "multiplier") else None
+    return fail(_FAILURES[kind].format(i=i, info=info, got=got, want=want))

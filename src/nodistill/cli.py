@@ -144,10 +144,19 @@ def cmd_verify(args) -> int:
     return EXIT_INVALID
 
 
+def _known_keys(obj: dict, what: str, keys: tuple[str, ...]):
+    for k in obj:
+        if k not in keys:
+            raise _InputError(f"{what} has unknown key {k!r}")
+
+
 def _batch_row(entry: dict, base: Path, max_dm: int):
     if not isinstance(entry, dict):
         raise _InputError(f"manifest entry must be an object, got {json.dumps(entry)}")
-    g_path = str(entry["g"])
+    _known_keys(entry, "manifest entry", ("g", "family", "lambda0"))
+    g_path = entry["g"]
+    if not isinstance(g_path, str):
+        raise _InputError(f"manifest g must be a path string, got {json.dumps(g_path)}")
     g = _load_dist(str(base / g_path))
     fam_spec = entry["family"]
     if isinstance(fam_spec, str):
@@ -156,23 +165,22 @@ def _batch_row(entry: dict, base: Path, max_dm: int):
     elif not isinstance(fam_spec, dict):
         raise _InputError(f"family must be a path or an object, got {json.dumps(fam_spec)}")
     else:
+        fields = ("M", "cap", "seed", "denom_bound")
+        _known_keys(fam_spec, "family", ("gen", *fields))
         ints = [
             None if fam_spec.get(k) is None else _json_int(fam_spec[k], f"family {k}")
-            for k in ("M", "cap", "seed", "denom_bound")
+            for k in fields
         ]
         family = _generate_family(fam_spec.get("gen"), g.axis("A").size, g.axis("B").size, *ints)
         fam_desc = json.dumps(fam_spec, sort_keys=True, separators=(",", ":"))
-    lambda0 = _parse_lambda0(str(entry.get("lambda0", "1/2")))
+    lambda0 = _parse_lambda0(entry.get("lambda0", "1/2"))
     cert = certifier.certify(g, family, lambda0=lambda0, max_dm=max_dm)
     return (g_path, fam_desc, format_rational(lambda0), cert.verdict, format_rational(cert.optimum))
 
 
 def cmd_batch(args) -> int:
     base = Path(args.manifest).parent
-    try:
-        manifest = json.loads(Path(args.manifest).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _InputError(f"cannot read manifest {args.manifest}: {exc}") from exc
+    manifest = _read("manifest", args.manifest, json.loads)
     if not isinstance(manifest, list):
         raise _InputError("manifest must be a JSON list of {g, family, lambda0} entries")
 

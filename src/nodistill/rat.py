@@ -7,34 +7,27 @@ form is always "num/den" with the denominator written out ("3" -> "3/1").
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (optional sign, optional "/q") into a Fraction.
+    """Parse "p/q" or a bare integer "p", with an optional sign on p, into a Fraction.
 
-    Floats and float-looking strings ("0.5", "1e-3") are rejected.
+    The whole string must match; only ASCII digits are read, so floats
+    ("0.5", "1e-3"), spaces, underscores and a signed q are rejected.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
-    s = text.strip()
-    if not s:
-        raise ValueError("empty rational string")
-    if any(c in s for c in ".eE"):
-        raise ValueError(f"not an exact rational: {text!r} (floats are rejected)")
-    if "/" in s:
-        num_s, _, den_s = s.partition("/")
-        try:
-            num, den = int(num_s), int(den_s)
-        except ValueError:
-            raise ValueError(f"malformed rational: {text!r}") from None
-        if den <= 0:
-            raise ValueError(f"denominator must be positive: {text!r}")
-        return Fraction(num, den)
-    try:
-        return Fraction(int(s))
-    except ValueError:
-        raise ValueError(f"malformed rational: {text!r}") from None
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed rational: {text!r}")
+    den = int(m["den"] or 1)
+    if den == 0:
+        raise ValueError(f"denominator must be positive: {text!r}")
+    return Fraction(int(m["num"]), den)
 
 
 def format_rational(x: Fraction) -> str:

@@ -3,10 +3,11 @@
 Problems are maximizations over x >= 0 with rows of sense "<=" or "=".
 Arithmetic is exact throughout, so an OPTIMAL result comes with an exactly
 feasible primal point and an exactly feasible dual vector whose bound equals
-the primal objective.  `row_violation` and `dual_violation` are the one
-primal and the one dual checker of the package; they work on
-`fractions.Fraction`, and `check_solution` uses them to re-verify all of
-that independently of the solver.
+the primal objective.  `violation` is the package's one optimality checker:
+in `fractions.Fraction`, independently of the solver, it tests a point given
+by its nonzero entries and one multiplier per row against the rows and a
+claimed optimum, and names the first condition that fails.  `check_solution`
+runs it on a solve's result, and certificate verification on a certificate.
 
 The tableau keeps each row as Python int numerators over the row's own
 basic entry, and the objective as one more row, z - c.x = 0 (Dantzig,
@@ -332,73 +333,75 @@ def solve(problem: LpProblem) -> LpSolution:
     )
 
 
-def dot(coeffs: Mapping[int, Fraction], x: Sequence[Fraction]) -> Fraction:
-    """sum_j coeffs[j] * x[j], exactly."""
-    return sum((c * x[j] for j, c in coeffs.items()), _ZERO)
+def dot(coeffs: Mapping[int, Fraction], x: Mapping[int, Fraction]) -> Fraction:
+    """sum_j coeffs[j] * x[j] over the keys both hold, walking the shorter, exactly."""
+    if len(x) < len(coeffs):
+        coeffs, x = x, coeffs
+    return sum((c * x[j] for j, c in coeffs.items() if j in x), _ZERO)
 
 
-def row_violation(problem: LpProblem, x: Sequence[Fraction]) -> tuple[int, Fraction] | None:
-    """The first row the point x violates, as (row index, left-hand side).
+def violation(
+    problem: LpProblem,
+    value: Fraction,
+    x: Mapping[int, Fraction] | None = None,
+    y: Sequence[Fraction] | None = None,
+) -> tuple[str, int | None, Fraction, Fraction] | None:
+    """The first condition the point x or the multipliers y fail, or None.
 
-    Returns None when x satisfies every row; the sign of x is not checked.
+    x is the point's nonzero entries {j: x_j}: no entry may be negative, every
+    row must hold, and c.x must equal value.  y is one multiplier per row: the
+    length must match, each "<=" row's must be non-negative, each column sum
+    sum_r y_r a_rj must reach c_j (the objective's columns first, then the
+    others by first appearance), and y.rhs must equal value.  A failure is
+    (kind, index, got, want) with kind "entry", "row", "objective", "length",
+    "multiplier", "column" or "bound", in that order of checking; the index
+    is None for the objective, length and bound.
     """
-    for r, row in enumerate(problem.rows):
-        lhs = dot(row.coeffs, x)
-        if lhs > row.rhs if row.sense == SENSE_LE else lhs != row.rhs:
-            return r, lhs
-    return None
-
-
-def dual_violation(
-    problem: LpProblem, y: Sequence[Fraction]
-) -> tuple[str, int, Fraction, Fraction] | None:
-    """The first violated dual condition for one multiplier per row, or None.
-
-    Each "<=" row's multiplier must be non-negative; a violation is returned
-    as ("row", r, y_r, 0).  Then, for each variable j, the column sum
-    sum_r y_r a_rj must reach the objective coefficient c_j; a violation is
-    returned as ("variable", j, column sum, c_j).  Columns are scanned in the
-    objective's order, then the other columns in order of first appearance,
-    so the reported violation is fixed by the problem.
-    """
-    for r, (row, yr) in enumerate(zip(problem.rows, y)):
-        if row.sense == SENSE_LE and yr < 0:
-            return "row", r, yr, _ZERO
-    col_sums: dict[int, Fraction] = {}
-    for row, yr in zip(problem.rows, y):
-        if yr == 0:
-            continue
-        for j, c in row.coeffs.items():
-            col_sums[j] = col_sums.get(j, _ZERO) + yr * c
-    for j, c in problem.objective.items():
-        total = col_sums.get(j, _ZERO)
-        if total < c:
-            return "variable", j, total, c
-    for j, total in col_sums.items():
-        if j not in problem.objective and total < 0:
-            return "variable", j, total, _ZERO
+    if x is not None:
+        for j, v in x.items():
+            if v < 0:
+                return "entry", j, v, _ZERO
+        for r, row in enumerate(problem.rows):
+            lhs = dot(row.coeffs, x)
+            if lhs > row.rhs if row.sense == SENSE_LE else lhs != row.rhs:
+                return "row", r, lhs, row.rhs
+        obj = dot(problem.objective, x)
+        if obj != value:
+            return "objective", None, obj, value
+    if y is not None:
+        if len(y) != len(problem.rows):
+            return "length", None, len(y), len(problem.rows)
+        for r, (row, yr) in enumerate(zip(problem.rows, y)):
+            if row.sense == SENSE_LE and yr < 0:
+                return "multiplier", r, yr, _ZERO
+        col_sums: dict[int, Fraction] = {}
+        for row, yr in zip(problem.rows, y):
+            if yr:
+                for j, c in row.coeffs.items():
+                    col_sums[j] = col_sums.get(j, _ZERO) + yr * c
+        for j, c in problem.objective.items():
+            total = col_sums.get(j, _ZERO)
+            if total < c:
+                return "column", j, total, c
+        for j, total in col_sums.items():
+            if j not in problem.objective and total < 0:
+                return "column", j, total, _ZERO
+        bound = sum((yr * row.rhs for row, yr in zip(problem.rows, y)), _ZERO)
+        if bound != value:
+            return "bound", None, bound, value
     return None
 
 
 def check_solution(problem: LpProblem, sol: LpSolution) -> bool:
     """Certify an OPTIMAL solution independently of the solver.
 
-    Checks exact primal feasibility, dual sign conditions and feasibility,
-    and that the primal objective equals the dual bound.  Returns False on
-    the first violation; non-OPTIMAL statuses are not certified.
+    The primal, over its support, and the dual must pass `violation` at the
+    solution's objective value; non-OPTIMAL statuses are not certified.
     """
-    if sol.status != OPTIMAL:
+    if sol.status != OPTIMAL or len(sol.primal) != problem.num_vars:
         return False
-    if len(sol.primal) != problem.num_vars or len(sol.dual) != len(problem.rows):
-        return False
-    if any(x < 0 for x in sol.primal):
-        return False
-    if row_violation(problem, sol.primal) is not None:
-        return False
-    if dual_violation(problem, sol.dual) is not None:
-        return False
-    dual_bound = sum((y * row.rhs for row, y in zip(problem.rows, sol.dual)), _ZERO)
-    return dot(problem.objective, sol.primal) == sol.objective_value == dual_bound
+    support = {j: v for j, v in enumerate(sol.primal) if v}
+    return violation(problem, sol.objective_value, x=support, y=sol.dual) is None
 
 
 # -- text dump for external cross-checking ----------------------------------

@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from nodistill import ratlp
+from nodistill import families, ratlp
 from nodistill.certifier import (
     INCONCLUSIVE,
     UNDISTILLABLE,
@@ -17,7 +18,7 @@ from nodistill.certifier import (
     problem_fingerprint,
     verify_certificate,
 )
-from nodistill.families import MapFamily, deterministic_family, random_filter_family, strip_pair
+from nodistill.families import MapFamily, MapPair, deterministic_family, random_filter_family, strip_pair
 from nodistill.probvec import Axis, JointDist
 
 from conftest import rand_dist
@@ -164,7 +165,9 @@ def test_canonical_witness_feasible_with_correct_selectors(secret_bit_e, eve_kno
         fam = deterministic_family(2, 2, cap=3)
         build = build_lp(CertificationProblem(g=g, family=fam))
         grouped = group_by_selector(canonical_witness_q(g), g, fam)
-        assert ratlp.row_violation(build.problem, build.vector_from_dist(grouped)) is None
+        x = build.vector_from_dist(grouped)
+        value = ratlp.dot(build.problem.objective, x)
+        assert ratlp.violation(build.problem, value, x=x) is None
 
 
 def test_canonical_witness_needs_binary_alphabets():
@@ -396,7 +399,7 @@ def test_verify_math_catches_resigned_optimum_tamper():
     data = cert.to_json_dict()
     data["optimum"] = "-1/1000"
     res = verify_certificate(trivial_g(), fam, HALF, redigest(data))
-    assert not res and "bound" in res.failure
+    assert res.failure == "dual bound 0 != claimed optimum -1/1000"
 
 
 def test_verify_math_catches_resigned_dual_sign_tamper():
@@ -427,6 +430,119 @@ def test_verify_reports_first_dual_infeasible_variable():
     data["dual"]["row_multipliers"][0] = "2/1"
     res = verify_certificate(trivial_g(), fam, HALF, redigest(data))
     assert res.failure == "dual infeasible at variable 4: -2 < -1"
+
+
+def strip_certificate() -> Certificate:
+    """The undistillable certificate of the trivial g under the strip pair (8 rows)."""
+    return certify(trivial_g(), MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic"))
+
+
+def verify_trivial(data: dict):
+    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    return verify_certificate(trivial_g(), fam, HALF, redigest(data)).failure
+
+
+def test_verify_refuses_an_unknown_verdict():
+    data = strip_certificate().to_json_dict()
+    data["verdict"] = "distillable"
+    assert verify_trivial(data) == "unknown verdict 'distillable'"
+
+
+def test_verify_refuses_undistillable_with_optimum_one():
+    data = strip_certificate().to_json_dict()
+    data["optimum"] = "1/1"
+    assert verify_trivial(data) == "verdict/optimum mismatch: undistillable requires optimum <= 0"
+
+
+def test_verify_refuses_inconclusive_with_optimum_zero(secret_bit_e):
+    fam = deterministic_family(2, 2, cap=1)
+    data = certify(secret_bit_e, fam).to_json_dict()
+    data["optimum"] = "0/1"
+    res = verify_certificate(secret_bit_e, fam, HALF, redigest(data))
+    assert res.failure == "verdict/optimum mismatch: inconclusive requires optimum > 0"
+
+
+def test_verify_reports_the_witness_objective(secret_bit_e):
+    fam = deterministic_family(2, 2, cap=1)
+    data = certify(secret_bit_e, fam).to_json_dict()
+    assert data["optimum"] == "1/4"
+    data["optimum"] = "5/4"
+    res = verify_certificate(secret_bit_e, fam, HALF, redigest(data))
+    assert res.failure == "witness objective 1/4 != claimed optimum 5/4"
+
+
+def test_verify_refuses_a_witness_on_other_axes(secret_bit_e):
+    fam = deterministic_family(2, 2, cap=1)
+    data = certify(secret_bit_e, fam).to_json_dict()
+    data["primal"]["axes"][4]["size"] *= 2
+    res = verify_certificate(secret_bit_e, fam, HALF, redigest(data))
+    assert res.failure == "witness axes do not match the program's variable layout"
+
+
+def test_verify_checks_the_norm_row_as_an_equality(secret_bit_e):
+    # half the witness, with half the optimum, keeps every "<=" row (all have
+    # rhs 0) and the objective; only the mass-1 row catches it
+    fam = deterministic_family(2, 2, cap=1)
+    data = certify(secret_bit_e, fam).to_json_dict()
+    for entry in data["primal"]["entries"]:
+        num, den = entry["p"].split("/")
+        entry["p"] = f"{num}/{2 * int(den)}"
+    data["optimum"] = "1/8"
+    res = verify_certificate(secret_bit_e, fam, HALF, redigest(data))
+    assert res.failure == "witness violates row 9 ('norm',): 1/2 vs 1"
+
+
+def test_verify_reports_a_negative_column_outside_the_objective(eve_knows_all):
+    # variable 12 has objective coefficient 0; these multipliers keep every
+    # "<=" row's sign and every objective column, and make its column -1
+    fam = deterministic_family(2, 2, cap=1)
+    build = build_lp(CertificationProblem(g=eve_knows_all, family=fam))
+    assert 12 not in build.problem.objective
+    y = [F(0)] * len(build.problem.rows)
+    for r, v in ((5, F(5, 2)), (13, F(5, 2)), (21, F(5, 2)), (25, F(3, 2))):
+        y[r] = v
+    cert = Certificate(
+        verdict=UNDISTILLABLE, optimum=F(0), lambda0=HALF,
+        fingerprint=problem_fingerprint(eve_knows_all, fam, HALF), dual=tuple(y),
+    )
+    res = verify_certificate(eve_knows_all, fam, HALF, redigest(cert.to_json_dict()))
+    assert res.failure == "dual infeasible at variable 12: -1 < 0"
+
+
+@pytest.mark.parametrize("count", [7, 9])
+def test_verify_reports_a_dual_of_the_wrong_length(count):
+    data = strip_certificate().to_json_dict()
+    data["dual"]["row_multipliers"] = (data["dual"]["row_multipliers"] + ["0/1"])[:count]
+    assert verify_trivial(data) == f"dual has {count} multipliers for 8 rows"
+
+
+def test_size_guard_boundary(secret_bit_e):
+    # d + M = 1 + 2 = 3
+    fam = deterministic_family(2, 2, cap=2)
+    cert = certify(secret_bit_e, fam, max_dm=3)
+    assert verify_certificate(secret_bit_e, fam, HALF, cert, max_dm=3)
+    with pytest.raises(SizeGuardError, match="d \\+ M = 1 \\+ 2 = 3 exceeds the bound 2"):
+        certify(secret_bit_e, fam, max_dm=2)
+    res = verify_certificate(secret_bit_e, fam, HALF, cert, max_dm=2)
+    assert res.failure.startswith("cannot rebuild program: d + M = 1 + 2 = 3 exceeds the bound 2")
+
+
+def test_two_copy_projection_pairs_certify_aka(eve_knows_all):
+    # deterministic pairs 1863 and 4941 each keep one copy symbol on both
+    # sides, output the bit and discard the other copy; together they drive
+    # the program's maximum to 0 for the bit the adversary knows fully
+    codes = list(itertools.islice(families._det_pairs(2, 2), 4942))
+    assert (codes[1863], codes[4941]) == (((0, 2, 1, 2),) * 2, ((2, 0, 2, 1),) * 2)
+    fam = MapFamily(pairs=tuple(
+        MapPair(families._map_from_code("A", 2, a), families._map_from_code("B", 2, b))
+        for a, b in (codes[1863], codes[4941])
+    ))
+    cert = certify(eve_knows_all, fam)
+    assert cert.verdict == UNDISTILLABLE and cert.optimum == 0
+    assert cert.digest == "6d3a1e5e8ac82a0bb59e9b3c548808f9a15fa662a08202799e57576f2733750a"
+    assert len(cert.dual) == 51
+    assert sum(1 for y in cert.dual if y) == 18
+    assert verify_certificate(eve_knows_all, fam, HALF, cert)
 
 
 def test_certificate_json_roundtrip(secret_bit_e):

@@ -171,6 +171,33 @@ def test_certify_guard_refusal_exits_3(workdir, capsys):
     assert code == 3 and "exceeds" in err
 
 
+@pytest.mark.parametrize("max_dm, code", [(2, 0), (1, 3)])
+def test_certify_guard_boundary(workdir, capsys, max_dm, code):
+    # d + M = 1 + 1: refused only when the bound is below it
+    got, _, err = run(
+        capsys, "certify", workdir / "triv.json", "--family", workdir / "fam1.json",
+        "--max-dm", max_dm,
+    )
+    assert got == code
+    assert ("refused: d + M = 1 + 1 = 2 exceeds the bound 1" in err) == (code == 3)
+
+
+def test_certify_exits_4_when_the_solver_output_fails_its_check(workdir, capsys, monkeypatch):
+    from nodistill import ratlp
+
+    solve = ratlp.solve
+
+    def off_by_one(problem):
+        sol = solve(problem)
+        sol.objective_value += 1
+        return sol
+
+    monkeypatch.setattr(ratlp, "solve", off_by_one)
+    code, out, err = run(capsys, "certify", workdir / "triv.json", "--family", workdir / "fam1.json")
+    assert (code, out) == (4, "")
+    assert err == "solver failure: solver output failed its independent optimality check\n"
+
+
 def test_certify_output_byte_deterministic(workdir, capsys):
     a, b = workdir / "a.json", workdir / "b.json"
     run(capsys, "certify", workdir / "sb.json", "--family", workdir / "fam22.json", "--out", a)
@@ -458,6 +485,15 @@ def test_certify_rejects_float_lambda0(workdir, capsys):
     assert code == 2 and "rational" in err
 
 
+@pytest.mark.parametrize("text", [" 1/2 ", "1_0/20", "1/+2"])
+def test_certify_rejects_loose_lambda0(workdir, capsys, text):
+    code, _, err = run(
+        capsys, "certify", workdir / "sb.json", "--family", workdir / "fam22.json",
+        "--lambda0", text,
+    )
+    assert (code, err) == (2, f"error: malformed rational: {text!r}\n")
+
+
 def test_certify_rejects_out_of_range_lambda0(workdir, capsys):
     code, _, err = run(
         capsys, "certify", workdir / "sb.json", "--family", workdir / "fam22.json",
@@ -550,6 +586,41 @@ def test_batch_non_integer_generator_field_is_an_error_row(workdir, capsys, spec
     assert out.splitlines()[1:] == [
         f"sb.json\t?\t?\tERROR\tfamily {field} must be an integer, got {value}"
     ]
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ({"g": "triv.json", "family": "fam1.json", "extra": 1},
+         "manifest entry has unknown key 'extra'"),
+        ({"g": "triv.json", "family": {"gen": "deterministic", "cap": 1, "m": 2}},
+         "family has unknown key 'm'"),
+        ({"g": 5, "family": "fam1.json"}, "manifest g must be a path string, got 5"),
+        ({"g": "triv.json", "family": "fam1.json", "lambda0": 0.5},
+         "rational must be a string, got float"),
+        ({"g": "triv.json", "family": "fam1.json", "lambda0": 1},
+         "rational must be a string, got int"),
+    ],
+    ids=["unknown-key", "unknown-family-key", "g-not-string", "lambda0-float", "lambda0-int"],
+)
+def test_batch_refuses_a_loose_entry(workdir, capsys, entry, reason):
+    path = workdir / "manifest6.json"
+    path.write_text(json.dumps([entry, {"g": "triv.json", "family": "fam1.json"}]))
+    code, out, _ = run(capsys, "batch", path)
+    assert code == 2
+    assert out.splitlines()[1:] == sorted(
+        [f"{entry['g']}\t?\t?\tERROR\t{reason}", "triv.json\tfam1.json\t1/2\tundistillable\t0/1"]
+    )
+
+
+def test_batch_unreadable_manifest_exits_2(workdir, capsys):
+    path = workdir / "broken.json"
+    path.write_text("[")
+    code, out, err = run(capsys, "batch", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read manifest {path}: Expecting value")
+    code, _, err = run(capsys, "batch", workdir / "missing.json")
+    assert code == 2 and err.startswith(f"error: cannot read manifest {workdir / 'missing.json'}: ")
 
 
 # -- gen-family ---------------------------------------------------------------------------

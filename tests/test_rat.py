@@ -22,7 +22,10 @@ def test_parse_accepts_signed_and_bare(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e-3", "", "1/0", "1/-2", "a/b", "1//2"])
+@pytest.mark.parametrize(
+    "bad",
+    ["0.5", "1e-3", "", "1/0", "1/-2", "a/b", "1//2", "1_0/3", "\u0663/4", " 1/2 ", "1 /2", "1/+2"],
+)
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

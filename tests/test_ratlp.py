@@ -17,6 +17,7 @@ from nodistill.ratlp import (
     check_solution,
     dump_lp,
     solve,
+    violation,
 )
 
 from oracles import parse_lp
@@ -119,6 +120,56 @@ def test_check_rejects_malformed_point(primal, dual):
     p = lp(2, {0: 1, 1: 1}, [({0: 1, 1: 1}, "<=", 1)])
     assert check_solution(p, LpSolution(OPTIMAL, [F(1), F(0)], F(1), [F(1)]))
     assert not check_solution(p, LpSolution(OPTIMAL, primal, F(1), dual))
+
+
+# max x0 + x1 subject to row 0, x0 + x1 <= 1, and row 1, x0 - x1 + x2 = 0.  The
+# optimum 1 is at x = (1/2, 1/2, 0) with dual (1, 0); x2 is outside the objective.
+CHECKED = lp(3, {0: 1, 1: 1}, [({0: 1, 1: 1}, "<=", 1), ({0: 1, 1: -1, 2: 1}, "=", 0)])
+
+
+@pytest.mark.parametrize(
+    "x, y, failure",
+    [
+        ({0: F(1, 2), 1: F(1, 2)}, [F(1), F(0)], None),
+        ({0: F(-1, 2), 1: F(1, 2)}, None, ("entry", 0, F(-1, 2), 0)),
+        ({0: F(1)}, None, ("row", 1, F(1), F(0))),
+        ({0: F(1), 1: F(1)}, None, ("row", 0, F(2), F(1))),
+        ({0: F(1, 4), 1: F(1, 4)}, None, ("objective", None, F(1, 2), F(1))),
+        (None, [F(1)], ("length", None, 1, 2)),
+        (None, [F(-1), F(0)], ("multiplier", 0, F(-1), 0)),
+        (None, [F(1), F(1)], ("column", 1, F(0), F(1))),
+        (None, [F(2), F(-1)], ("column", 2, F(-1), F(0))),
+        (None, [F(2), F(0)], ("bound", None, F(2), F(1))),
+        ({0: F(1, 4), 1: F(1, 4)}, [F(2), F(0)], ("objective", None, F(1, 2), F(1))),
+    ],
+    ids=["optimal", "entry", "eq-row", "le-row", "objective", "length", "multiplier",
+         "column", "column-outside-objective", "bound", "x-before-y"],
+)
+def test_violation_names_the_first_failed_condition(x, y, failure):
+    assert violation(CHECKED, F(1), x=x, y=y) == failure
+
+
+@pytest.mark.parametrize(
+    "primal, value, dual",
+    [([F(1, 4), F(1, 4), F(0)], F(1), [F(1), F(0)]), ([F(1, 2), F(1, 2), F(0)], F(1), [F(2), F(0)])],
+    ids=["objective-only", "bound-only"],
+)
+def test_check_needs_objective_and_bound_equal_to_the_value(primal, value, dual):
+    # each solution fails exactly one of c.x == value and y.rhs == value
+    assert check_solution(CHECKED, LpSolution(OPTIMAL, [F(1, 2), F(1, 2), F(0)], F(1), [F(1), F(0)]))
+    assert not check_solution(CHECKED, LpSolution(OPTIMAL, primal, value, dual))
+
+
+@pytest.mark.parametrize("j", [2, -1])
+def test_row_variable_out_of_range_rejected(j):
+    with pytest.raises(ValueError, match=f"row 1 references variable {j} out of range"):
+        lp(2, {0: 1}, [({0: 1}, "<=", 1), ({j: 1}, "<=", 1)])
+
+
+def test_dot_walks_either_side():
+    assert ratlp.dot({0: F(2), 5: F(3)}, {5: F(1, 3)}) == 1
+    assert ratlp.dot({5: F(1, 3)}, {0: F(2), 5: F(3), 7: F(1)}) == 1
+    assert ratlp.dot({}, {0: F(1)}) == 0
 
 
 # -- determinism, scaling, budget ----------------------------------------------------

@@ -1,5 +1,6 @@
-"""Smoke tests: both experiment scripts run end to end through certify."""
+"""Smoke tests: both experiment scripts run end to end through certify; the mutant list is current."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,14 @@ def test_run_family_sweep(tmp_path):
         "g0\t13/7\t113/126\t113/126",
         "g1\t9/5\t9/10\t9/10",
     ]
+
+
+def test_every_mutant_applies_exactly_once():
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [name for name, _, _, _ in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    for name, file, old, new in mutants.MUTANTS:
+        assert old != new, name
+        assert (mutants.ROOT / file).read_text().count(old) == 1, name
