@@ -3,17 +3,17 @@
 
 A mutant is one exact string replacement in one file: (name, file, old, new).
 The runner copies src/, tests/, scripts/ and pyproject.toml to a temporary
-directory and runs `python -m pytest -x -q tests` there, first unmutated
-(which must pass), then once per mutant on a fresh copy with that one
-replacement applied.  A mutant whose run passes has survived: the tests do
-not pin the check it breaks.  The exit code is 1 if any mutant survived.
+directory and runs `python -m pytest -x -q tests` there (less the test that
+checks this list against the tree), first unmutated (which must pass), then
+once per mutant on a fresh copy with that one replacement applied, printing
+the first test that failed.  A mutant whose run passes has survived: the tests
+do not pin the check it breaks.  The exit code is 1 if any mutant survived.
 A full run takes about a minute per mutant; it is not part of the test suite.
 
 Usage:
     python scripts/mutants.py
 """
 
-import os
 import shutil
 import subprocess
 import sys
@@ -23,6 +23,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scripts", "pyproject.toml")
+# It checks the mutant list against the tree it runs in, so every mutated copy
+# fails it; it is left out of mutant runs, or every mutant would count as killed.
+STALENESS_TEST = "tests/test_scripts.py::test_every_mutant_applies_exactly_once"
 
 RATLP = "src/nodistill/ratlp.py"
 CERTIFIER = "src/nodistill/certifier.py"
@@ -84,13 +87,17 @@ MUTANTS = (
 )
 
 
-def run_tests(tree: Path) -> bool:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def run_tests(tree: Path) -> str | None:
+    """The first failing test's id, or None if the tests pass."""
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
-        cwd=tree, env=env, capture_output=True,
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect",
+         STALENESS_TEST, "tests"],
+        cwd=tree, capture_output=True, text=True,
     )
-    return proc.returncode == 0
+    if proc.returncode == 0:
+        return None
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0] if failed else f"pytest exit {proc.returncode}"
 
 
 def copy_tree(dest: Path) -> Path:
@@ -105,8 +112,9 @@ def copy_tree(dest: Path) -> Path:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        if not run_tests(copy_tree(Path(tmp) / "base")):
-            print("the unmutated tree fails its tests; fix that first")
+        failed = run_tests(copy_tree(Path(tmp) / "base"))
+        if failed:
+            print(f"the unmutated tree fails {failed}; fix that first")
             return 2
         survivors = []
         for i, (name, file, old, new) in enumerate(MUTANTS):
@@ -118,9 +126,10 @@ def main() -> int:
                 return 2
             path.write_text(text.replace(old, new))
             t0 = time.perf_counter()
-            killed = not run_tests(tree)
-            print(f"{name}\t{'killed' if killed else 'SURVIVED'}\t{time.perf_counter() - t0:.0f}s", flush=True)
-            if not killed:
+            killer = run_tests(tree)
+            print(f"{name}\t{f'killed by {killer}' if killer else 'SURVIVED'}\t"
+                  f"{time.perf_counter() - t0:.0f}s", flush=True)
+            if not killer:
                 survivors.append(name)
             shutil.rmtree(tree)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")

@@ -187,7 +187,8 @@ def cmd_batch(args) -> int:
     results = []
     for entry in manifest:
         t0 = time.perf_counter()
-        label = str(entry.get("g", "?")) if isinstance(entry, dict) else "?"
+        g = entry.get("g") if isinstance(entry, dict) else None
+        label = g if isinstance(g, str) else "?"
         try:
             row = _batch_row(entry, base, args.max_dm)
             code = EXIT_OK

@@ -596,20 +596,25 @@ def test_batch_non_integer_generator_field_is_an_error_row(workdir, capsys, spec
         ({"g": "triv.json", "family": {"gen": "deterministic", "cap": 1, "m": 2}},
          "family has unknown key 'm'"),
         ({"g": 5, "family": "fam1.json"}, "manifest g must be a path string, got 5"),
+        ({"g": {"a": 1}, "family": "fam1.json"},
+         'manifest g must be a path string, got {"a": 1}'),
         ({"g": "triv.json", "family": "fam1.json", "lambda0": 0.5},
          "rational must be a string, got float"),
         ({"g": "triv.json", "family": "fam1.json", "lambda0": 1},
          "rational must be a string, got int"),
     ],
-    ids=["unknown-key", "unknown-family-key", "g-not-string", "lambda0-float", "lambda0-int"],
+    ids=["unknown-key", "unknown-family-key", "g-not-string", "g-object", "lambda0-float",
+         "lambda0-int"],
 )
 def test_batch_refuses_a_loose_entry(workdir, capsys, entry, reason):
     path = workdir / "manifest6.json"
     path.write_text(json.dumps([entry, {"g": "triv.json", "family": "fam1.json"}]))
     code, out, _ = run(capsys, "batch", path)
     assert code == 2
+    # a g that is not a path string is labelled "?"
+    label = entry["g"] if isinstance(entry["g"], str) else "?"
     assert out.splitlines()[1:] == sorted(
-        [f"{entry['g']}\t?\t?\tERROR\t{reason}", "triv.json\tfam1.json\t1/2\tundistillable\t0/1"]
+        [f"{label}\t?\t?\tERROR\t{reason}", "triv.json\tfam1.json\t1/2\tundistillable\t0/1"]
     )
 
 
