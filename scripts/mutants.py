@@ -75,6 +75,8 @@ MUTANTS = (
      "if bound != value:", "if False:"),
     ("row-variable-range-unchecked", RATLP,
      'raise ValueError(f"row {r} references variable {j} out of range")', "pass"),
+    ("lp-row-accepts-any-value", RATLP,
+     "return c if type(c) in (int, Fraction) else ensure_fraction(c)", "return c"),
     # input decoding
     ("rational-underscores", RAT,
      '(?P<num>[+-]?[0-9]+)', '(?P<num>[+-]?[0-9_]+)'),

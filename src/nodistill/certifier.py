@@ -158,9 +158,9 @@ class CertificationLp:
 
 
 def _scaled_to_integers(tables):
-    """Multiply (cell, coefficient) tables by the lcm of all their denominators."""
+    """Multiply (cell, coefficient) tables by the lcm of all their denominators, as ints."""
     scale = reduce(lcm, (c.denominator for t in tables for _, c in t), 1)
-    return [[(cell, c * scale) for cell, c in t] for t in tables]
+    return [[(cell, c.numerator * (scale // c.denominator)) for cell, c in t] for t in tables]
 
 
 def _product_table(terms) -> list[tuple[int, Fraction]]:
@@ -213,7 +213,7 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     d, nk = sp.d, sp.num_selectors
     sa, sb = sp.size_a, sp.size_b
 
-    def placed(tables, shift, mask, ks=range(nk)) -> dict[int, Fraction]:
+    def placed(tables, shift, mask, ks=range(nk)) -> dict[int, int | Fraction]:
         """tables[(k >> shift) & mask] copied into block k, for each k in ks."""
         return {cell * nk + k: c for k in ks for cell, c in tables[(k >> shift) & mask]}
 
@@ -249,11 +249,11 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     row_info: list[tuple] = []
     seen_rows: set[tuple] = set()
 
-    def emit(coeffs: dict[int, Fraction], info: tuple):
+    def emit(coeffs: dict[int, int], info: tuple):
         n = len(seen_rows)
         seen_rows.add(tuple(sorted(coeffs.items())))  # hashes the key once
         if coeffs and len(seen_rows) > n:
-            rows.append(ratlp.LpRow(coeffs, ratlp.SENSE_LE, Fraction(0)))
+            rows.append(ratlp.LpRow(coeffs, ratlp.SENSE_LE, 0))
             row_info.append(info)
 
     fam = _family_tables(sp.family)
@@ -285,8 +285,7 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
         for k in range(nk):
             emit(placed(tables, d + i, 1, (k,)), ("sel-i", i, k))
 
-    norm = {j: Fraction(1) for j in range(sp.num_vars)}
-    rows.append(ratlp.LpRow(norm, ratlp.SENSE_EQ, Fraction(1)))
+    rows.append(ratlp.LpRow(dict.fromkeys(range(sp.num_vars), 1), ratlp.SENSE_EQ, 1))
     row_info.append(("norm",))
 
     lp = ratlp.LpProblem(num_vars=sp.num_vars, objective=objective, rows=tuple(rows))

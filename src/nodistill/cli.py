@@ -31,13 +31,20 @@ class _InputError(Exception):
     pass
 
 
+def _reason(exc: Exception) -> str:
+    """Why an input failed, in one line: a KeyError names the missing key."""
+    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _read(kind: str, path: str, loads):
-    """loads(text of path); a failure becomes one line naming the file and why."""
+    """loads(text of path); a failure becomes one line naming the file and why.
+
+    JSON nested deeper than the interpreter's recursion limit is refused too.
+    """
     try:
         return loads(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-        raise _InputError(f"cannot read {kind} {path}: {reason}") from exc
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise _InputError(f"cannot read {kind} {path}: {_reason(exc)}") from exc
 
 
 def _load_dist(path: str) -> JointDist:
@@ -196,7 +203,7 @@ def cmd_batch(args) -> int:
             row = (label, "?", "?", "ERROR", str(exc))
             code = EXIT_GUARD
         except (_InputError, ValueError, KeyError) as exc:
-            row = (label, "?", "?", "ERROR", str(exc))
+            row = (label, "?", "?", "ERROR", _reason(exc))
             code = EXIT_INPUT
         except Exception as exc:
             row = (label, "?", "?", "ERROR", str(exc))
@@ -296,7 +303,7 @@ def main(argv=None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (_InputError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return EXIT_INPUT
     except (ratlp.PivotBudgetExceeded, certifier.CertifierError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

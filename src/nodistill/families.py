@@ -61,15 +61,6 @@ class MapFamily:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def has_duplicates(self) -> bool:
-        seen = set()
-        for pair in self.pairs:
-            key = (pair.map_a.coeffs, pair.map_b.coeffs)
-            if key in seen:
-                return True
-            seen.add(key)
-        return False
-
     def to_json_dict(self) -> dict:
         return {
             "pairs": [p.to_json_dict() for p in self.pairs],

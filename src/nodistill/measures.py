@@ -257,26 +257,18 @@ def distillability_witness(
 
 
 def _refine(p: JointDist, witness: LambdaWitness, rounds: int) -> LambdaWitness:
-    """Up to `rounds` alternating passes from `witness`; stops at the first pass
-    with no gain and returns the best witness found (the seed if none)."""
+    """Up to `rounds` alternating passes from `witness`, each re-fitting the A
+    side, then the B side; stops after a pass with no gain and returns the best
+    witness found (the seed if none)."""
     for _ in range(rounds):
-        improved = _refine_once(p, witness)
-        if improved is None:
+        start = witness
+        for side in ("A", "B"):
+            cand = _refit_side(p, witness, side)
+            if cand is not None and cand.value > witness.value:
+                witness = cand
+        if witness is start:
             break
-        witness = improved
     return witness
-
-
-def _refine_once(p: JointDist, witness: LambdaWitness) -> LambdaWitness | None:
-    """One alternating pass (re-fit A side, then B side); None if no gain."""
-    improved = None
-    current = witness
-    for side in ("A", "B"):
-        cand = _refit_side(p, current, side)
-        if cand is not None and cand.value > current.value:
-            current = cand
-            improved = cand
-    return improved
 
 
 def _refit_side(p: JointDist, witness: LambdaWitness, side: str) -> LambdaWitness | None:

@@ -135,10 +135,7 @@ class JointDist:
         for pos, ax in enumerate(self.axes):
             if ax.party == label:
                 return pos
-        raise KeyError(f"no axis labeled {label!r} (have {list(self.labels)})")
-
-    def value(self, idx: Index) -> Fraction:
-        return self._entries.get(tuple(idx), Fraction(0))
+        raise ValueError(f"no axis labeled {label!r} (have {list(self.labels)})")
 
     def items(self):
         return self._entries.items()
@@ -159,20 +156,6 @@ class JointDist:
         return f"JointDist({shape}, nnz={self.nnz()}, mass={self.total_mass()})"
 
     # -- algebra ---------------------------------------------------------
-
-    def scale(self, c) -> "JointDist":
-        c = ensure_fraction(c)
-        if c < 0:
-            raise ValueError("scale factor must be non-negative")
-        return JointDist(self.axes, {i: c * v for i, v in self.items()})
-
-    def add(self, other: "JointDist") -> "JointDist":
-        if self.axes != other.axes:
-            raise ValueError("can only add distributions with identical axes")
-        out = dict(self._entries)
-        for i, v in other.items():
-            out[i] = out.get(i, Fraction(0)) + v
-        return JointDist(self.axes, out)
 
     def relabel(self, mapping: Mapping[str, str]) -> "JointDist":
         axes = tuple(
@@ -229,33 +212,6 @@ class JointDist:
                     out_idx.append(idx[pos])
             key = tuple(out_idx)
             entries[key] = entries.get(key, Fraction(0)) + v
-        return JointDist(new_axes, entries)
-
-    def split_axis(self, label: str, sizes: Sequence[int], new_labels: Sequence[str]) -> "JointDist":
-        """Inverse of merge_axes: unpack a composite axis into factor axes."""
-        pos = self.axis_pos(label)
-        ax = self.axes[pos]
-        sizes = list(sizes)
-        prod = 1
-        for s in sizes:
-            prod *= s
-        if prod != ax.size:
-            raise ValueError(f"sizes {sizes} do not factor axis {label!r} of size {ax.size}")
-        if len(new_labels) != len(sizes):
-            raise ValueError("need one new label per factor")
-        new_axes = (
-            list(self.axes[:pos])
-            + [Axis(l, s) for l, s in zip(new_labels, sizes)]
-            + list(self.axes[pos + 1 :])
-        )
-        entries = {}
-        for idx, v in self.items():
-            rem = idx[pos]
-            parts = [0] * len(sizes)
-            for j in range(len(sizes) - 1, -1, -1):
-                parts[j] = rem % sizes[j]
-                rem //= sizes[j]
-            entries[idx[:pos] + tuple(parts) + idx[pos + 1 :]] = v
         return JointDist(new_axes, entries)
 
     # -- serialization ----------------------------------------------------
@@ -332,50 +288,6 @@ class LocalMap:
             f"{self.output_axis.party}:{self.output_axis.size})"
         )
 
-    @staticmethod
-    def identity(axis: Axis) -> "LocalMap":
-        n = axis.size
-        return LocalMap(
-            axis, axis, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
-    def compose(self, inner: "LocalMap") -> "LocalMap":
-        """Matrix product self . inner (apply `inner` first)."""
-        if inner.output_axis.size != self.input_axis.size:
-            raise ValueError("composition size mismatch")
-        n_out, n_mid, n_in = self.output_axis.size, self.input_axis.size, inner.input_axis.size
-        rows = []
-        for i in range(n_out):
-            row = []
-            for j in range(n_in):
-                row.append(
-                    sum((self.coeffs[i][k] * inner.coeffs[k][j] for k in range(n_mid)), Fraction(0))
-                )
-            rows.append(row)
-        return LocalMap(inner.input_axis, self.output_axis, rows)
-
-    def tensor(self, other: "LocalMap") -> "LocalMap":
-        """Kronecker product; indices combine with self's factor outermost."""
-        in_ax = Axis(
-            f"{self.input_axis.party}*{other.input_axis.party}",
-            self.input_axis.size * other.input_axis.size,
-            (self.input_axis.size, other.input_axis.size),
-        )
-        out_ax = Axis(
-            f"{self.output_axis.party}*{other.output_axis.party}",
-            self.output_axis.size * other.output_axis.size,
-            (self.output_axis.size, other.output_axis.size),
-        )
-        rows = []
-        for i1 in range(self.output_axis.size):
-            for i2 in range(other.output_axis.size):
-                row = []
-                for j1 in range(self.input_axis.size):
-                    for j2 in range(other.input_axis.size):
-                        row.append(self.coeffs[i1][j1] * other.coeffs[i2][j2])
-                rows.append(row)
-        return LocalMap(in_ax, out_ax, rows)
-
     def to_json_dict(self) -> dict:
         return {
             "input": _axis_to_json(self.input_axis),
@@ -435,10 +347,6 @@ def apply_local(m: LocalMap, p: JointDist, axis: str) -> JointDist:
             key = idx[:pos] + (y,) + idx[pos + 1 :]
             entries[key] = entries.get(key, Fraction(0)) + c * v
     return JointDist(new_axes, entries)
-
-
-def total_mass(p: JointDist) -> Fraction:
-    return p.total_mass()
 
 
 def marginal(p: JointDist, keep: Iterable[str]) -> JointDist:

@@ -1,8 +1,9 @@
 """Exact rational scalars: parsing and canonical formatting.
 
 Every probability, map coefficient and LP number in this package is a
-`fractions.Fraction`.  Floats are rejected everywhere; the canonical text
-form is always "num/den" with the denominator written out ("3" -> "3/1").
+`fractions.Fraction`, or an `int` in an LP row.  Floats are rejected
+everywhere; the canonical text form is always "num/den" with the
+denominator written out ("3" -> "3/1").
 """
 
 from __future__ import annotations

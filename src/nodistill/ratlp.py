@@ -55,11 +55,18 @@ class PivotBudgetExceeded(RuntimeError):
     """Raised when the pivot budget runs out; never a silent wrong answer."""
 
 
+def _exact(c) -> int | Fraction:
+    """An int or Fraction as it is, anything else through `ensure_fraction`."""
+    return c if type(c) in (int, Fraction) else ensure_fraction(c)
+
+
 @dataclass(frozen=True)
 class LpRow:
-    coeffs: Mapping[int, Fraction]
+    """One constraint; coefficients and rhs are ints or Fractions, kept as given."""
+
+    coeffs: Mapping[int, int | Fraction]
     sense: str
-    rhs: Fraction
+    rhs: int | Fraction
 
     def __post_init__(self):
         if self.sense not in (SENSE_LE, SENSE_EQ):
@@ -67,9 +74,9 @@ class LpRow:
         object.__setattr__(
             self,
             "coeffs",
-            {int(j): ensure_fraction(c) for j, c in dict(self.coeffs).items() if c != 0},
+            {int(j): _exact(c) for j, c in dict(self.coeffs).items() if c != 0},
         )
-        object.__setattr__(self, "rhs", ensure_fraction(self.rhs))
+        object.__setattr__(self, "rhs", _exact(self.rhs))
 
 
 @dataclass(frozen=True)

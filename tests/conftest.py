@@ -6,6 +6,8 @@ import pytest
 
 from nodistill.probvec import Axis, JointDist, secret_bit, tensor
 
+from oracles import scale
+
 
 def rand_dist(rng: random.Random, sizes, labels=("A", "B", "E"), denom_max=9, allow_zero=False):
     """Random non-negative rational tensor with small denominators."""
@@ -23,7 +25,7 @@ def rand_dist(rng: random.Random, sizes, labels=("A", "B", "E"), denom_max=9, al
 
 def normalized(p: JointDist) -> JointDist:
     mass = p.total_mass()
-    return p.scale(Fraction(1) / mass)
+    return scale(p, Fraction(1) / mass)
 
 
 def trivial_eve() -> JointDist:

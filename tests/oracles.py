@@ -3,10 +3,13 @@
 No command reaches these.  They are the constructions that justify the
 certification program (the universal copy-matching map, currying, lifted
 products, selector grouping, true-minimum lifted values, feasible-point spot
-checks) and independent recomputations of values the program works out
+checks), independent recomputations of values the program works out
 another way (the decomposition form of the secret bit fraction, the LP text
-parser).  Each reaches its value by a route other than the one the program
-takes, which is what makes it an oracle.
+parser), and the distribution and map algebra those constructions are
+stated in (entry lookup, scaling, sums, axis splitting, the identity map,
+map composition and Kronecker products, the duplicate-pair test).  Each
+reaches its value by a route other than the one the program takes, which is
+what makes it an oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from nodistill import ratlp
 from nodistill.certifier import UNDISTILLABLE, Certificate, CertificationProblem, build_lp
@@ -23,6 +26,113 @@ from nodistill.measures import _ab_eve_split, lambda_advantage
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local
 from nodistill.ratlp import LpProblem, LpRow
 from nodistill.rat import ensure_fraction, parse_rational
+
+# -- distribution and map algebra ---------------------------------------------------
+
+
+def value(p: JointDist, idx) -> Fraction:
+    return dict(p.items()).get(tuple(idx), Fraction(0))
+
+
+def scale(p: JointDist, c) -> JointDist:
+    c = ensure_fraction(c)
+    if c < 0:
+        raise ValueError("scale factor must be non-negative")
+    return JointDist(p.axes, {i: c * v for i, v in p.items()})
+
+
+def add(p: JointDist, q: JointDist) -> JointDist:
+    if p.axes != q.axes:
+        raise ValueError("can only add distributions with identical axes")
+    out = dict(p.items())
+    for i, v in q.items():
+        out[i] = out.get(i, Fraction(0)) + v
+    return JointDist(p.axes, out)
+
+
+def split_axis(p: JointDist, label: str, sizes: Sequence[int], new_labels: Sequence[str]) -> JointDist:
+    """Inverse of merge_axes: unpack a composite axis into factor axes."""
+    pos = p.axis_pos(label)
+    ax = p.axes[pos]
+    sizes = list(sizes)
+    prod = 1
+    for s in sizes:
+        prod *= s
+    if prod != ax.size:
+        raise ValueError(f"sizes {sizes} do not factor axis {label!r} of size {ax.size}")
+    if len(new_labels) != len(sizes):
+        raise ValueError("need one new label per factor")
+    new_axes = (
+        list(p.axes[:pos])
+        + [Axis(l, s) for l, s in zip(new_labels, sizes)]
+        + list(p.axes[pos + 1 :])
+    )
+    entries = {}
+    for idx, v in p.items():
+        rem = idx[pos]
+        parts = [0] * len(sizes)
+        for j in range(len(sizes) - 1, -1, -1):
+            parts[j] = rem % sizes[j]
+            rem //= sizes[j]
+        entries[idx[:pos] + tuple(parts) + idx[pos + 1 :]] = v
+    return JointDist(new_axes, entries)
+
+
+def identity_map(axis: Axis) -> LocalMap:
+    n = axis.size
+    return LocalMap(
+        axis, axis, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    )
+
+
+def compose(outer: LocalMap, inner: LocalMap) -> LocalMap:
+    """Matrix product outer . inner (apply `inner` first)."""
+    if inner.output_axis.size != outer.input_axis.size:
+        raise ValueError("composition size mismatch")
+    n_out, n_mid, n_in = outer.output_axis.size, outer.input_axis.size, inner.input_axis.size
+    rows = []
+    for i in range(n_out):
+        row = []
+        for j in range(n_in):
+            row.append(
+                sum((outer.coeffs[i][k] * inner.coeffs[k][j] for k in range(n_mid)), Fraction(0))
+            )
+        rows.append(row)
+    return LocalMap(inner.input_axis, outer.output_axis, rows)
+
+
+def map_tensor(m1: LocalMap, m2: LocalMap) -> LocalMap:
+    """Kronecker product; indices combine with m1's factor outermost."""
+    in_ax = Axis(
+        f"{m1.input_axis.party}*{m2.input_axis.party}",
+        m1.input_axis.size * m2.input_axis.size,
+        (m1.input_axis.size, m2.input_axis.size),
+    )
+    out_ax = Axis(
+        f"{m1.output_axis.party}*{m2.output_axis.party}",
+        m1.output_axis.size * m2.output_axis.size,
+        (m1.output_axis.size, m2.output_axis.size),
+    )
+    rows = []
+    for i1 in range(m1.output_axis.size):
+        for i2 in range(m2.output_axis.size):
+            row = []
+            for j1 in range(m1.input_axis.size):
+                for j2 in range(m2.input_axis.size):
+                    row.append(m1.coeffs[i1][j1] * m2.coeffs[i2][j2])
+            rows.append(row)
+    return LocalMap(in_ax, out_ax, rows)
+
+
+def has_duplicates(family: MapFamily) -> bool:
+    seen = set()
+    for pair in family.pairs:
+        key = (pair.map_a.coeffs, pair.map_b.coeffs)
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
 
 # -- universal copy-matching map, currying, lifted products --------------------
 #
@@ -321,7 +431,7 @@ def activation_spotcheck(
             break
         a, b = rng.sample(range(len(points)), 2)
         w = Fraction(rng.randint(1, 9), 10)
-        points.append(points[a].scale(w).add(points[b].scale(1 - w)))
+        points.append(add(scale(points[a], w), scale(points[b], 1 - w)))
 
     max_adv: Fraction | None = None
     violations = []

@@ -41,12 +41,16 @@ from nodistill.probvec import (
 
 from conftest import normalized, rand_dist, trivial_eve
 from oracles import (
+    compose,
     curry,
     family_constraint_value,
     group_by_selector,
+    identity_map,
     lift,
     lifted_objective_value,
+    map_tensor,
     secret_bit_fraction_by_decomposition,
+    split_axis,
     universal_map,
 )
 from test_ratlp import brute_force, random_problem
@@ -92,7 +96,7 @@ def test_criterion_2_curry_reconstruction():
             m = rand_map(rng, n_out, size1 * size2)
             curried = curry(m, (size1, size2))
             u = universal_map(n_out, size2)
-            rebuilt = u.compose(curried.tensor(LocalMap.identity(Axis("I", size2))))
+            rebuilt = compose(u, map_tensor(curried, identity_map(Axis("I", size2))))
             assert rebuilt.coeffs == m.coeffs
 
 
@@ -107,8 +111,8 @@ def test_criterion_3_lift_factoring_identity():
             direct = apply_local(nb, apply_local(ma, g2, "A"), "B")
             ca, cb = curry(ma, (2, 2)), curry(nb, (2, 2))
             q = apply_local(cb, apply_local(ca, g, "A"), "B")
-            q = q.split_axis(ca.output_axis.party, [2, 2], ["A-bit", "A-copy"])
-            q = q.split_axis(cb.output_axis.party, [2, 2], ["B-bit", "B-copy"])
+            q = split_axis(q, ca.output_axis.party, [2, 2], ["A-bit", "A-copy"])
+            q = split_axis(q, cb.output_axis.party, [2, 2], ["B-bit", "B-copy"])
             q = q.permute(["A-bit", "A-copy", "B-bit", "B-copy", "E"])
             lifted = lift(q, g.relabel({"E": "E2"}))
             lifted = lifted.merge_axes(["E", "E2"], "E").permute(["A", "B", "E"])

@@ -294,6 +294,7 @@ def rand_3x2x3():
 # SHA-256 of the assembled program: rows and their order, every coefficient,
 # the insertion order of the objective and of each row, and row_info
 # (recorded with the block-by-block assembly the per-bit tables replaced).
+# Row coefficients and rhs are read as Fractions, so int rows pin alike.
 PINNED_LP = [
     pytest.param(
         "eve_knows_all", deterministic_family(2, 2, cap=4), HALF,
@@ -322,7 +323,10 @@ def test_build_lp_pinned(request, g_name, family, lambda0, digest):
         (
             lp.num_vars,
             list(lp.objective.items()),
-            [(list(r.coeffs.items()), r.sense, r.rhs) for r in lp.rows],
+            [
+                ([(j, F(c)) for j, c in r.coeffs.items()], r.sense, F(r.rhs))
+                for r in lp.rows
+            ],
             build.row_info,
         )
     )

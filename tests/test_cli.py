@@ -56,6 +56,14 @@ def test_lambda_negative_entry_exits_2(workdir, capsys):
     assert code == 2 and "non-negative" in err
 
 
+def test_lambda_without_an_a_axis_names_the_axes(workdir, capsys):
+    no_a = JointDist((Axis("X", 2), Axis("B", 2), Axis("E", 1)), {(0, 0, 0): F(1)})
+    (workdir / "no_a.json").write_text(no_a.dumps())
+    code, out, err = run(capsys, "lambda", workdir / "no_a.json")
+    assert (code, out) == (2, "")
+    assert err == "error: no axis labeled 'A' (have ['X', 'B', 'E'])\n"
+
+
 def test_lambda_zero_mass_exits_2(workdir, capsys):
     zero = JointDist((Axis("A", 2), Axis("B", 2), Axis("E", 1)), {})
     (workdir / "zero.json").write_text(zero.dumps())
@@ -602,9 +610,11 @@ def test_batch_non_integer_generator_field_is_an_error_row(workdir, capsys, spec
          "rational must be a string, got float"),
         ({"g": "triv.json", "family": "fam1.json", "lambda0": 1},
          "rational must be a string, got int"),
+        ({"family": "fam1.json"}, "missing key 'g'"),
+        ({"g": "triv.json"}, "missing key 'family'"),
     ],
     ids=["unknown-key", "unknown-family-key", "g-not-string", "g-object", "lambda0-float",
-         "lambda0-int"],
+         "lambda0-int", "no-g", "no-family"],
 )
 def test_batch_refuses_a_loose_entry(workdir, capsys, entry, reason):
     path = workdir / "manifest6.json"
@@ -612,10 +622,26 @@ def test_batch_refuses_a_loose_entry(workdir, capsys, entry, reason):
     code, out, _ = run(capsys, "batch", path)
     assert code == 2
     # a g that is not a path string is labelled "?"
-    label = entry["g"] if isinstance(entry["g"], str) else "?"
+    label = entry.get("g") if isinstance(entry.get("g"), str) else "?"
     assert out.splitlines()[1:] == sorted(
         [f"{label}\t?\t?\tERROR\t{reason}", "triv.json\tfam1.json\t1/2\tundistillable\t0/1"]
     )
+
+
+@pytest.mark.parametrize("kind", ["distribution", "family", "certificate", "manifest"])
+def test_deeply_nested_json_is_an_input_error(workdir, capsys, kind):
+    deep = workdir / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "distribution": ("lambda", deep),
+        "family": ("certify", workdir / "sb.json", "--family", deep),
+        "certificate": ("verify", workdir / "sb.json", workdir / "fam22.json", deep),
+        "manifest": ("batch", deep),
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {kind} {deep}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 def test_batch_unreadable_manifest_exits_2(workdir, capsys):

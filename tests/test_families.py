@@ -12,12 +12,14 @@ from nodistill.families import (
 from nodistill.measures import secret_bit_fraction
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local
 
+from oracles import has_duplicates
+
 
 def test_deterministic_count_copy_one():
     fam = deterministic_family(1, 1, cap=None)
     # 3^2 - 1 = 8 non-vacuous codes per side
     assert len(fam) == 64
-    assert not fam.has_duplicates()
+    assert not has_duplicates(fam)
 
 
 def test_cap_zero_is_empty():

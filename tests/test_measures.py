@@ -19,7 +19,7 @@ from nodistill.measures import (
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local, tensor
 
 from conftest import normalized, rand_dist, trivial_eve
-from oracles import secret_bit_fraction_by_decomposition
+from oracles import scale, secret_bit_fraction_by_decomposition
 
 
 def product_dist(rng, size_a=2, size_b=2, size_e=2):
@@ -65,7 +65,7 @@ def test_fraction_scale_invariant():
     rng = random.Random(1)
     p = rand_dist(rng, (2, 2, 3))
     for c in (F(1, 3), F(7, 2), 5):
-        assert secret_bit_fraction(p.scale(c)) == secret_bit_fraction(p)
+        assert secret_bit_fraction(scale(p, c)) == secret_bit_fraction(p)
 
 
 # -- the decomposition oracle ----------------------------------------------------
@@ -81,7 +81,7 @@ def test_decomposition_on_eve_knows_all(eve_knows_all):
 
 def test_decomposition_requires_normalization():
     rng = random.Random(2)
-    p = rand_dist(rng, (2, 2, 2)).scale(3)
+    p = scale(rand_dist(rng, (2, 2, 2)), 3)
     with pytest.raises(ValueError, match="mass"):
         secret_bit_fraction_by_decomposition(p)
 

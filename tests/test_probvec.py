@@ -14,10 +14,10 @@ from nodistill.probvec import (
     secret_bit,
     tensor,
     tensor_power,
-    total_mass,
 )
 
 from conftest import rand_dist
+from oracles import identity_map, scale, split_axis, value
 
 
 def unit_scalar(label="S"):
@@ -63,7 +63,7 @@ def test_tensor_mass_multiplicative():
     rng = random.Random(1)
     p = rand_dist(rng, (2, 2), labels=("A", "B"))
     q = rand_dist(rng, (3,), labels=("E",))
-    assert total_mass(tensor(p, q)) == total_mass(p) * total_mass(q)
+    assert tensor(p, q).total_mass() == p.total_mass() * q.total_mass()
 
 
 # -- apply_local --------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_tensor_mass_multiplicative():
 
 def test_apply_identity_is_noop():
     p = rand_dist(random.Random(2), (2, 3), labels=("A", "B"))
-    out = apply_local(LocalMap.identity(p.axes[0]), p, "A")
+    out = apply_local(identity_map(p.axes[0]), p, "A")
     assert out == p
 
 
@@ -79,7 +79,7 @@ def test_apply_zero_map_gives_zero_mass():
     p = rand_dist(random.Random(3), (2, 2), labels=("A", "B"))
     zero = LocalMap(Axis("A", 2), Axis("A", 2), [[0, 0], [0, 0]])
     out = apply_local(zero, p, "A")
-    assert total_mass(out) == 0
+    assert out.total_mass() == 0
     assert out.nnz() == 0
 
 
@@ -109,17 +109,17 @@ def test_column_stochastic_preserves_mass():
     rng = random.Random(5)
     p = rand_dist(rng, (3, 2), labels=("A", "B"))
     m = LocalMap(Axis("A", 3), Axis("A", 2), [[F(1, 3), F(2, 5), 1], [F(2, 3), F(3, 5), 0]])
-    assert total_mass(apply_local(m, p, "A")) == total_mass(p)
+    assert apply_local(m, p, "A").total_mass() == p.total_mass()
 
 
 # -- mass and marginals --------------------------------------------------------
 
 
 def test_total_mass_examples():
-    assert total_mass(secret_bit()) == 1
+    assert secret_bit().total_mass() == 1
     zero = JointDist((Axis("A", 2),), {})
-    assert total_mass(zero) == 0
-    assert total_mass(secret_bit().scale(3)) == 3
+    assert zero.total_mass() == 0
+    assert scale(secret_bit(), 3).total_mass() == 3
 
 
 def test_marginal_keep_all_is_identity():
@@ -131,11 +131,11 @@ def test_marginal_keep_none_is_scalar_mass():
     p = rand_dist(random.Random(7), (2, 2), labels=("A", "B"))
     out = marginal(p, [])
     assert out.axes == ()
-    assert out.value(()) == total_mass(p)
+    assert value(out, ()) == p.total_mass()
 
 
 def test_marginal_unknown_label():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no axis labeled 'Z'"):
         marginal(secret_bit(), ["Z"])
 
 
@@ -146,11 +146,11 @@ def test_secret_bit_marginal_is_uniform():
 
 def test_secret_bit_entries():
     s = secret_bit()
-    assert s.value((0, 0)) == F(1, 2)
-    assert s.value((1, 1)) == F(1, 2)
-    assert s.value((0, 1)) == 0
-    assert s.value((1, 0)) == 0
-    assert total_mass(s) == 1
+    assert value(s, (0, 0)) == F(1, 2)
+    assert value(s, (1, 1)) == F(1, 2)
+    assert value(s, (0, 1)) == 0
+    assert value(s, (1, 0)) == 0
+    assert s.total_mass() == 1
 
 
 # -- invariants ----------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_negative_entry_rejected():
 
 def test_zero_mass_is_legal():
     z = JointDist((Axis("A", 2), Axis("B", 2)), {})
-    assert total_mass(z) == 0
+    assert z.total_mass() == 0
 
 
 small_fraction = st.fractions(min_value=0, max_value=3, max_denominator=12)
@@ -185,20 +185,20 @@ def dists(draw, labels=("A", "B")):
 @given(dists(labels=("A",)), dists(labels=("B",)))
 @settings(max_examples=60, deadline=None)
 def test_tensor_mass_multiplicative_property(p, q):
-    assert total_mass(tensor(p, q)) == total_mass(p) * total_mass(q)
+    assert tensor(p, q).total_mass() == p.total_mass() * q.total_mass()
 
 
 @given(dists(labels=("A", "B", "C")))
 @settings(max_examples=60, deadline=None)
 def test_marginal_preserves_mass(p):
-    assert total_mass(marginal(p, ["A", "C"])) == total_mass(p)
+    assert marginal(p, ["A", "C"]).total_mass() == p.total_mass()
 
 
 @given(dists(labels=("A", "B")))
 @settings(max_examples=40, deadline=None)
 def test_merge_then_split_roundtrip(p):
     merged = p.merge_axes(["A", "B"], "AB")
-    back = merged.split_axis("AB", [p.axis("A").size, p.axis("B").size], ["A", "B"])
+    back = split_axis(merged, "AB", [p.axis("A").size, p.axis("B").size], ["A", "B"])
     assert back == p
 
 
@@ -218,8 +218,8 @@ def test_tensor_power_merges_party_axes():
     assert [ax.size for ax in p2.axes] == [4, 4, 4]
     assert p2.labels == ("A", "B", "E")
     # spot value: entry ((a1,a2),(b1,b2),(e1,e2)) = p(a1,b1,e1) p(a2,b2,e2)
-    v = p2.value((0 * 2 + 1, 1 * 2 + 0, 0 * 2 + 1))
-    assert v == p.value((0, 1, 0)) * p.value((1, 0, 1))
+    v = value(p2, (0 * 2 + 1, 1 * 2 + 0, 0 * 2 + 1))
+    assert v == value(p, (0, 1, 0)) * value(p, (1, 0, 1))
 
 
 # -- JSON ----------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_repeated_index_rejected_whatever_the_values():
 def test_json_omitted_indices_are_zero():
     text = '{"axes": [{"party": "A", "size": 3}], "entries": [{"index": [1], "p": "2/3"}]}'
     p = JointDist.loads(text)
-    assert p.value((0,)) == 0 and p.value((1,)) == F(2, 3) and p.value((2,)) == 0
+    assert value(p, (0,)) == 0 and value(p, (1,)) == F(2, 3) and value(p, (2,)) == 0
 
 
 def test_json_factors_annotation_roundtrip():

@@ -166,6 +166,29 @@ def test_row_variable_out_of_range_rejected(j):
         lp(2, {0: 1}, [({0: 1}, "<=", 1), ({j: 1}, "<=", 1)])
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LpRow({0: 0.5}, "<=", 1),
+        lambda: LpRow({0: True}, "<=", 1),
+        lambda: LpRow({0: 1}, "<=", 1.0),
+        lambda: LpRow({0: 1}, "=", False),
+        lambda: LpProblem(num_vars=1, objective={0: 0.5}, rows=()),
+    ],
+    ids=["float-coefficient", "bool-coefficient", "float-rhs", "bool-rhs", "float-objective"],
+)
+def test_lp_rows_refuse_floats_and_bools(make):
+    with pytest.raises(ValueError, match="float|bool"):
+        make()
+
+
+def test_lp_row_keeps_ints_and_fractions():
+    row = LpRow({0: 2, 1: F(1, 2), 2: "3/4", 3: 0}, "<=", 0)
+    assert row.coeffs == {0: 2, 1: F(1, 2), 2: F(3, 4)}
+    assert [type(c) for c in row.coeffs.values()] == [int, F, F]
+    assert type(row.rhs) is int
+
+
 def test_dot_walks_either_side():
     assert ratlp.dot({0: F(2), 5: F(3)}, {5: F(1, 3)}) == 1
     assert ratlp.dot({5: F(1, 3)}, {0: F(2), 5: F(3), 7: F(1)}) == 1
