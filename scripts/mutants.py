@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the checkers: every mutant below must fail a test.
+"""Mutation check of the checkers, the input decoders and the stage-1 search:
+every mutant below must fail a test.
 
 A mutant is one exact string replacement in one file: (name, file, old, new).
 The runner copies src/, tests/, scripts/ and pyproject.toml to a temporary
@@ -31,6 +32,7 @@ RATLP = "src/nodistill/ratlp.py"
 CERTIFIER = "src/nodistill/certifier.py"
 RAT = "src/nodistill/rat.py"
 CLI = "src/nodistill/cli.py"
+MEASURES = "src/nodistill/measures.py"
 
 MUTANTS = (
     # verify_certificate
@@ -86,6 +88,15 @@ MUTANTS = (
      '_known_keys(entry, "manifest entry", ("g", "family", "lambda0"))', "pass"),
     ("manifest-g-any-type", CLI,
      "if not isinstance(g_path, str):", "if False:"),
+    # the stage-1 search
+    ("best-pair-tie-to-last", MEASURES,
+     "if best is None or num * best[1] > best[0] * den:",
+     "if best is None or num * best[1] >= best[0] * den:"),
+    ("coin-mass-not-doubled", MEASURES,
+     "mass += mass_a[y] * len(OUTPUTS[action])", "mass += mass_a[y]"),
+    ("distillable-at-lambda0", MEASURES,
+     "if num * lambda0.denominator > lambda0.numerator * den:",
+     "if num * lambda0.denominator >= lambda0.numerator * den:"),
 )
 
 

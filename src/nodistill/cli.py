@@ -174,11 +174,14 @@ def _batch_row(entry: dict, base: Path, max_dm: int):
     else:
         fields = ("M", "cap", "seed", "denom_bound")
         _known_keys(fam_spec, "family", ("gen", *fields))
+        gen = fam_spec["gen"]
+        if not isinstance(gen, str):
+            raise _InputError("family gen must be a string")
         ints = [
             None if fam_spec.get(k) is None else _json_int(fam_spec[k], f"family {k}")
             for k in fields
         ]
-        family = _generate_family(fam_spec.get("gen"), g.axis("A").size, g.axis("B").size, *ints)
+        family = _generate_family(gen, g.axis("A").size, g.axis("B").size, *ints)
         fam_desc = json.dumps(fam_spec, sort_keys=True, separators=(",", ":"))
     lambda0 = _parse_lambda0(entry.get("lambda0", "1/2"))
     cert = certifier.certify(g, family, lambda0=lambda0, max_dm=max_dm)

@@ -21,11 +21,12 @@ on any input, matching the lower end of the measure's range.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlp
-from .families import BOTH, OUTPUTS, code_map, deterministic_codes
+from .families import BOTH, DISCARD, OUTPUTS, code_map, deterministic_codes
 from .probvec import Axis, JointDist, LocalMap, apply_local
 from .rat import ensure_fraction, format_rational, parse_rational
 
@@ -98,30 +99,17 @@ def _ab_eve_split(p: JointDist, require_bits: bool = True):
     return pos_a, pos_b, eve
 
 
-def _mins_and_mass(p_items, pos_a, pos_b, eve_pos, code_a, code_b) -> tuple[Fraction, Fraction]:
-    """sum_e min_a q(a,a,e) and the total mass of q, the pair-filtered distribution."""
+def _diagonal_mins_and_mass(p: JointDist) -> tuple[Fraction, Fraction]:
+    """sum_e min_a p(a,a,e) and the total mass of p."""
+    pos_a, pos_b, eve = _ab_eve_split(p)
     diag: dict[tuple, list[Fraction]] = {}
     mass = Fraction(0)
-    for idx, v in p_items:
-        outs_a = OUTPUTS[code_a[idx[pos_a]]]
-        if not outs_a:
-            continue
-        outs_b = OUTPUTS[code_b[idx[pos_b]]]
-        if not outs_b:
-            continue
-        mass += v * len(outs_a) * len(outs_b)
-        key = tuple(idx[i] for i in eve_pos)
-        for a in outs_a:
-            for b in outs_b:
-                if a == b:
-                    cell = diag.setdefault(key, [Fraction(0), Fraction(0)])
-                    cell[a] += v
-    mins = sum((min(c) for c in diag.values()), Fraction(0))
-    return mins, mass
-
-
-def _diagonal_mins_and_mass(p: JointDist) -> tuple[Fraction, Fraction]:
-    return _mins_and_mass(p.items(), *_ab_eve_split(p), (0, 1), (0, 1))
+    for idx, v in p.items():
+        mass += v
+        a = idx[pos_a]
+        if a == idx[pos_b]:
+            diag.setdefault(tuple(idx[i] for i in eve), [Fraction(0), Fraction(0)])[a] += v
+    return sum((min(c) for c in diag.values()), Fraction(0)), mass
 
 
 def secret_bit_fraction(p: JointDist) -> Fraction:
@@ -142,43 +130,101 @@ def lambda_advantage(p: JointDist, lambda0: Fraction) -> Fraction:
 # -- stage-1 enumeration -------------------------------------------------------
 
 
-def _filtered_fraction(p_items, pos_a, pos_b, eve_pos, code_a, code_b) -> Fraction | None:
-    """Fraction of the pair-filtered distribution, or None on zero mass."""
-    mins, mass = _mins_and_mass(p_items, pos_a, pos_b, eve_pos, code_a, code_b)
+def _entries_by_a(p: JointDist):
+    """(by_a, E): p in integer weights, grouped by A symbol.
+
+    by_a[x] lists (y, e, w) for each entry of p at A symbol x: y is its B
+    symbol, e numbers its Eve symbol in 0..E-1, and w is the entry times
+    the lcm of p's denominators.
+    """
+    pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
+    items = list(p.items())
+    scale = math.lcm(*(v.denominator for _, v in items))
+    eve_num: dict[tuple, int] = {}
+    by_a: list[list[tuple[int, int, int]]] = [[] for _ in range(p.axes[pos_a].size)]
+    for idx, v in items:
+        e = eve_num.setdefault(tuple(idx[i] for i in eve), len(eve_num))
+        by_a[idx[pos_a]].append((idx[pos_b], e, v.numerator * (scale // v.denominator)))
+    return by_a, len(eve_num)
+
+
+def _side_table(by_a, n_b: int, n_eve: int, code_a: tuple):
+    """(mass, diag0, diag1): p filtered on the A side by code_a, per B symbol y.
+
+    mass[y] sums w * |outputs of x| over the entries (x, y, e) that code_a
+    keeps; diag_t[y][e] sums w over those that code_a sends to bit t.
+    """
+    mass = [0] * n_b
+    diag = ([[0] * n_eve for _ in range(n_b)], [[0] * n_eve for _ in range(n_b)])
+    for entries, action in zip(by_a, code_a):
+        outs = OUTPUTS[action]
+        for y, e, w in entries:
+            mass[y] += w * len(outs)
+            for t in outs:
+                diag[t][y][e] += w
+    return mass, *diag
+
+
+def _filtered_fraction(side_a, code_b: tuple) -> tuple[int, int] | None:
+    """(2 * sum_e min_t q(t,t,e), mass of q) in integer weights, or None on zero
+    mass, where q is p filtered by code_a (side_a is its `_side_table`) and code_b.
+
+    The quotient is the pair's filtered fraction.  Stage 1 calls this once
+    per map pair it examines.
+    """
+    mass_a, diag0, diag1 = side_a
+    mass = 0
+    rows0 = []
+    rows1 = []
+    for y, action in enumerate(code_b):
+        if action == DISCARD:
+            continue
+        mass += mass_a[y] * len(OUTPUTS[action])
+        if action != 1:
+            rows0.append(diag0[y])
+        if action != 0:
+            rows1.append(diag1[y])
     if mass == 0:
         return None
-    return 2 * mins / mass
+    if not rows0 or not rows1:  # code_b outputs one bit only: no diagonal mass
+        return 0, mass
+    return 2 * sum(map(min, map(sum, zip(*rows0)), map(sum, zip(*rows1)))), mass
 
 
 def _stage1_pairs(p: JointDist, budget: int | None):
-    """Yield (value, code_a, code_b) in canonical order, pairs of zero mass skipped.
+    """Yield (num, den, code_a, code_b) in canonical order, pairs of zero mass skipped.
 
-    Each side runs over the deterministic filter codes of the families
-    module in their lexicographic order, then the coin code (every symbol to
-    both bits), so the order is lexicographic in (code_a, code_b).
+    num/den, unreduced, is the pair's filtered fraction.  Each side runs over
+    the deterministic filter codes of the families module in their
+    lexicographic order, then the coin code (every symbol to both bits), so
+    the order is lexicographic in (code_a, code_b).  p is scaled to integers
+    once, and each A code's `_side_table` is built once for all B codes.
     """
-    pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
-    n_a = p.axes[pos_a].size
-    n_b = p.axes[pos_b].size
-    items = list(p.items())
+    by_a, n_eve = _entries_by_a(p)
+    n_a = len(by_a)
+    n_b = p.axis("B").size
+    codes_b = [*deterministic_codes(n_b), (BOTH,) * n_b]
     examined = 0
     for code_a in itertools.chain(deterministic_codes(n_a), [(BOTH,) * n_a]):
-        for code_b in itertools.chain(deterministic_codes(n_b), [(BOTH,) * n_b]):
+        side_a = _side_table(by_a, n_b, n_eve, code_a)
+        for code_b in codes_b:
             if budget is not None and examined >= budget:
                 raise SearchBudgetExhausted(
                     f"map-pair budget {budget} exhausted after {examined} pairs"
                 )
             examined += 1
-            value = _filtered_fraction(items, pos_a, pos_b, eve, code_a, code_b)
+            value = _filtered_fraction(side_a, code_b)
             if value is not None:
-                yield value, code_a, code_b
+                yield *value, code_a, code_b
 
 
-def _witness(p: JointDist, value: Fraction, code_a: tuple, code_b: tuple) -> LambdaWitness:
-    """The stage-1 pair (code_a, code_b) of filtered fraction `value`, as maps on p."""
+def _witness(p: JointDist, num: int, den: int, code_a: tuple, code_b: tuple) -> LambdaWitness:
+    """The stage-1 pair (code_a, code_b) of filtered fraction num/den, as maps on p."""
     pos_a, pos_b, _ = _ab_eve_split(p, require_bits=False)
     return LambdaWitness(
-        value=value, map_a=code_map(p.axes[pos_a], code_a), map_b=code_map(p.axes[pos_b], code_b)
+        value=Fraction(num, den),
+        map_a=code_map(p.axes[pos_a], code_a),
+        map_b=code_map(p.axes[pos_b], code_b),
     )
 
 
@@ -201,10 +247,12 @@ def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> 
     best = None
     best_det = None
     for entry in _stage1_pairs(p, opts.max_pairs):
-        value, code_a, code_b = entry
-        if best is None or value > best[0]:
+        num, den, code_a, code_b = entry
+        if best is None or num * best[1] > best[0] * den:
             best = entry
-        if BOTH not in code_a + code_b and (best_det is None or value > best_det[0]):
+        if BOTH not in code_a + code_b and (
+            best_det is None or num * best_det[1] > best_det[0] * den
+        ):
             best_det = entry
     if best is None:
         raise SearchBudgetExhausted("no map pair with positive filtered mass found")
@@ -243,9 +291,9 @@ def distillability_witness(
     for n in range(1, max_n + 1):
         pn = tensor_power(p, n)
         try:
-            for value, code_a, code_b in _stage1_pairs(pn, budget):
-                if value > lambda0:
-                    return _witness(pn, value, code_a, code_b)
+            for num, den, code_a, code_b in _stage1_pairs(pn, budget):
+                if num * lambda0.denominator > lambda0.numerator * den:
+                    return _witness(pn, num, den, code_a, code_b)
         except SearchBudgetExhausted:
             raise SearchBudgetExhausted(
                 f"budget exhausted at tensor power n={n} before covering the space"

@@ -4,9 +4,10 @@ No command reaches these.  They are the constructions that justify the
 certification program (the universal copy-matching map, currying, lifted
 products, selector grouping, true-minimum lifted values, feasible-point spot
 checks), independent recomputations of values the program works out
-another way (the decomposition form of the secret bit fraction, the LP text
-parser), and the distribution and map algebra those constructions are
-stated in (entry lookup, scaling, sums, axis splitting, the identity map,
+another way (the decomposition form of the secret bit fraction, the
+stage-1 search with one Fraction sum per map pair, the LP text parser),
+and the distribution and map algebra those constructions are stated in
+(entry lookup, scaling, sums, axis splitting, the identity map,
 map composition and Kronecker products, the duplicate-pair test).  Each
 reaches its value by a route other than the one the program takes, which is
 what makes it an oracle.
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 from nodistill import ratlp
 from nodistill.certifier import UNDISTILLABLE, Certificate, CertificationProblem, build_lp
-from nodistill.families import MapFamily
+from nodistill.families import BOTH, OUTPUTS, MapFamily, deterministic_codes
 from nodistill.measures import _ab_eve_split, lambda_advantage
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local
 from nodistill.ratlp import LpProblem, LpRow
@@ -484,6 +485,57 @@ def secret_bit_fraction_by_decomposition(p: JointDist) -> Fraction:
     if sol.status != ratlp.OPTIMAL:
         raise RuntimeError(f"decomposition program unexpectedly {sol.status}")
     return sol.objective_value
+
+
+# -- the stage-1 search, one Fraction sum per map pair ----------------------------
+
+
+def mins_and_mass(p_items, pos_a, pos_b, eve_pos, code_a, code_b) -> tuple[Fraction, Fraction]:
+    """sum_e min_a q(a,a,e) and the total mass of q, the pair-filtered distribution."""
+    diag: dict[tuple, list[Fraction]] = {}
+    mass = Fraction(0)
+    for idx, v in p_items:
+        outs_a = OUTPUTS[code_a[idx[pos_a]]]
+        if not outs_a:
+            continue
+        outs_b = OUTPUTS[code_b[idx[pos_b]]]
+        if not outs_b:
+            continue
+        mass += v * len(outs_a) * len(outs_b)
+        key = tuple(idx[i] for i in eve_pos)
+        for a in outs_a:
+            for b in outs_b:
+                if a == b:
+                    cell = diag.setdefault(key, [Fraction(0), Fraction(0)])
+                    cell[a] += v
+    mins = sum((min(c) for c in diag.values()), Fraction(0))
+    return mins, mass
+
+
+def filtered_fraction(p_items, pos_a, pos_b, eve_pos, code_a, code_b) -> Fraction | None:
+    """Fraction of the pair-filtered distribution, or None on zero mass."""
+    mins, mass = mins_and_mass(p_items, pos_a, pos_b, eve_pos, code_a, code_b)
+    if mass == 0:
+        return None
+    return 2 * mins / mass
+
+
+def stage1_pairs(p: JointDist):
+    """(value, code_a, code_b) of every map pair of positive filtered mass, in
+    canonical order: each side's deterministic codes, then its coin code.
+
+    Every pair walks all of p in Fractions; the program's search scales p to
+    integers and shares one table per A code.
+    """
+    pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
+    items = list(p.items())
+    codes_a = [*deterministic_codes(p.axes[pos_a].size), (BOTH,) * p.axes[pos_a].size]
+    codes_b = [*deterministic_codes(p.axes[pos_b].size), (BOTH,) * p.axes[pos_b].size]
+    for code_a in codes_a:
+        for code_b in codes_b:
+            value = filtered_fraction(items, pos_a, pos_b, eve, code_a, code_b)
+            if value is not None:
+                yield value, code_a, code_b
 
 
 # -- reading back the LP text dump ------------------------------------------------

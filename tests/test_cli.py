@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +10,7 @@ from nodistill.families import deterministic_family
 from nodistill.measures import LambdaWitness
 from nodistill.probvec import Axis, JointDist, secret_bit, tensor
 
-from conftest import trivial_eve
+from conftest import rand_dist, trivial_eve
 
 
 @pytest.fixture
@@ -135,6 +137,28 @@ def test_lambda_max_negative_max_pairs_exits_2(workdir, capsys):
 def test_lambda_max_zero_budget_status(workdir, capsys):
     code, out, _ = run(capsys, "lambda-max", workdir / "sb.json", "--max-pairs", 0)
     assert code == 0 and out.startswith("no witness searched")
+
+
+@pytest.mark.parametrize(
+    "max_pairs, head, digest",
+    [
+        (1, "no witness searched: map-pair budget 1 exhausted after 1 pairs",
+         "e27501a0da4cef4927e6688180488e1351f18e8e41364cecaffb106cef58f91f"),
+        (6560, "no witness searched: map-pair budget 6560 exhausted after 6560 pairs",
+         "77885eba2904746d93190c1bcd83479a61b45b4ad7981134f3712773737755b9"),
+        (6561, "lower bound 84/131",
+         "e1b17d5a0938741332a4be6ca0e8187bd922775a82d221e6ca14bc24398af99d"),
+    ],
+    ids=["budget-1", "budget-6560", "budget-6561"],
+)
+def test_lambda_max_pair_budget(workdir, capsys, max_pairs, head, digest):
+    """A 4x4 input has 81 x 81 map pairs: a budget one short of them is exhausted."""
+    p = rand_dist(random.Random(44), (4, 4, 2), denom_max=5)
+    (workdir / "p442.json").write_text(p.dumps())
+    code, out, _ = run(capsys, "lambda-max", workdir / "p442.json", "--max-pairs", max_pairs)
+    assert code == 0
+    assert out.partition("\n")[0] == head
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- certify / verify -----------------------------------------------------------------
@@ -596,6 +620,9 @@ def test_batch_non_integer_generator_field_is_an_error_row(workdir, capsys, spec
     ]
 
 
+DEEP_LIST = json.loads("[" * 900 + "]" * 900)
+
+
 @pytest.mark.parametrize(
     "entry, reason",
     [
@@ -612,9 +639,13 @@ def test_batch_non_integer_generator_field_is_an_error_row(workdir, capsys, spec
          "rational must be a string, got int"),
         ({"family": "fam1.json"}, "missing key 'g'"),
         ({"g": "triv.json"}, "missing key 'family'"),
+        ({"g": "triv.json", "family": {"cap": 1}}, "missing key 'gen'"),
+        ({"g": "triv.json", "family": {"gen": None, "cap": 1}}, "family gen must be a string"),
+        ({"g": "triv.json", "family": {"gen": {"a": 1}}}, "family gen must be a string"),
+        ({"g": "triv.json", "family": {"gen": DEEP_LIST}}, "family gen must be a string"),
     ],
     ids=["unknown-key", "unknown-family-key", "g-not-string", "g-object", "lambda0-float",
-         "lambda0-int", "no-g", "no-family"],
+         "lambda0-int", "no-g", "no-family", "no-gen", "gen-null", "gen-object", "gen-deep-list"],
 )
 def test_batch_refuses_a_loose_entry(workdir, capsys, entry, reason):
     path = workdir / "manifest6.json"

@@ -11,15 +11,16 @@ from nodistill.measures import (
     LambdaWitness,
     SearchBudgetExhausted,
     SearchOptions,
+    _stage1_pairs,
     distillability_witness,
     estimate_lambda_max,
     lambda_advantage,
     secret_bit_fraction,
 )
-from nodistill.probvec import Axis, JointDist, LocalMap, apply_local, tensor
+from nodistill.probvec import Axis, JointDist, LocalMap, apply_local, tensor, tensor_power
 
 from conftest import normalized, rand_dist, trivial_eve
-from oracles import scale, secret_bit_fraction_by_decomposition
+from oracles import scale, secret_bit_fraction_by_decomposition, stage1_pairs
 
 
 def product_dist(rng, size_a=2, size_b=2, size_e=2):
@@ -266,6 +267,42 @@ def test_stage1_witness_pinned(request, name, refine_rounds, value, digest):
     assert w.value == value
     blob = json.dumps(w.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def stage1_input(name):
+    if name == "rand-3x3x2":
+        return rand_dist(random.Random(183), (3, 3, 2))
+    if name == "4x4x2-zeros":
+        return rand_dist(random.Random(44), (4, 4, 2), denom_max=5)
+    if name == "no-eve":
+        # A symbol 2 carries no mass, so every pair keeping only it is skipped
+        return JointDist(
+            (Axis("A", 3), Axis("B", 2)),
+            {(0, 0): F(1, 3), (0, 1): F(1, 6), (1, 1): F(1, 4), (1, 0): F(1, 4)},
+        )
+    if name == "pow2-two-eve-axes":
+        # half the entries are zero, which keeps the reference kernel quick
+        p = JointDist(
+            (Axis("A", 2), Axis("B", 2), Axis("E", 2)),
+            {(0, 0, 0): F(1, 3), (1, 1, 0): F(1, 6), (0, 1, 1): F(1, 4), (1, 1, 1): F(1, 4)},
+        )
+        return tensor_power(p, 2)
+    if name == "a2-b3":
+        return rand_dist(random.Random(13), (2, 3, 3))
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["rand-3x3x2", "4x4x2-zeros", "no-eve", "pow2-two-eve-axes", "a2-b3"]
+)
+def test_stage1_pairs_match_the_fraction_kernel(name):
+    """The integer, A-factored search yields the reference kernel's pairs and values."""
+    p = stage1_input(name)
+    got = [(F(num, den), code_a, code_b) for num, den, code_a, code_b in _stage1_pairs(p, None)]
+    assert got == list(stage1_pairs(p))
+    if name == "no-eve":
+        # 27 A codes x 9 B codes, less the A codes (2, 2, 0) and (2, 2, 1)
+        assert len(got) == 27 * 9 - 2 * 9
 
 
 # -- tensor-power witness search ---------------------------------------------------
