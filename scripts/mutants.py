@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the checkers, the input decoders and the stage-1 search:
-every mutant below must fail a test.
+"""Mutation check of the checkers, the input decoders, build_lp's row dedup and the
+stage-1 search: every mutant below must fail a test.
 
 A mutant is one exact string replacement in one file: (name, file, old, new).
 The runner copies src/, tests/, scripts/ and pyproject.toml to a temporary
@@ -52,6 +52,10 @@ MUTANTS = (
      "if dm > self.max_dm:", "if dm > self.max_dm + 1:"),
     ("certify-self-check-skipped", CERTIFIER,
      "if not ratlp.check_solution(build.problem, sol):", "if False:"),
+    # build_lp
+    ("row-key-without-block", CERTIFIER,
+     "key = tuple((k, keys[(k >> shift) & 1]) for k in ks",
+     "key = tuple(keys[(k >> shift) & 1] for k in ks"),
     # ratlp.violation and the problem it checks against
     ("negative-entry-allowed", RATLP,
      "            if v < 0:\n", "            if v < -1:\n"),
@@ -70,7 +74,7 @@ MUTANTS = (
     ("negative-multipliers-skipped", RATLP,
      "            if yr:\n", "            if yr > 0:\n"),
     ("objective-columns-unchecked", RATLP,
-     "            if total < c:\n", "            if False:\n"),
+     "if total * c.denominator < c.numerator * d:", "if False:"),
     ("outside-columns-unchecked", RATLP,
      "if j not in problem.objective and total < 0:", "if False:"),
     ("bound-unchecked", RATLP,
@@ -79,6 +83,10 @@ MUTANTS = (
      'raise ValueError(f"row {r} references variable {j} out of range")', "pass"),
     ("lp-row-accepts-any-value", RATLP,
      "return c if type(c) in (int, Fraction) else ensure_fraction(c)", "return c"),
+    ("int-row-admits-bools", RATLP,
+     "set(map(type, coeffs.values())) <= types", "set(map(type, coeffs.values())) <= types | {bool}"),
+    ("dual-denominator-without-row", RATLP,
+     "den = yr.denominator * scale", "den = yr.denominator"),
     # input decoding
     ("rational-underscores", RAT,
      '(?P<num>[+-]?[0-9]+)', '(?P<num>[+-]?[0-9_]+)'),
@@ -109,8 +117,19 @@ def run_tests(tree: Path) -> str | None:
     )
     if proc.returncode == 0:
         return None
-    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
-    return failed[0] if failed else f"pytest exit {proc.returncode}"
+    return first_failure(proc.stdout) or f"pytest exit {proc.returncode}"
+
+
+def first_failure(stdout: str) -> str | None:
+    """The test id of pytest's first FAILED or ERROR summary line, or None.
+
+    A summary line is "FAILED <id> - <message>", and a parametrised id may
+    hold spaces, so the id is all of the text up to the first " - ".
+    """
+    for line in stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.partition(" ")[2].partition(" - ")[0]
+    return None
 
 
 def copy_tree(dest: Path) -> Path:

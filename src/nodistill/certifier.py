@@ -249,11 +249,18 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     row_info: list[tuple] = []
     seen_rows: set[tuple] = set()
 
-    def emit(coeffs: dict[int, int], info: tuple):
-        n = len(seen_rows)
-        seen_rows.add(tuple(sorted(coeffs.items())))  # hashes the key once
-        if coeffs and len(seen_rows) > n:
-            rows.append(ratlp.LpRow(coeffs, ratlp.SENSE_LE, 0))
+    def emit(tables, keys, shift: int, ks, info: tuple):
+        """Append tables[(k >> shift) & 1] placed into each block k of ks as a row,
+        unless it is empty or an earlier row.
+
+        A row is the table it holds in each block, so its key is the pairs
+        (k, keys[table]) over its nonempty blocks, with keys[s] the frozenset
+        of table s's (cell, coefficient) pairs: equal keys, equal rows.
+        """
+        key = tuple((k, keys[(k >> shift) & 1]) for k in ks if tables[(k >> shift) & 1])
+        if key and key not in seen_rows:
+            seen_rows.add(key)
+            rows.append(ratlp.LpRow(placed(tables, shift, 1, ks), ratlp.SENSE_LE, 0))
             row_info.append(info)
 
     fam = _family_tables(sp.family)
@@ -263,7 +270,7 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
         tables = _scaled_to_integers(
             [_product_table(((4, ma[s], mb[s]), (-lam2, col_a, col_b))) for s in range(2)]
         )
-        emit(placed(tables, d + i, 1), ("family", i))
+        emit(tables, [frozenset(t) for t in tables], d + i, range(nk), ("family", i))
 
     # selector rows for the lifted product: selected diagonal <= other diagonal.
     # A selector row holds one of its two tables, and the two negate each
@@ -274,16 +281,18 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
             for s in range(2):
                 tables[s] += [(_cell(sa, sb, s, x, s, y), v), (_cell(sa, sb, 1 - s, x, 1 - s, y), -v)]
         tables = _scaled_to_integers(tables)
+        keys = [frozenset(t) for t in tables]
         for k in range(nk):
-            emit(placed(tables, e, 1, (k,)), ("sel-e", e, k))
+            emit(tables, keys, e, (k,), ("sel-e", e, k))
 
     # selector rows for each family filter
     for i, (ma, mb, _, _) in enumerate(fam):
         tables = _scaled_to_integers(
             [_product_table(((1, ma[s], mb[s]), (-1, ma[1 - s], mb[1 - s]))) for s in range(2)]
         )
+        keys = [frozenset(t) for t in tables]
         for k in range(nk):
-            emit(placed(tables, d + i, 1, (k,)), ("sel-i", i, k))
+            emit(tables, keys, d + i, (k,), ("sel-i", i, k))
 
     rows.append(ratlp.LpRow(dict.fromkeys(range(sp.num_vars), 1), ratlp.SENSE_EQ, 1))
     row_info.append(("norm",))

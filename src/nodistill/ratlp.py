@@ -4,17 +4,19 @@ Problems are maximizations over x >= 0 with rows of sense "<=" or "=".
 Arithmetic is exact throughout, so an OPTIMAL result comes with an exactly
 feasible primal point and an exactly feasible dual vector whose bound equals
 the primal objective.  `violation` is the package's one optimality checker:
-in `fractions.Fraction`, independently of the solver, it tests a point given
-by its nonzero entries and one multiplier per row against the rows and a
-claimed optimum, and names the first condition that fails.  `check_solution`
-runs it on a solve's result, and certificate verification on a certificate.
+exactly, independently of the solver, it tests a point given by its nonzero
+entries and one multiplier per row against the rows and a claimed optimum,
+and names the first condition that fails; its column sums are ints over one
+common denominator.  `check_solution` runs it on a solve's result, and
+certificate verification on a certificate.
 
 The tableau keeps each row as Python int numerators over the row's own
 basic entry, and the objective as one more row, z - c.x = 0 (Dantzig,
 Linear Programming and Extensions, 1963); every row is updated alike, by
 fraction-free pivoting (Bareiss, Math. Comp. 22, 1968) that divides out
-each changed row's content.  `Fraction` appears only where rows come in and
-where the primal, dual and objective go out.  Rows are stored sparsely
+each changed row's content.  `Fraction` appears only where rational rows
+come in and where the primal, dual and objective go out; an int row is
+taken as it is.  Rows are stored sparsely
 (dict per row plus a column index) because the certification LPs are large
 but very sparse.  Pivot selection is deterministic and depends only on the
 exact rational values: the entering column has the most-negative reduced
@@ -55,14 +57,36 @@ class PivotBudgetExceeded(RuntimeError):
     """Raised when the pivot budget runs out; never a silent wrong answer."""
 
 
+_INT = {int}
+_FRACTION = {Fraction}
+
+
 def _exact(c) -> int | Fraction:
     """An int or Fraction as it is, anything else through `ensure_fraction`."""
     return c if type(c) in (int, Fraction) else ensure_fraction(c)
 
 
+def _typed(coeffs: dict, types: set) -> bool:
+    """Whether every key is an int and every value a nonzero of one of `types`.
+
+    One C-level pass over the keys and one over the values, so a row that
+    is already in final form is taken without reading its entries one by one.
+    """
+    return (
+        set(map(type, coeffs)) <= _INT
+        and set(map(type, coeffs.values())) <= types
+        and 0 not in coeffs.values()
+    )
+
+
 @dataclass(frozen=True)
 class LpRow:
-    """One constraint; coefficients and rhs are ints or Fractions, kept as given."""
+    """One constraint; coefficients and rhs are ints or Fractions, kept as given.
+
+    Zero coefficients are dropped and any other value goes through
+    `ensure_fraction`, which refuses floats and bools; a row of int keys and
+    nonzero int coefficients is taken as it is.
+    """
 
     coeffs: Mapping[int, int | Fraction]
     sense: str
@@ -71,36 +95,57 @@ class LpRow:
     def __post_init__(self):
         if self.sense not in (SENSE_LE, SENSE_EQ):
             raise ValueError(f"row sense must be '<=' or '=', got {self.sense!r}")
-        object.__setattr__(
-            self,
-            "coeffs",
-            {int(j): _exact(c) for j, c in dict(self.coeffs).items() if c != 0},
-        )
-        object.__setattr__(self, "rhs", _exact(self.rhs))
+        coeffs = dict(self.coeffs)
+        if not _typed(coeffs, _INT):
+            coeffs = {int(j): _exact(c) for j, c in coeffs.items() if c != 0}
+        object.__setattr__(self, "coeffs", coeffs)
+        if type(self.rhs) is not int:
+            object.__setattr__(self, "rhs", _exact(self.rhs))
+
+
+def _integer_row(coeffs: Mapping[int, int | Fraction], rhs: int | Fraction = 0):
+    """(d, coeffs * d, rhs * d) in ints, d the lcm of their denominators.
+
+    A row of ints is returned as it is, with d = 1, after one type test.
+    """
+    if type(rhs) is int and set(map(type, coeffs.values())) <= _INT:
+        return 1, coeffs, rhs
+    d = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    return (
+        d,
+        {j: c.numerator * (d // c.denominator) for j, c in coeffs.items()},
+        rhs.numerator * (d // rhs.denominator),
+    )
+
+
+def _first_out_of_range(keys, n: int) -> int | None:
+    """The first of the int `keys` outside 0..n-1, or None."""
+    if keys and (min(keys) < 0 or max(keys) >= n):
+        return next(j for j in keys if not (0 <= j < n))
+    return None
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max objective . x  subject to rows, x >= 0."""
+    """max objective . x  subject to rows, x >= 0; the objective's values are Fractions."""
 
     num_vars: int
     objective: Mapping[int, Fraction]
     rows: tuple[LpRow, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "objective",
-            {int(j): ensure_fraction(c) for j, c in dict(self.objective).items() if c != 0},
-        )
+        objective = dict(self.objective)
+        if not _typed(objective, _FRACTION):
+            objective = {int(j): ensure_fraction(c) for j, c in objective.items() if c != 0}
+        object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", tuple(self.rows))
-        for j in self.objective:
-            if not (0 <= j < self.num_vars):
-                raise ValueError(f"objective references variable {j} out of range")
+        j = _first_out_of_range(objective, self.num_vars)
+        if j is not None:
+            raise ValueError(f"objective references variable {j} out of range")
         for r, row in enumerate(self.rows):
-            for j in row.coeffs:
-                if not (0 <= j < self.num_vars):
-                    raise ValueError(f"row {r} references variable {j} out of range")
+            j = _first_out_of_range(row.coeffs, self.num_vars)
+            if j is not None:
+                raise ValueError(f"row {r} references variable {j} out of range")
 
 
 @dataclass
@@ -143,9 +188,8 @@ class _Tableau:
         self.artificial: set[int] = set()
         next_col = self.n
         for row in problem.rows:
-            den = lcm(row.rhs.denominator, *(c.denominator for c in row.coeffs.values()))
-            coeffs = {j: c.numerator * (den // c.denominator) for j, c in row.coeffs.items()}
-            rhs = row.rhs.numerator * (den // row.rhs.denominator)
+            den, coeffs, rhs = _integer_row(row.coeffs, row.rhs)
+            coeffs = dict(coeffs)  # basic columns go into a copy, not the row
             sig = 1
             if rhs < 0:
                 coeffs = {j: -c for j, c in coeffs.items()}
@@ -381,19 +425,29 @@ def violation(
         for r, (row, yr) in enumerate(zip(problem.rows, y)):
             if row.sense == SENSE_LE and yr < 0:
                 return "multiplier", r, yr, _ZERO
-        col_sums: dict[int, Fraction] = {}
+        # each column sum is an int over one denominator d, a multiple of
+        # every product y_r a_rj's: of den(y_r) times row r's coefficient lcm
+        terms = []
+        d = 1
         for row, yr in zip(problem.rows, y):
             if yr:
-                for j, c in row.coeffs.items():
-                    col_sums[j] = col_sums.get(j, _ZERO) + yr * c
+                scale, coeffs, _ = _integer_row(row.coeffs)
+                den = yr.denominator * scale
+                d = lcm(d, den)
+                terms.append((yr.numerator, den, coeffs))
+        col_sums: dict[int, int] = {}
+        for num, den, coeffs in terms:
+            w = num * (d // den)
+            for j, c in coeffs.items():
+                col_sums[j] = col_sums.get(j, 0) + w * c
         for j, c in problem.objective.items():
-            total = col_sums.get(j, _ZERO)
-            if total < c:
-                return "column", j, total, c
+            total = col_sums.get(j, 0)
+            if total * c.denominator < c.numerator * d:
+                return "column", j, Fraction(total, d), c
         for j, total in col_sums.items():
             if j not in problem.objective and total < 0:
-                return "column", j, total, _ZERO
-        bound = sum((yr * row.rhs for row, yr in zip(problem.rows, y)), _ZERO)
+                return "column", j, Fraction(total, d), _ZERO
+        bound = sum((yr * row.rhs for row, yr in zip(problem.rows, y) if yr), _ZERO)
         if bound != value:
             return "bound", None, bound, value
     return None

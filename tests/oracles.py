@@ -5,7 +5,8 @@ certification program (the universal copy-matching map, currying, lifted
 products, selector grouping, true-minimum lifted values, feasible-point spot
 checks), independent recomputations of values the program works out
 another way (the decomposition form of the secret bit fraction, the
-stage-1 search with one Fraction sum per map pair, the LP text parser),
+stage-1 search with one Fraction sum per map pair, the certification rows
+written out block by block, the dual check in Fractions, the LP text parser),
 and the distribution and map algebra those constructions are stated in
 (entry lookup, scaling, sums, axis splitting, the identity map,
 map composition and Kronecker products, the duplicate-pair test).  Each
@@ -18,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from nodistill import ratlp
@@ -536,6 +538,101 @@ def stage1_pairs(p: JointDist):
             value = filtered_fraction(items, pos_a, pos_b, eve, code_a, code_b)
             if value is not None:
                 yield value, code_a, code_b
+
+
+# -- the certification rows, block by block ------------------------------------------
+
+
+def certification_rows(problem: CertificationProblem) -> tuple[list[tuple], list[tuple]]:
+    """build_lp's rows as (coeffs, sense, rhs) and its row_info.
+
+    Each candidate row is written out in every selector block k from its
+    definition, in Fractions, and scaled to integers by the lcm of its
+    denominators.  A row is kept unless it is empty or equal to an earlier
+    row, compared as its sorted (variable, coefficient) items; the program
+    keys rows by their per-bit tables instead.
+    """
+    sp = problem
+    d, nk, sa, sb = sp.d, sp.num_selectors, sp.size_a, sp.size_b
+    lam2 = 2 * sp.lambda0
+    cells = [(a, x, b, y) for a in range(2) for x in range(sa) for b in range(2) for y in range(sb)]
+
+    def var(a, x, b, y, k):
+        return (((a * sa + x) * 2 + b) * sb + y) * nk + k
+
+    maps = [(pair.map_a.coeffs, pair.map_b.coeffs) for pair in sp.family.pairs]
+    candidates = []
+    for i, (ma, mb) in enumerate(maps):
+        row = {}
+        for k in range(nk):
+            s = (k >> (d + i)) & 1
+            for a, x, b, y in cells:
+                sym_a, sym_b = a * sa + x, b * sb + y
+                row[var(a, x, b, y, k)] = 4 * ma[s][sym_a] * mb[s][sym_b] - lam2 * (
+                    ma[0][sym_a] + ma[1][sym_a]
+                ) * (mb[0][sym_b] + mb[1][sym_b])
+        candidates.append((row, ("family", i)))
+    for e in range(d):
+        for k in range(nk):
+            s = (k >> e) & 1
+            row = {}
+            for (x, y, ee), v in sp.g.items():
+                if ee == e:
+                    row[var(s, x, s, y, k)] = v
+                    row[var(1 - s, x, 1 - s, y, k)] = -v
+            candidates.append((row, ("sel-e", e, k)))
+    for i, (ma, mb) in enumerate(maps):
+        for k in range(nk):
+            s = (k >> (d + i)) & 1
+            row = {
+                var(a, x, b, y, k): ma[s][a * sa + x] * mb[s][b * sb + y]
+                - ma[1 - s][a * sa + x] * mb[1 - s][b * sb + y]
+                for a, x, b, y in cells
+            }
+            candidates.append((row, ("sel-i", i, k)))
+
+    rows, row_info = [], []
+    seen: set[tuple] = set()
+    for row, info in candidates:
+        scale = lcm(*(c.denominator for c in row.values()))
+        coeffs = {j: int(c * scale) for j, c in row.items() if c}
+        n = len(seen)
+        seen.add(tuple(sorted(coeffs.items())))
+        if coeffs and len(seen) > n:
+            rows.append((coeffs, ratlp.SENSE_LE, 0))
+            row_info.append(info)
+    rows.append((dict.fromkeys(range(sp.num_vars), 1), ratlp.SENSE_EQ, 1))
+    row_info.append(("norm",))
+    return rows, row_info
+
+
+# -- the dual check, one Fraction product per nonzero ------------------------------
+
+
+def dual_violation(problem: LpProblem, value: Fraction, y: Sequence[Fraction]):
+    """`ratlp.violation(problem, value, y=y)` with every column sum a Fraction sum."""
+    zero = Fraction(0)
+    if len(y) != len(problem.rows):
+        return "length", None, len(y), len(problem.rows)
+    for r, (row, yr) in enumerate(zip(problem.rows, y)):
+        if row.sense == ratlp.SENSE_LE and yr < 0:
+            return "multiplier", r, yr, zero
+    col_sums: dict[int, Fraction] = {}
+    for row, yr in zip(problem.rows, y):
+        if yr:
+            for j, c in row.coeffs.items():
+                col_sums[j] = col_sums.get(j, zero) + yr * c
+    for j, c in problem.objective.items():
+        total = col_sums.get(j, zero)
+        if total < c:
+            return "column", j, total, c
+    for j, total in col_sums.items():
+        if j not in problem.objective and total < 0:
+            return "column", j, total, zero
+    bound = sum((yr * row.rhs for row, yr in zip(problem.rows, y)), zero)
+    if bound != value:
+        return "bound", None, bound, value
+    return None
 
 
 # -- reading back the LP text dump ------------------------------------------------

@@ -19,12 +19,13 @@ from nodistill.certifier import (
     verify_certificate,
 )
 from nodistill.families import MapFamily, MapPair, deterministic_family, random_filter_family, strip_pair
-from nodistill.probvec import Axis, JointDist
+from nodistill.probvec import Axis, JointDist, LocalMap
 
 from conftest import rand_dist
 from oracles import (
     activation_spotcheck,
     canonical_witness_q,
+    certification_rows,
     family_constraint_value,
     group_by_selector,
     lifted_objective_value,
@@ -331,6 +332,56 @@ def test_build_lp_pinned(request, g_name, family, lambda0, digest):
         )
     )
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# Both sides output a fair coin whatever they see, on 2x2 copy alphabets.
+COIN_PAIR = MapPair(
+    LocalMap(Axis("A", 4), Axis("A'", 2), [[HALF] * 4] * 2),
+    LocalMap(Axis("B", 4), Axis("B'", 2), [[HALF] * 4] * 2),
+)
+
+# A always outputs 1 and B outputs 1 with probability 1/4: at lambda0 = 1/2 the
+# family row's table for output bit 1, 4 * 1 * 1/4 - 1 * 1 * 1, is zero in every cell.
+ONE_EMPTY_TABLE = MapPair(
+    LocalMap(Axis("A", 2), Axis("A'", 2), [[0, 0], [1, 1]]),
+    LocalMap(Axis("B", 2), Axis("B'", 2), [[F(3, 4), F(3, 4)], [F(1, 4), F(1, 4)]]),
+)
+
+
+def assert_rows_match_the_oracle(g, family, lambda0):
+    setup = CertificationProblem(g=g, family=family, lambda0=lambda0)
+    build = build_lp(setup)
+    rows, row_info = certification_rows(setup)
+    assert [(r.coeffs, r.sense, r.rhs) for r in build.problem.rows] == rows
+    assert build.row_info == tuple(row_info)
+    return build
+
+
+@pytest.mark.parametrize("g_name, family, lambda0, digest", PINNED_LP)
+def test_pinned_rows_match_the_oracle(request, g_name, family, lambda0, digest):
+    assert_rows_match_the_oracle(request.getfixturevalue(g_name), family, lambda0)
+
+
+def test_identical_pairs_keep_one_copy_of_each_row(eve_knows_all):
+    # member 1's selector rows repeat member 0's in every block k where the
+    # members' selector bits, bits 2 and 3 of k, agree
+    det = deterministic_family(2, 2, cap=5).pairs[4]
+    build = assert_rows_match_the_oracle(eve_knows_all, MapFamily(pairs=(det, det)), HALF)
+    sel_1 = [info[2] for info in build.row_info if info[:2] == ("sel-i", 1)]
+    assert sel_1 == [k for k in range(16) if (k >> 2) & 1 != (k >> 3) & 1]
+    # a coin pair's two per-bit family tables are equal, so member 1's family
+    # row, the same table in every block, repeats member 0's
+    build = assert_rows_match_the_oracle(eve_knows_all, MapFamily(pairs=(COIN_PAIR,) * 2), F(2, 3))
+    assert [info for info in build.row_info if info[0] == "family"] == [("family", 0)]
+
+
+def test_an_empty_per_bit_table_leaves_its_blocks_out():
+    # d = 1 and M = 1, so nk = 4 and the family row fills only blocks 0 and 1,
+    # where the selector bit is 0; a family row always fills half the blocks,
+    # so it never equals a one-block selector row
+    build = assert_rows_match_the_oracle(trivial_g(), MapFamily(pairs=(ONE_EMPTY_TABLE,)), HALF)
+    family_row = build.problem.rows[build.row_info.index(("family", 0))]
+    assert {j % 4 for j in family_row.coeffs} == {0, 1}
 
 
 # -- verification -----------------------------------------------------------------------

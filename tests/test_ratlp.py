@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nodistill import ratlp
 from nodistill.ratlp import (
@@ -20,7 +22,7 @@ from nodistill.ratlp import (
     violation,
 )
 
-from oracles import parse_lp
+from oracles import dual_violation, parse_lp
 
 
 def lp(num_vars, objective, rows):
@@ -189,10 +191,98 @@ def test_lp_row_keeps_ints_and_fractions():
     assert type(row.rhs) is int
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [{1: 0.5}, {1: True}, {1: "junk"}, {"x": 1}],
+    ids=["float", "bool", "junk-string", "non-int-key"],
+)
+def test_int_rows_are_refused_like_fraction_rows(coeffs):
+    # an int row takes a one-pass type test; a bad entry among ints must
+    # still get the message it gets among Fractions
+    messages = []
+    for first in (2, F(2)):
+        with pytest.raises(ValueError) as exc:
+            LpRow({0: first, **coeffs}, "<=", 0)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("coeffs, j", [({0: 1, 5: 1, -1: 1}, 5), ({-1: 1, 0: 1, 5: 1}, -1)])
+def test_int_rows_name_their_first_variable_out_of_range(coeffs, j):
+    for make in (int, F):
+        row = LpRow({k: make(c) for k, c in coeffs.items()}, "<=", 0)
+        with pytest.raises(ValueError, match=f"^row 1 references variable {j} out of range$"):
+            LpProblem(num_vars=2, objective={0: 1}, rows=(LpRow({0: 1}, "<=", 1), row))
+
+
+def test_int_rows_drop_zeros():
+    row = LpRow({0: 2, 1: 0, 2: -3}, "=", 1)
+    assert row.coeffs == {0: 2, 2: -3}
+    assert [type(c) for c in row.coeffs.values()] == [int, int]
+    problem = LpProblem(num_vars=3, objective={0: F(1), 1: F(0), 2: F(2)}, rows=(row,))
+    assert problem.objective == {0: 1, 2: 2}
+    assert [type(c) for c in problem.objective.values()] == [F, F]
+
+
 def test_dot_walks_either_side():
     assert ratlp.dot({0: F(2), 5: F(3)}, {5: F(1, 3)}) == 1
     assert ratlp.dot({5: F(1, 3)}, {0: F(2), 5: F(3), 7: F(1)}) == 1
     assert ratlp.dot({}, {0: F(1)}) == 0
+
+
+# -- the dual check against its Fraction oracle ---------------------------------
+
+_VALUES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+_MOSTLY = st.sampled_from([True] * 4 + [False])
+
+
+@st.composite
+def dual_checks(draw):
+    """A problem of int and Fraction rows, a value and multipliers to check.
+
+    The objective sits at, below or above each drawn column's sum, and the
+    value at or off the bound, so every kind of result comes up.
+    """
+    n = draw(st.integers(1, 4))
+    rows = tuple(
+        LpRow(draw(st.dictionaries(st.integers(0, n - 1), _VALUES, max_size=n)),
+              draw(st.sampled_from(["<=", "="])), draw(_VALUES))
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    y = [draw(st.one_of(st.just(F(0)), _VALUES)) for _ in rows]
+    # most "<=" multipliers are made non-negative, or the sign check would
+    # end nearly every draw
+    y = [abs(yr) if row.sense == "<=" and draw(_MOSTLY) else yr for row, yr in zip(rows, y)]
+    sums: dict[int, F] = {}
+    for row, yr in zip(rows, y):
+        for j, c in row.coeffs.items():
+            sums[j] = sums.get(j, F(0)) + yr * c
+    objective = {
+        j: sums.get(j, F(0)) + draw(st.sampled_from([0, 0, -1, F(1, 7)]))
+        for j in draw(st.sets(st.integers(0, n - 1)))
+    }
+    value = sum((yr * row.rhs for row, yr in zip(rows, y)), F(0)) + draw(st.sampled_from([0, 0, F(1, 3)]))
+    if not draw(_MOSTLY):
+        y = y[:-1]
+    return LpProblem(num_vars=n, objective=objective, rows=rows), value, y
+
+
+@given(dual_checks())
+@settings(max_examples=300, deadline=None)
+@example(
+    # the product 1/2 * 1/2 has denominator 4, more than the lcm of its parts
+    (LpProblem(num_vars=2, objective={0: F(1, 3)}, rows=(LpRow({0: F(1, 2), 1: 1}, "=", 0),)),
+     F(0), [F(1, 2)]),
+)
+@example(
+    # an int and a Fraction coefficient in one row, and a negative multiplier on an "=" row
+    (LpProblem(num_vars=2, objective={1: F(1, 3)},
+               rows=(LpRow({0: 1, 1: F(1, 3)}, "<=", 1), LpRow({1: F(2, 3)}, "=", 0))),
+     F(1, 2), [F(1, 2), F(-1, 6)]),
+)
+def test_dual_check_matches_the_fraction_oracle(case):
+    problem, value, y = case
+    assert violation(problem, value, y=y) == dual_violation(problem, value, y)
 
 
 # -- determinism, scaling, budget ----------------------------------------------------

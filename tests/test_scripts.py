@@ -39,12 +39,31 @@ def test_run_family_sweep(tmp_path):
     ]
 
 
-def test_every_mutant_applies_exactly_once():
+def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_every_mutant_applies_exactly_once():
+    mutants = load_mutants()
     names = [name for name, _, _, _ in mutants.MUTANTS]
     assert len(set(names)) == len(names)
     for name, file, old, new in mutants.MUTANTS:
         assert old != new, name
         assert (mutants.ROOT / file).read_text().count(old) == 1, name
+
+
+def test_the_killing_test_id_keeps_its_spaces():
+    first_failure = load_mutants().first_failure
+    stdout = "\n".join([
+        "..F",
+        "=========================== short test summary info ============================",
+        "FAILED tests/test_a.py::test_b[x y] - assert 1 == 2",
+        "ERROR tests/test_c.py::test_d",
+        "1 failed, 2 passed in 0.10s",
+    ])
+    assert first_failure(stdout) == "tests/test_a.py::test_b[x y]"
+    assert first_failure("ERROR tests/test_c.py::test_d\n") == "tests/test_c.py::test_d"
+    assert first_failure("1 passed in 0.01s\n") is None
