@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Mutation check of the checkers, the input decoders, build_lp's row dedup and the
-stage-1 search: every mutant below must fail a test.
+"""Mutation check of the checkers, the input decoders, build_lp's row dedup, the
+simplex tableau's row scans and the stage-1 search: every mutant below must
+fail a test.
 
 A mutant is one exact string replacement in one file: (name, file, old, new).
-The runner copies src/, tests/, scripts/ and pyproject.toml to a temporary
-directory and runs `python -m pytest -x -q tests` there (less the test that
-checks this list against the tree), first unmutated (which must pass), then
-once per mutant on a fresh copy with that one replacement applied, printing
+The runner copies src/, tests/, scripts/, pyproject.toml and the stored
+certificates the tests read (perfbench/stored/) to a temporary directory and
+runs `python -m pytest -x -q tests` there (less the test that checks this
+list against the tree), first unmutated (which must pass), then once per
+mutant on a fresh copy with that one replacement applied, printing
 the first test that failed.  A mutant whose run passes has survived: the tests
 do not pin the check it breaks.  The exit code is 1 if any mutant survived.
 A full run takes about a minute per mutant; it is not part of the test suite.
@@ -23,7 +25,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "scripts", "pyproject.toml")
+COPIED = ("src", "tests", "scripts", "pyproject.toml", "perfbench/stored")
 # It checks the mutant list against the tree it runs in, so every mutated copy
 # fails it; it is left out of mutant runs, or every mutant would count as killed.
 STALENESS_TEST = "tests/test_scripts.py::test_every_mutant_applies_exactly_once"
@@ -87,6 +89,16 @@ MUTANTS = (
      "set(map(type, coeffs.values())) <= types", "set(map(type, coeffs.values())) <= types | {bool}"),
     ("dual-denominator-without-row", RATLP,
      "den = yr.denominator * scale", "den = yr.denominator"),
+    ("lp-row-truncates-keys", RATLP,
+     'raise ValueError(f"variable index must be an int, got {j!r}")\n    return {j: convert(c)',
+     "pass\n    return {int(j): convert(c)"),
+    # the simplex tableau's row scans
+    ("pivot-skips-objective-row", RATLP,
+     "for rr, row in enumerate(self.rows):", "for rr, row in enumerate(self.rows[:self.m]):"),
+    ("pivot-clears-later-rows-only", RATLP,
+     "if j in row and rr != r:", "if j in row and rr > r:"),
+    ("ratio-tie-to-greatest-basic", RATLP,
+     "basis[r] > basis[leaving]", "basis[r] < basis[leaving]"),
     # input decoding
     ("rational-underscores", RAT,
      '(?P<num>[+-]?[0-9]+)', '(?P<num>[+-]?[0-9_]+)'),

@@ -403,7 +403,12 @@ def certify(
     Output is deterministic for fixed input.
     """
     setup = CertificationProblem(g=g, family=family, lambda0=ensure_fraction(lambda0), max_dm=max_dm)
-    build = build_lp(setup)
+    return certify_lp(build_lp(setup))
+
+
+def certify_lp(build: CertificationLp) -> Certificate:
+    """`certify` on a program `build_lp` has already built."""
+    setup = build.setup
     sol = ratlp.solve(build.problem)
     if sol.status != ratlp.OPTIMAL:
         raise CertifierError(
@@ -417,7 +422,7 @@ def certify(
         verdict=INCONCLUSIVE if positive else UNDISTILLABLE,
         optimum=sol.objective_value,
         lambda0=setup.lambda0,
-        fingerprint=problem_fingerprint(g, family, setup.lambda0),
+        fingerprint=problem_fingerprint(setup.g, setup.family, setup.lambda0),
         primal=build.dist_from_vector(sol.primal) if positive else None,
         dual=None if positive else tuple(sol.dual),
     )

@@ -121,13 +121,16 @@ def cmd_certify(args) -> int:
     g = _load_dist(args.g)
     family = _family_for(args, g)
     lambda0 = _parse_lambda0(args.lambda0)
+    t0 = time.perf_counter()
     if args.dump_lp:
         setup = certifier.CertificationProblem(
             g=g, family=family, lambda0=lambda0, max_dm=args.max_dm
         )
-        Path(args.dump_lp).write_text(ratlp.dump_lp(certifier.build_lp(setup).problem))
-    t0 = time.perf_counter()
-    cert = certifier.certify(g, family, lambda0=lambda0, max_dm=args.max_dm)
+        build = certifier.build_lp(setup)
+        Path(args.dump_lp).write_text(ratlp.dump_lp(build.problem))
+        cert = certifier.certify_lp(build)
+    else:
+        cert = certifier.certify(g, family, lambda0=lambda0, max_dm=args.max_dm)
     print(f"solved in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(cert.dumps())

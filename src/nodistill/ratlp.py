@@ -16,14 +16,14 @@ Linear Programming and Extensions, 1963); every row is updated alike, by
 fraction-free pivoting (Bareiss, Math. Comp. 22, 1968) that divides out
 each changed row's content.  `Fraction` appears only where rational rows
 come in and where the primal, dual and objective go out; an int row is
-taken as it is.  Rows are stored sparsely
-(dict per row plus a column index) because the certification LPs are large
-but very sparse.  Pivot selection is deterministic and depends only on the
-exact rational values: the entering column has the most-negative reduced
-cost, falling back to Bland's least-index rule during long degenerate
-stalls (more than `_STALL_LIMIT` pivots without progress), which keeps the
-method finite.  A solve that needs more than `_PIVOT_BUDGET` pivots raises
-`PivotBudgetExceeded`.
+taken as it is.  Rows are stored sparsely, one dict per row, because the
+certification LPs are large but very sparse; there is no column index, and
+the rows holding a column are found by scanning the rows.  Pivot selection
+is deterministic and depends only on the exact rational values: the
+entering column has the most-negative reduced cost, falling back to Bland's
+least-index rule during long degenerate stalls (more than `_STALL_LIMIT`
+pivots without progress), which keeps the method finite.  A solve that
+needs more than `_PIVOT_BUDGET` pivots raises `PivotBudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -79,13 +79,22 @@ def _typed(coeffs: dict, types: set) -> bool:
     )
 
 
+def _checked(coeffs: dict, convert) -> dict:
+    """`coeffs` less its zeros, the rest through `convert`; a non-int key is refused."""
+    for j in coeffs:
+        if type(j) is not int:
+            raise ValueError(f"variable index must be an int, got {j!r}")
+    return {j: convert(c) for j, c in coeffs.items() if c != 0}
+
+
 @dataclass(frozen=True)
 class LpRow:
     """One constraint; coefficients and rhs are ints or Fractions, kept as given.
 
     Zero coefficients are dropped and any other value goes through
-    `ensure_fraction`, which refuses floats and bools; a row of int keys and
-    nonzero int coefficients is taken as it is.
+    `ensure_fraction`, which refuses floats and bools; a key that is not an
+    int is refused.  A row of int keys and nonzero int coefficients is taken
+    as it is.
     """
 
     coeffs: Mapping[int, int | Fraction]
@@ -97,7 +106,7 @@ class LpRow:
             raise ValueError(f"row sense must be '<=' or '=', got {self.sense!r}")
         coeffs = dict(self.coeffs)
         if not _typed(coeffs, _INT):
-            coeffs = {int(j): _exact(c) for j, c in coeffs.items() if c != 0}
+            coeffs = _checked(coeffs, _exact)
         object.__setattr__(self, "coeffs", coeffs)
         if type(self.rhs) is not int:
             object.__setattr__(self, "rhs", _exact(self.rhs))
@@ -136,7 +145,7 @@ class LpProblem:
     def __post_init__(self):
         objective = dict(self.objective)
         if not _typed(objective, _FRACTION):
-            objective = {int(j): ensure_fraction(c) for j, c in objective.items() if c != 0}
+            objective = _checked(objective, ensure_fraction)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", tuple(self.rows))
         j = _first_out_of_range(objective, self.num_vars)
@@ -171,7 +180,8 @@ class _Tableau:
     z_j - c_j and rhs[m] the objective value of the basis.
 
     A pivot makes the pivot entry its row's denominator, then clears the
-    pivot column from every other row with `_eliminate`.  The represented
+    pivot column with `_eliminate` from every other row holding it, found,
+    as in the ratio test, by scanning the rows.  The represented
     rationals are those of a Fraction tableau, so pivot choices, which depend
     only on them, are too: the entering column compares numerators over the
     one denominator of row m, and the ratio test compares rhs/a by
@@ -209,29 +219,20 @@ class _Tableau:
         self.init_col = list(self.basis)
         self.rows.append({_Z: 1})
         self.rhs.append(0)
-
-        self.col_rows: dict[int, set[int]] = {}
-        for r, row in enumerate(self.rows):
-            for j in row:
-                self.col_rows.setdefault(j, set()).add(r)
         self.pivots = 0
 
     # -- objective row ----------------------------------------------------
 
     def set_costs(self, costs: Mapping[int, Fraction]):
         """Make row m z - c.x = 0 for `costs`: basic columns cleared, content divided out."""
-        m, col_rows = self.m, self.col_rows
-        for j in self.rows[m]:
-            col_rows[j].discard(m)
+        m = self.m
         d = lcm(*(c.denominator for c in costs.values()))
         row = {j: -c.numerator * (d // c.denominator) for j, c in costs.items() if c}
         row[_Z] = d
-        for j in row:
-            col_rows.setdefault(j, set()).add(m)
         b = 0
         for r in range(m):
             if self.basis[r] in row:
-                b = _eliminate(row, b, self.basis[r], self.rows[r], self.rhs[r], m, col_rows)
+                b = _eliminate(row, b, self.basis[r], self.rows[r], self.rhs[r])
         g = gcd(b, *row.values())
         self.rows[m] = {k: v // g for k, v in row.items()}
         self.rhs[m] = b // g
@@ -250,9 +251,11 @@ class _Tableau:
             for k, v in prow.items():
                 prow[k] = v // g
             pb //= g
-        self.rhs[r] = pb
-        for rr in self.col_rows[j] - {r}:
-            self.rhs[rr] = _eliminate(self.rows[rr], self.rhs[rr], j, prow, pb, rr, self.col_rows)
+        rhs = self.rhs
+        rhs[r] = pb
+        for rr, row in enumerate(self.rows):
+            if j in row and rr != r:
+                rhs[rr] = _eliminate(row, rhs[rr], j, prow, pb)
         self.basis[r] = j
         self.pivots += 1
 
@@ -276,8 +279,8 @@ class _Tableau:
             # index; rhs/a is a ratio of numerators, compared by
             # cross-multiplication.  Row m has a < 0 here, so never leaves.
             leaving = None
-            for r in self.col_rows[entering]:
-                a = rows[r][entering]
+            for r, row in enumerate(rows):
+                a = row.get(entering, 0)
                 if a > 0:
                     b = rhs[r]
                     if leaving is not None:
@@ -295,15 +298,14 @@ class _Tableau:
             stall = stall + 1 if best_b == 0 else 0
 
 
-def _eliminate(row, b, j, prow, pb, r, col_rows):
-    """Clear column j of tableau row r against the pivot row; returns the new rhs.
+def _eliminate(row, b, j, prow, pb):
+    """Clear column j of a tableau row against the pivot row; returns the new rhs.
 
-    `row`, `b` are over row r's basic entry, and the pivot row `prow`, `pb`
+    `row`, `b` are over the row's basic entry, and the pivot row `prow`, `pb`
     over its pivot entry p = prow[j].  The row becomes row * p/c - f/c * prow,
     with f = row[j] and c = gcd(f, p), so when p divides f only the pivot
-    row's columns change; prow is zero in row r's basic column, so the basic
+    row's columns change; prow is zero in the row's basic column, so the basic
     entry stays the denominator.  A scaled row has its content divided out.
-    `col_rows` records the columns row r occupies.
     """
     p = prow[j]
     f = row[j]
@@ -314,18 +316,14 @@ def _eliminate(row, b, j, prow, pb, r, col_rows):
         for k, v in row.items():
             row[k] = v * s
         b *= s
+    # an entry the row lacks becomes -q * pv, never 0: q and pv are nonzero
+    get = row.get
     for k, pv in prow.items():
-        cur = row.get(k)
-        if cur is None:
-            row[k] = -q * pv
-            col_rows[k].add(r)
+        nv = get(k, 0) - q * pv
+        if nv:
+            row[k] = nv
         else:
-            nv = cur - q * pv
-            if nv:
-                row[k] = nv
-            else:
-                del row[k]
-                col_rows[k].discard(r)
+            del row[k]
     b -= q * pb
     if s != 1:
         g = gcd(b, *row.values())

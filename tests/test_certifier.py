@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from nodistill.certifier import (
 from nodistill.families import MapFamily, MapPair, deterministic_family, random_filter_family, strip_pair
 from nodistill.probvec import Axis, JointDist, LocalMap
 
-from conftest import rand_dist
+from conftest import normalized, rand_dist
 from oracles import (
     activation_spotcheck,
     canonical_witness_q,
@@ -244,6 +245,11 @@ def test_empty_family_optimum_nonincreasing_in_lambda0():
     assert optima == sorted(optima, reverse=True)
 
 
+@pytest.fixture
+def rand_2x2x3():
+    return normalized(rand_dist(random.Random(1), (2, 2, 3)))
+
+
 # Certificate digests and (phase 1, phase 2) pivot counts recorded with the
 # Fraction tableau that the integer-row tableau replaced: the same pivot path
 # gives the same bytes.
@@ -268,6 +274,14 @@ PINNED = [
         "e9bf3a6f39c1ea62d712cb2764306f75e169705a65cba85c87cdb7de4c92cc19", (32, 58),
         id="unif-rand",
     ),
+    # rational g, recorded with the integer-row tableau: the program's rows
+    # have fractional coefficients, and about one row elimination in five
+    # rescales its row
+    pytest.param(
+        "rand_2x2x3", deterministic_family(2, 2, cap=3),
+        "8d6ef4a4dc3336894d16cb6c0a4c70657cdff586bdca3be51ba1e0129e2bbd0c", (137, 161),
+        id="rand2x2x3-det3",
+    ),
 ]
 
 
@@ -285,6 +299,18 @@ def test_pivot_counts_pinned(request, g_name, family, digest, pivots):
     sol = ratlp.solve(build.problem)
     assert sol.status == ratlp.OPTIMAL
     assert sol.pivots == pivots
+
+
+STORED = Path(__file__).resolve().parent.parent / "perfbench" / "stored"
+
+
+@pytest.mark.parametrize("name", ["aka", "unif"])
+def test_certify_rebuilds_the_stored_m5_certificates(name):
+    # written by `nodistill certify g_<name>.json --gen deterministic --M 5`;
+    # stored/PROVENANCE.json records the commit that wrote them
+    g = JointDist.loads((STORED / f"g_{name}.json").read_text())
+    family = MapFamily.loads((STORED / "family_M5.json").read_text())
+    assert certify(g, family).dumps() == (STORED / f"cert_{name}-M5.json").read_text()
 
 
 @pytest.fixture

@@ -195,6 +195,31 @@ def test_certify_gen_flags(workdir, capsys):
     assert code == 0 and out.startswith("INCONCLUSIVE")
 
 
+def test_certify_dump_lp_builds_the_program_once(workdir, capsys, monkeypatch):
+    from nodistill import certifier
+
+    build_lp = certifier.build_lp
+    calls = []
+
+    def counted(setup):
+        calls.append(setup)
+        return build_lp(setup)
+
+    monkeypatch.setattr(certifier, "build_lp", counted)
+    code, out, _ = run(
+        capsys, "certify", workdir / "eka.json", "--family", workdir / "fam22.json",
+        "--dump-lp", workdir / "lp.txt", "--out", workdir / "cert.json",
+    )
+    assert code == 0 and out == "INCONCLUSIVE optimum=1/4\n"
+    assert len(calls) == 1
+    # the bytes the command wrote when it built the program twice
+    digests = [hashlib.sha256((workdir / f).read_bytes()).hexdigest() for f in ("lp.txt", "cert.json")]
+    assert digests == [
+        "730df743144ae420077bb418b712801068b0ea6ec6eae45fd89ac36f122f7990",
+        "158ef7cdb70644665497580c1395a5976444242fff5967e120f0f7b2b949be4b",
+    ]
+
+
 def test_certify_guard_refusal_exits_3(workdir, capsys):
     code, _, err = run(
         capsys, "certify", workdir / "eka.json", "--gen", "deterministic", "--cap", 20,

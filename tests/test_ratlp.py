@@ -184,6 +184,22 @@ def test_lp_rows_refuse_floats_and_bools(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda: LpRow({1.5: 1}, "<=", 0), "1.5"),
+        (lambda: LpRow({True: 1}, "<=", 0), "True"),
+        (lambda: LpRow({0: 1, 1.0: 0}, "=", 0), "1.0"),
+        (lambda: LpProblem(num_vars=2, objective={0.7: 1}, rows=()), "0.7"),
+    ],
+    ids=["float-key", "bool-key", "zero-valued-float-key", "float-objective-key"],
+)
+def test_lp_rows_refuse_non_int_keys(make, key):
+    # int() would cut 1.5 and True down to variable 1, and 0.7 to variable 0
+    with pytest.raises(ValueError, match=f"^variable index must be an int, got {key}$"):
+        make()
+
+
 def test_lp_row_keeps_ints_and_fractions():
     row = LpRow({0: 2, 1: F(1, 2), 2: "3/4", 3: 0}, "<=", 0)
     assert row.coeffs == {0: 2, 1: F(1, 2), 2: F(3, 4)}
