@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Mutation check of the checkers, the input decoders, build_lp's row dedup, the
-simplex tableau's row scans and the stage-1 search: every mutant below must
-fail a test.
+simplex tableau's row scans, the stage-1 search and the CLI's exit codes:
+every mutant below must fail a test.
 
-A mutant is one exact string replacement in one file: (name, file, old, new).
-The runner copies src/, tests/, scripts/, pyproject.toml and the stored
-certificates the tests read (perfbench/stored/) to a temporary directory and
-runs `python -m pytest -x -q tests` there (less the test that checks this
-list against the tree), first unmutated (which must pass), then once per
-mutant on a fresh copy with that one replacement applied, printing
-the first test that failed.  A mutant whose run passes has survived: the tests
-do not pin the check it breaks.  The exit code is 1 if any mutant survived.
-A full run takes about a minute per mutant; it is not part of the test suite.
+A mutant is one exact string replacement in one file, plus the test that
+killed it in the last full sweep: (name, file, old, new, killer).  The runner
+copies src/, tests/, scripts/, pyproject.toml and the stored certificates the
+tests read (perfbench/stored/) to a temporary directory and runs
+`python -m pytest -x -q tests` there (less the test that checks this list
+against the tree), unmutated, which must pass.  Then, once per mutant on a
+fresh copy with that one replacement applied, it runs the recorded killer
+first, and the whole suite only if the killer passes (DeMillo, Lipton and
+Sayward, IEEE Computer 11(4), 1978, order tests by how likely they are to
+kill).  It prints the test that failed, and the recorded killer too when
+that was another test.  A mutant whose runs pass has survived: the tests do
+not pin the check it breaks.  The exit code is 1 if any mutant survived.  A
+sweep takes about two minutes on a 2-vCPU host, most of it the unmutated
+run; it is not part of the test suite.
 
 Usage:
     python scripts/mutants.py
@@ -39,97 +44,152 @@ MEASURES = "src/nodistill/measures.py"
 MUTANTS = (
     # verify_certificate
     ("unknown-verdict", CERTIFIER,
-     'return fail(f"unknown verdict {cert.verdict!r}")', "pass"),
+     'return fail(f"unknown verdict {cert.verdict!r}")', "pass",
+     "tests/test_certifier.py::test_verify_refuses_an_unknown_verdict"),
     ("undistillable-optimum-boundary", CERTIFIER,
-     "if cert.optimum > 0:", "if cert.optimum > 1:"),
+     "if cert.optimum > 0:", "if cert.optimum > 1:",
+     "tests/test_certifier.py::test_verify_refuses_undistillable_with_optimum_one"),
     ("inconclusive-optimum-boundary", CERTIFIER,
-     "if cert.optimum <= 0:", "if cert.optimum < 0:"),
+     "if cert.optimum <= 0:", "if cert.optimum < 0:",
+     "tests/test_certifier.py::test_verify_refuses_inconclusive_with_optimum_zero"),
     ("witness-axes-unchecked", CERTIFIER,
-     "if cert.primal.axes != setup.q_axes():", "if False:"),
+     "if cert.primal.axes != setup.q_axes():", "if False:",
+     "tests/test_certifier.py::test_verify_refuses_a_witness_on_other_axes"),
     ("fingerprint-unchecked", CERTIFIER,
-     "if cert.fingerprint != problem_fingerprint(g, family, lambda0):", "if False:"),
+     "if cert.fingerprint != problem_fingerprint(g, family, lambda0):", "if False:",
+     "tests/test_certifier.py::test_verify_wrong_g_fingerprint"),
     ("digest-unchecked", CERTIFIER,
-     "if cert.digest != _certificate_digest(cert):", "if False:"),
+     "if cert.digest != _certificate_digest(cert):", "if False:",
+     "tests/test_acceptance.py::test_criterion_8_certificate_integrity"),
     ("size-guard-boundary", CERTIFIER,
-     "if dm > self.max_dm:", "if dm > self.max_dm + 1:"),
+     "if dm > self.max_dm:", "if dm > self.max_dm + 1:",
+     "tests/test_certifier.py::test_size_guard_boundary"),
     ("certify-self-check-skipped", CERTIFIER,
-     "if not ratlp.check_solution(build.problem, sol):", "if False:"),
+     "if not ratlp.check_solution(build.problem, sol):", "if False:",
+     "tests/test_cli.py::test_certify_exits_4_when_the_solver_output_fails_its_check"),
     # build_lp
     ("row-key-without-block", CERTIFIER,
      "key = tuple((k, keys[(k >> shift) & 1]) for k in ks",
-     "key = tuple(keys[(k >> shift) & 1] for k in ks"),
+     "key = tuple(keys[(k >> shift) & 1] for k in ks",
+     "tests/test_acceptance.py::test_criterion_5_soundness_anchors"),
     # ratlp.violation and the problem it checks against
     ("negative-entry-allowed", RATLP,
-     "            if v < 0:\n", "            if v < -1:\n"),
+     "            if v < 0:\n", "            if v < -1:\n",
+     "tests/test_ratlp.py::test_check_rejects_malformed_point[negative-primal]"),
     ("equality-row-as-le", RATLP,
-     "if lhs > row.rhs if row.sense == SENSE_LE else lhs != row.rhs:", "if lhs > row.rhs:"),
+     "if lhs > row.rhs if row.sense == SENSE_LE else lhs != row.rhs:", "if lhs > row.rhs:",
+     "tests/test_certifier.py::test_verify_checks_the_norm_row_as_an_equality"),
     ("le-row-off-by-one", RATLP,
-     "if lhs > row.rhs if row.sense", "if lhs > row.rhs + 1 if row.sense"),
+     "if lhs > row.rhs if row.sense", "if lhs > row.rhs + 1 if row.sense",
+     "tests/test_ratlp.py::test_violation_names_the_first_failed_condition[le-row]"),
     ("objective-unchecked", RATLP,
-     "if obj != value:", "if False:"),
+     "if obj != value:", "if False:",
+     "tests/test_certifier.py::test_verify_reports_the_witness_objective"),
     ("short-dual-allowed", RATLP,
-     "if len(y) != len(problem.rows):", "if len(y) > len(problem.rows):"),
+     "if len(y) != len(problem.rows):", "if len(y) > len(problem.rows):",
+     "tests/test_certifier.py::test_verify_reports_a_dual_of_the_wrong_length[7]"),
     ("multiplier-sign-on-any-row", RATLP,
-     "if row.sense == SENSE_LE and yr < 0:", "if yr < 0:"),
+     "if row.sense == SENSE_LE and yr < 0:", "if yr < 0:",
+     "tests/test_acceptance.py::test_criterion_7_solver_vs_brute_force"),
     ("multiplier-sign-unchecked", RATLP,
-     "if row.sense == SENSE_LE and yr < 0:", "if False:"),
+     "if row.sense == SENSE_LE and yr < 0:", "if False:",
+     "tests/test_certifier.py::test_verify_reports_negative_multiplier_row"),
     ("negative-multipliers-skipped", RATLP,
-     "            if yr:\n", "            if yr > 0:\n"),
+     "            if yr:\n", "            if yr > 0:\n",
+     "tests/test_acceptance.py::test_criterion_7_solver_vs_brute_force"),
     ("objective-columns-unchecked", RATLP,
-     "if total * c.denominator < c.numerator * d:", "if False:"),
+     "if total * c.denominator < c.numerator * d:", "if False:",
+     "tests/test_certifier.py::test_verify_reports_first_dual_infeasible_variable"),
     ("outside-columns-unchecked", RATLP,
-     "if j not in problem.objective and total < 0:", "if False:"),
+     "if j not in problem.objective and total < 0:", "if False:",
+     "tests/test_certifier.py::test_verify_reports_a_negative_column_outside_the_objective"),
     ("bound-unchecked", RATLP,
-     "if bound != value:", "if False:"),
+     "if bound != value:", "if False:",
+     "tests/test_certifier.py::test_verify_math_catches_resigned_optimum_tamper"),
     ("row-variable-range-unchecked", RATLP,
-     'raise ValueError(f"row {r} references variable {j} out of range")', "pass"),
+     'raise ValueError(f"row {r} references variable {j} out of range")', "pass",
+     "tests/test_ratlp.py::test_row_variable_out_of_range_rejected[2]"),
     ("lp-row-accepts-any-value", RATLP,
-     "return c if type(c) in (int, Fraction) else ensure_fraction(c)", "return c"),
+     "return c if type(c) in _EXACT else ensure_fraction(c)", "return c",
+     "tests/test_ratlp.py::test_lp_rows_refuse_floats_and_bools[float-coefficient]"),
     ("int-row-admits-bools", RATLP,
-     "set(map(type, coeffs.values())) <= types", "set(map(type, coeffs.values())) <= types | {bool}"),
+     "and set(map(type, coeffs.values())) <= _EXACT\n",
+     "and set(map(type, coeffs.values())) <= _EXACT | {bool}\n",
+     "tests/test_ratlp.py::test_lp_rows_refuse_floats_and_bools[bool-coefficient]"),
     ("dual-denominator-without-row", RATLP,
-     "den = yr.denominator * scale", "den = yr.denominator"),
+     "den = yr.denominator * scale", "den = yr.denominator",
+     "tests/test_acceptance.py::test_criterion_7_solver_vs_brute_force"),
     ("lp-row-truncates-keys", RATLP,
-     'raise ValueError(f"variable index must be an int, got {j!r}")\n    return {j: convert(c)',
-     "pass\n    return {int(j): convert(c)"),
+     'raise ValueError(f"variable index must be an int, got {j!r}")\n    return {j: _exact(c)',
+     "pass\n    return {int(j): _exact(c)",
+     "tests/test_ratlp.py::test_lp_rows_refuse_non_int_keys[float-key]"),
     # the simplex tableau's row scans
     ("pivot-skips-objective-row", RATLP,
-     "for rr, row in enumerate(self.rows):", "for rr, row in enumerate(self.rows[:self.m]):"),
+     "for rr, row in enumerate(self.rows):", "for rr, row in enumerate(self.rows[:self.m]):",
+     "tests/test_acceptance.py::test_criterion_1_fraction_oracle_equivalence"),
     ("pivot-clears-later-rows-only", RATLP,
-     "if j in row and rr != r:", "if j in row and rr > r:"),
+     "if j in row and rr != r:", "if j in row and rr > r:",
+     "tests/test_acceptance.py::test_criterion_5_soundness_anchors"),
     ("ratio-tie-to-greatest-basic", RATLP,
-     "basis[r] > basis[leaving]", "basis[r] < basis[leaving]"),
+     "basis[r] > basis[leaving]", "basis[r] < basis[leaving]",
+     "tests/test_certifier.py::test_certificate_digests_pinned[eka-det4]"),
     # input decoding
     ("rational-underscores", RAT,
-     '(?P<num>[+-]?[0-9]+)', '(?P<num>[+-]?[0-9_]+)'),
+     '(?P<num>[+-]?[0-9]+)', '(?P<num>[+-]?[0-9_]+)',
+     "tests/test_cli.py::test_certify_rejects_loose_lambda0[1_0/20]"),
     ("rational-zero-denominator", RAT,
-     "if den == 0:", "if den < 0:"),
+     "if den == 0:", "if den < 0:",
+     "tests/test_rat.py::test_parse_rejects_non_rationals[1/0]"),
     ("manifest-unknown-keys", CLI,
-     '_known_keys(entry, "manifest entry", ("g", "family", "lambda0"))', "pass"),
+     '_known_keys(entry, "manifest entry", ("g", "family", "lambda0"))', "pass",
+     "tests/test_cli.py::test_batch_refuses_a_loose_entry[unknown-key]"),
     ("manifest-g-any-type", CLI,
-     "if not isinstance(g_path, str):", "if False:"),
+     "if not isinstance(g_path, str):", "if False:",
+     "tests/test_cli.py::test_batch_refuses_a_loose_entry[g-not-string]"),
+    # the CLI's exit codes
+    ("runtime-error-escapes-main", CLI,
+     "except RuntimeError as exc:",
+     "except (ratlp.PivotBudgetExceeded, certifier.CertifierError) as exc:",
+     "tests/test_cli.py::test_lambda_max_exits_4_when_a_refined_witness_fails_its_recheck"),
+    ("batch-guard-row-exits-2", CLI,
+     "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_GUARD",
+     "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_INPUT",
+     "tests/test_cli.py::test_batch_guard_refusal_is_an_exit_3_row[huge]"),
+    ("guard-counts-always-in-digits", CERTIFIER,
+     "if factor.bit_length() + log2 <= 64:", "if True:",
+     "tests/test_cli.py::test_certify_guard_refuses_a_huge_adversary_axis"),
     # the stage-1 search
     ("best-pair-tie-to-last", MEASURES,
      "if best is None or num * best[1] > best[0] * den:",
-     "if best is None or num * best[1] >= best[0] * den:"),
+     "if best is None or num * best[1] >= best[0] * den:",
+     "tests/test_cli.py::test_lambda_max_pair_budget[budget-6561]"),
     ("coin-mass-not-doubled", MEASURES,
-     "mass += mass_a[y] * len(OUTPUTS[action])", "mass += mass_a[y]"),
+     "mass += mass_a[y] * len(OUTPUTS[action])", "mass += mass_a[y]",
+     "tests/test_acceptance.py::test_criterion_10_estimator_sanity"),
     ("distillable-at-lambda0", MEASURES,
      "if num * lambda0.denominator > lambda0.numerator * den:",
-     "if num * lambda0.denominator >= lambda0.numerator * den:"),
+     "if num * lambda0.denominator >= lambda0.numerator * den:",
+     "tests/test_measures.py::test_distillability_eve_knows_all_none"),
 )
 
 
-def run_tests(tree: Path) -> str | None:
-    """The first failing test's id, or None if the tests pass."""
+def run_tests(tree: Path, target: str = "tests") -> str | None:
+    """The first failing test's id in `target` (a directory or a test id), or None if it passes."""
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect",
-         STALENESS_TEST, "tests"],
+         STALENESS_TEST, target],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode == 0:
         return None
     return first_failure(proc.stdout) or f"pytest exit {proc.returncode}"
+
+
+def killed_by(tree: Path, killer: str) -> str | None:
+    """The test that fails on `tree`: `killer` if it does, else the suite's first failure."""
+    if run_tests(tree, killer) == killer:
+        return killer
+    return run_tests(tree)
 
 
 def first_failure(stdout: str) -> str | None:
@@ -161,7 +221,7 @@ def main() -> int:
             print(f"the unmutated tree fails {failed}; fix that first")
             return 2
         survivors = []
-        for i, (name, file, old, new) in enumerate(MUTANTS):
+        for i, (name, file, old, new, killer) in enumerate(MUTANTS):
             tree = copy_tree(Path(tmp) / f"m{i}")
             path = tree / file
             text = path.read_text()
@@ -170,10 +230,11 @@ def main() -> int:
                 return 2
             path.write_text(text.replace(old, new))
             t0 = time.perf_counter()
-            killer = run_tests(tree)
-            print(f"{name}\t{f'killed by {killer}' if killer else 'SURVIVED'}\t"
+            failed = killed_by(tree, killer)
+            note = "" if failed in (killer, None) else f" (recorded {killer})"
+            print(f"{name}\t{f'killed by {failed}' if failed else 'SURVIVED'}{note}\t"
                   f"{time.perf_counter() - t0:.0f}s", flush=True)
-            if not killer:
+            if not failed:
                 survivors.append(name)
             shutil.rmtree(tree)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")

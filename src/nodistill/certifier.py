@@ -46,6 +46,13 @@ class CertifierError(RuntimeError):
 # -- problem shape ------------------------------------------------------------
 
 
+def _count(factor: int, log2: int) -> str:
+    """factor * 2^log2 in digits while it is below 2^64, else the power of two at or below it."""
+    if factor.bit_length() + log2 <= 64:
+        return str(factor << log2)
+    return f"2^{factor.bit_length() - 1 + log2} or more"
+
+
 @dataclass(frozen=True)
 class CertificationProblem:
     g: JointDist
@@ -99,12 +106,13 @@ class CertificationProblem:
         return 4 * self.size_a * self.size_b * self.num_selectors
 
     def check_size_guard(self):
+        """Refuse d + M above max_dm, without building the counts it reports."""
         dm = self.d + self.m
         if dm > self.max_dm:
             raise SizeGuardError(
                 f"d + M = {self.d} + {self.m} = {dm} exceeds the bound {self.max_dm}: "
-                f"the program would have {self.num_vars} variables and about "
-                f"{dm * self.num_selectors} selector rows; raise max_dm to override"
+                f"the program would have {_count(4 * self.size_a * self.size_b, dm)} "
+                f"variables and about {_count(dm, dm)} selector rows; raise max_dm to override"
             )
 
     def q_axes(self) -> tuple[Axis, ...]:
@@ -490,7 +498,7 @@ def verify_certificate(
     try:
         setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)
         build = build_lp(setup)
-    except (ValueError, SizeGuardError) as exc:
+    except ValueError as exc:
         return fail(f"cannot rebuild program: {exc}")
 
     if cert.verdict == INCONCLUSIVE:

@@ -27,13 +27,16 @@ EXIT_GUARD = 3
 EXIT_SOLVER = 4
 
 
-class _InputError(Exception):
-    pass
-
-
 def _reason(exc: Exception) -> str:
     """Why an input failed, in one line: a KeyError names the missing key."""
     return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of a refusal: the size guard 3, an input error 2, anything else 4."""
+    if isinstance(exc, certifier.SizeGuardError):
+        return EXIT_GUARD
+    return EXIT_INPUT if isinstance(exc, (ValueError, KeyError)) else EXIT_SOLVER
 
 
 def _read(kind: str, path: str, loads):
@@ -44,7 +47,7 @@ def _read(kind: str, path: str, loads):
     try:
         return loads(Path(path).read_text())
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise _InputError(f"cannot read {kind} {path}: {_reason(exc)}") from exc
+        raise ValueError(f"cannot read {kind} {path}: {_reason(exc)}") from exc
 
 
 def _load_dist(path: str) -> JointDist:
@@ -56,12 +59,9 @@ def _load_family(path: str) -> families.MapFamily:
 
 
 def _parse_lambda0(text: str) -> Fraction:
-    try:
-        lam = parse_rational(text)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    lam = parse_rational(text)
     if not (Fraction(1, 2) <= lam < 1):
-        raise _InputError(f"lambda0 must lie in [1/2, 1), got {text}")
+        raise ValueError(f"lambda0 must lie in [1/2, 1), got {text}")
     return lam
 
 
@@ -70,7 +70,7 @@ def _family_for(args, g: JointDist) -> families.MapFamily:
     if args.family:
         return _load_family(args.family)
     if not args.gen:
-        raise _InputError("need --family PATH or --gen deterministic|random")
+        raise ValueError("need --family PATH or --gen deterministic|random")
     sa, sb = g.axis("A").size, g.axis("B").size
     return _generate_family(args.gen, sa, sb, args.M, args.cap, args.seed, args.denom_bound)
 
@@ -81,24 +81,19 @@ def _generate_family(kind, a_copy, b_copy, m, cap, seed, denom_bound) -> familie
         return families.deterministic_family(a_copy, b_copy, cap=size)
     if kind == "random":
         if m is None:
-            raise _InputError("random family generation needs --M")
+            raise ValueError("random family generation needs --M")
         return families.random_filter_family(
             a_copy, b_copy, m=m, seed=seed if seed is not None else 0,
             denom_bound=denom_bound if denom_bound is not None else 4,
         )
-    raise _InputError(f"unknown generator {kind!r}")
+    raise ValueError(f"unknown generator {kind!r}")
 
 
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_lambda(args) -> int:
-    p = _load_dist(args.dist)
-    try:
-        value = measures.secret_bit_fraction(p)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    print(format_rational(value))
+    print(format_rational(measures.secret_bit_fraction(_load_dist(args.dist))))
     return EXIT_OK
 
 
@@ -110,8 +105,6 @@ def cmd_lambda_max(args) -> int:
     except measures.SearchBudgetExhausted as exc:
         print(f"no witness searched: {exc}")
         return EXIT_OK
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
     print(f"lower bound {format_rational(witness.value)}")
     print(json.dumps(witness.to_json_dict(), indent=1, sort_keys=True))
     return EXIT_OK
@@ -157,29 +150,29 @@ def cmd_verify(args) -> int:
 def _known_keys(obj: dict, what: str, keys: tuple[str, ...]):
     for k in obj:
         if k not in keys:
-            raise _InputError(f"{what} has unknown key {k!r}")
+            raise ValueError(f"{what} has unknown key {k!r}")
 
 
 def _batch_row(entry: dict, base: Path, max_dm: int):
     if not isinstance(entry, dict):
-        raise _InputError(f"manifest entry must be an object, got {json.dumps(entry)}")
+        raise ValueError(f"manifest entry must be an object, got {json.dumps(entry)}")
     _known_keys(entry, "manifest entry", ("g", "family", "lambda0"))
     g_path = entry["g"]
     if not isinstance(g_path, str):
-        raise _InputError(f"manifest g must be a path string, got {json.dumps(g_path)}")
+        raise ValueError(f"manifest g must be a path string, got {json.dumps(g_path)}")
     g = _load_dist(str(base / g_path))
     fam_spec = entry["family"]
     if isinstance(fam_spec, str):
         family = _load_family(str(base / fam_spec))
         fam_desc = fam_spec
     elif not isinstance(fam_spec, dict):
-        raise _InputError(f"family must be a path or an object, got {json.dumps(fam_spec)}")
+        raise ValueError(f"family must be a path or an object, got {json.dumps(fam_spec)}")
     else:
         fields = ("M", "cap", "seed", "denom_bound")
         _known_keys(fam_spec, "family", ("gen", *fields))
         gen = fam_spec["gen"]
         if not isinstance(gen, str):
-            raise _InputError("family gen must be a string")
+            raise ValueError("family gen must be a string")
         ints = [
             None if fam_spec.get(k) is None else _json_int(fam_spec[k], f"family {k}")
             for k in fields
@@ -195,7 +188,7 @@ def cmd_batch(args) -> int:
     base = Path(args.manifest).parent
     manifest = _read("manifest", args.manifest, json.loads)
     if not isinstance(manifest, list):
-        raise _InputError("manifest must be a JSON list of {g, family, lambda0} entries")
+        raise ValueError("manifest must be a JSON list of {g, family, lambda0} entries")
 
     results = []
     for entry in manifest:
@@ -203,17 +196,9 @@ def cmd_batch(args) -> int:
         g = entry.get("g") if isinstance(entry, dict) else None
         label = g if isinstance(g, str) else "?"
         try:
-            row = _batch_row(entry, base, args.max_dm)
-            code = EXIT_OK
-        except certifier.SizeGuardError as exc:
-            row = (label, "?", "?", "ERROR", str(exc))
-            code = EXIT_GUARD
-        except (_InputError, ValueError, KeyError) as exc:
-            row = (label, "?", "?", "ERROR", _reason(exc))
-            code = EXIT_INPUT
+            row, code = _batch_row(entry, base, args.max_dm), EXIT_OK
         except Exception as exc:
-            row = (label, "?", "?", "ERROR", str(exc))
-            code = EXIT_SOLVER
+            row, code = (label, "?", "?", "ERROR", _reason(exc)), _exit_code(exc)
         results.append((row, code, time.perf_counter() - t0))
 
     rows = sorted(r for r, _, _ in results)
@@ -241,7 +226,6 @@ def cmd_gen_family(args) -> int:
 
 
 def _add_family_flags(sp):
-    sp.add_argument("--family", help="path to a family JSON file")
     sp.add_argument("--gen", choices=["deterministic", "random"], help="generate the family")
     sp.add_argument("--M", type=int, default=None, help="family size for generation")
     sp.add_argument("--cap", type=int, default=None, help="cap for deterministic generation")
@@ -269,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="run the certification program")
     sp.add_argument("g")
+    sp.add_argument("--family", help="path to a family JSON file")
     _add_family_flags(sp)
     sp.add_argument("--lambda0", default="1/2")
     sp.add_argument("--max-dm", type=int, default=16, dest="max_dm",
@@ -308,14 +293,11 @@ def main(argv=None) -> int:
     except certifier.SizeGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (_InputError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {_reason(exc)}", file=sys.stderr)
         return EXIT_INPUT
-    except (ratlp.PivotBudgetExceeded, certifier.CertifierError) as exc:
+    except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except measures.SearchBudgetExhausted as exc:
-        print(f"search budget exhausted: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -254,8 +254,6 @@ def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> 
             best_det is None or num * best_det[1] > best_det[0] * den
         ):
             best_det = entry
-    if best is None:
-        raise SearchBudgetExhausted("no map pair with positive filtered mass found")
     witness = _witness(p, *best)
     if opts.refine_rounds > 0:
         seeds = [witness]

@@ -27,7 +27,8 @@ class Axis:
 
     Labels may be composite ("A-bit", "A-copy"); `factors` optionally records
     the sizes of the merged sub-alphabets, outermost first, for axes produced
-    by merging.  Factors are annotation only and do not affect identity.
+    by merging.  Factors are part of identity: two axes are equal, and hash
+    alike, only when label, size and factors all agree.
     """
 
     party: str

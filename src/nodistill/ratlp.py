@@ -58,33 +58,33 @@ class PivotBudgetExceeded(RuntimeError):
 
 
 _INT = {int}
-_FRACTION = {Fraction}
+_EXACT = {int, Fraction}
 
 
 def _exact(c) -> int | Fraction:
     """An int or Fraction as it is, anything else through `ensure_fraction`."""
-    return c if type(c) in (int, Fraction) else ensure_fraction(c)
+    return c if type(c) in _EXACT else ensure_fraction(c)
 
 
-def _typed(coeffs: dict, types: set) -> bool:
-    """Whether every key is an int and every value a nonzero of one of `types`.
+def _typed(coeffs: dict) -> bool:
+    """Whether every key is an int and every value a nonzero int or Fraction.
 
     One C-level pass over the keys and one over the values, so a row that
     is already in final form is taken without reading its entries one by one.
     """
     return (
         set(map(type, coeffs)) <= _INT
-        and set(map(type, coeffs.values())) <= types
+        and set(map(type, coeffs.values())) <= _EXACT
         and 0 not in coeffs.values()
     )
 
 
-def _checked(coeffs: dict, convert) -> dict:
-    """`coeffs` less its zeros, the rest through `convert`; a non-int key is refused."""
+def _checked(coeffs: dict) -> dict:
+    """`coeffs` less its zeros, the rest through `_exact`; a non-int key is refused."""
     for j in coeffs:
         if type(j) is not int:
             raise ValueError(f"variable index must be an int, got {j!r}")
-    return {j: convert(c) for j, c in coeffs.items() if c != 0}
+    return {j: _exact(c) for j, c in coeffs.items() if c != 0}
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ class LpRow:
 
     Zero coefficients are dropped and any other value goes through
     `ensure_fraction`, which refuses floats and bools; a key that is not an
-    int is refused.  A row of int keys and nonzero int coefficients is taken
-    as it is.
+    int is refused.  A row of int keys and nonzero int or Fraction
+    coefficients is taken as it is.
     """
 
     coeffs: Mapping[int, int | Fraction]
@@ -105,8 +105,8 @@ class LpRow:
         if self.sense not in (SENSE_LE, SENSE_EQ):
             raise ValueError(f"row sense must be '<=' or '=', got {self.sense!r}")
         coeffs = dict(self.coeffs)
-        if not _typed(coeffs, _INT):
-            coeffs = _checked(coeffs, _exact)
+        if not _typed(coeffs):
+            coeffs = _checked(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if type(self.rhs) is not int:
             object.__setattr__(self, "rhs", _exact(self.rhs))
@@ -136,16 +136,21 @@ def _first_out_of_range(keys, n: int) -> int | None:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max objective . x  subject to rows, x >= 0; the objective's values are Fractions."""
+    """max objective . x  subject to rows, x >= 0.
+
+    The objective is taken by the same rule as a row's coefficients: ints
+    and Fractions are kept as given and zeros dropped, anything else goes
+    through `ensure_fraction`, and a key that is not an int is refused.
+    """
 
     num_vars: int
-    objective: Mapping[int, Fraction]
+    objective: Mapping[int, int | Fraction]
     rows: tuple[LpRow, ...]
 
     def __post_init__(self):
         objective = dict(self.objective)
-        if not _typed(objective, _FRACTION):
-            objective = _checked(objective, ensure_fraction)
+        if not _typed(objective):
+            objective = _checked(objective)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", tuple(self.rows))
         j = _first_out_of_range(objective, self.num_vars)
@@ -223,7 +228,7 @@ class _Tableau:
 
     # -- objective row ----------------------------------------------------
 
-    def set_costs(self, costs: Mapping[int, Fraction]):
+    def set_costs(self, costs: Mapping[int, int | Fraction]):
         """Make row m z - c.x = 0 for `costs`: basic columns cleared, content divided out."""
         m = self.m
         d = lcm(*(c.denominator for c in costs.values()))

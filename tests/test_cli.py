@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -122,6 +123,22 @@ def test_lambda_max_refine_rounds(workdir, capsys):
     assert witness.recheck(p) == value1
 
 
+def test_lambda_max_exits_4_when_a_refined_witness_fails_its_recheck(workdir, capsys, monkeypatch):
+    # the input of test_lambda_max_refine_rounds, whose refinement finds a better witness
+    p = JointDist(
+        (Axis("A", 2), Axis("B", 2), Axis("E", 2)),
+        {
+            (0, 0, 0): F(4, 11), (0, 0, 1): F(2, 11), (0, 1, 0): F(3, 11),
+            (1, 0, 1): F(1, 11), (1, 1, 0): F(1, 11),
+        },
+    )
+    (workdir / "p.json").write_text(p.dumps())
+    monkeypatch.setattr(LambdaWitness, "recheck", lambda self, p: self.value + 1)
+    code, out, err = run(capsys, "lambda-max", workdir / "p.json", "--refine-rounds", 1)
+    assert (code, out) == (4, "")
+    assert err == "solver failure: refinement produced a witness that fails its exact recheck\n"
+
+
 def test_lambda_max_negative_refine_rounds_exits_2(workdir, capsys):
     code, out, err = run(capsys, "lambda-max", workdir / "sb.json", "--refine-rounds", -1)
     assert code == 2 and out == ""
@@ -239,6 +256,60 @@ def test_certify_guard_boundary(workdir, capsys, max_dm, code):
     assert ("refused: d + M = 1 + 1 = 2 exceeds the bound 1" in err) == (code == 3)
 
 
+HUGE = 10**30
+# 4 * |A| * |B| * 2^(d + M) variables and (d + M) * 2^(d + M) selector rows, as powers of two
+HUGE_REFUSAL = (
+    f"d + M = {HUGE} + 1 = {HUGE + 1} exceeds the bound 16: the program would have "
+    f"2^{HUGE + 3} or more variables and about 2^{HUGE + 100} or more selector rows; "
+    "raise max_dm to override"
+)
+
+
+@pytest.fixture
+def huge_eve(workdir):
+    """A one-entry g whose adversary axis has 10^30 symbols."""
+    g = JointDist((Axis("A", 1), Axis("B", 1), Axis("E", HUGE)), {(0, 0, 0): F(1)})
+    (workdir / "huge.json").write_text(g.dumps())
+    return workdir / "huge.json"
+
+
+def test_certify_guard_refuses_a_huge_adversary_axis(huge_eve, capsys):
+    code, out, err = run(capsys, "certify", huge_eve, "--gen", "deterministic", "--M", 1)
+    assert (code, out) == (3, "")
+    assert err == f"refused: {HUGE_REFUSAL}\n"
+
+
+def test_verify_refuses_to_rebuild_a_huge_program(huge_eve, workdir, capsys):
+    from nodistill.certifier import UNDISTILLABLE, Certificate, _certificate_digest, problem_fingerprint
+
+    g = JointDist.loads(huge_eve.read_text())
+    fam = deterministic_family(1, 1, cap=1)
+    cert = Certificate(UNDISTILLABLE, F(0), F(1, 2), problem_fingerprint(g, fam, F(1, 2)), dual=())
+    cert = replace(cert, digest=_certificate_digest(cert))
+    (workdir / "huge_cert.json").write_text(cert.dumps())
+    code, out, err = run(capsys, "verify", huge_eve, workdir / "fam1.json", workdir / "huge_cert.json")
+    assert (code, err) == (1, "")
+    assert out == f"certificate INVALID: cannot rebuild program: {HUGE_REFUSAL}\n"
+
+
+@pytest.mark.parametrize(
+    "entry, max_dm, reason",
+    [
+        ({"g": "huge.json", "family": {"gen": "deterministic", "M": 1}}, 16, HUGE_REFUSAL),
+        ({"g": "triv.json", "family": "fam1.json"}, 1,
+         "d + M = 1 + 1 = 2 exceeds the bound 1: the program would have 16 variables "
+         "and about 8 selector rows; raise max_dm to override"),
+    ],
+    ids=["huge", "small"],
+)
+def test_batch_guard_refusal_is_an_exit_3_row(huge_eve, workdir, capsys, entry, max_dm, reason):
+    path = workdir / "manifest_guard.json"
+    path.write_text(json.dumps([entry]))
+    code, out, _ = run(capsys, "batch", path, "--max-dm", max_dm)
+    assert code == 3
+    assert out.splitlines()[1:] == [f"{entry['g']}\t?\t?\tERROR\t{reason}"]
+
+
 def test_certify_exits_4_when_the_solver_output_fails_its_check(workdir, capsys, monkeypatch):
     from nodistill import ratlp
 
@@ -253,6 +324,62 @@ def test_certify_exits_4_when_the_solver_output_fails_its_check(workdir, capsys,
     code, out, err = run(capsys, "certify", workdir / "triv.json", "--family", workdir / "fam1.json")
     assert (code, out) == (4, "")
     assert err == "solver failure: solver output failed its independent optimality check\n"
+
+
+def bad_map_family(workdir, side, coeffs):
+    """fam1.json with one map's coefficient matrix replaced."""
+    fam = json.loads((workdir / "fam1.json").read_text())
+    fam["pairs"][0][side]["coeffs"] = coeffs
+    path = workdir / "bad_map.json"
+    path.write_text(json.dumps(fam))
+    return path
+
+
+@pytest.mark.parametrize(
+    "side, coeffs, reason",
+    [
+        ("map_a", [["1/1", "0/1"], ["0/1", "1/1"], ["0/1", "0/1"]],
+         "map has 3 rows but output axis 'A' has size 2"),
+        ("map_b", [["1/1"], ["0/1"]], "map row has 1 columns but input axis size is 2"),
+        ("map_a", [["1/1", "-1/1"], ["0/1", "1/1"]], "negative map coefficient -1"),
+    ],
+    ids=["rows", "columns", "negative"],
+)
+def test_certify_refuses_a_malformed_map(workdir, capsys, side, coeffs, reason):
+    path = bad_map_family(workdir, side, coeffs)
+    code, out, err = run(capsys, "certify", workdir / "triv.json", "--family", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read family {path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "sizes, reason",
+    [
+        ((2, 2), "family pair 0: map_a input size 4 != 2*|A| = 2"),
+        ((1, 2), "family pair 0: map_b input size 4 != 2*|B| = 2"),
+    ],
+    ids=["map_a", "map_b"],
+)
+def test_certify_refuses_a_family_for_other_alphabets(workdir, capsys, sizes, reason):
+    path = workdir / "other.json"
+    path.write_text(deterministic_family(*sizes, cap=1).dumps())
+    code, out, err = run(capsys, "certify", workdir / "triv.json", "--family", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        ((), "need --family PATH or --gen deterministic|random"),
+        (("--gen", "random"), "random family generation needs --M"),
+    ],
+    ids=["no-family", "random-without-M"],
+)
+def test_certify_refuses_missing_family_flags(workdir, capsys, flags, reason):
+    code, out, err = run(capsys, "certify", workdir / "triv.json", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}\n"
 
 
 def test_certify_output_byte_deterministic(workdir, capsys):
@@ -700,6 +827,14 @@ def test_deeply_nested_json_is_an_input_error(workdir, capsys, kind):
     assert err.count("\n") == 1
 
 
+def test_batch_manifest_must_be_a_list(workdir, capsys):
+    path = workdir / "object.json"
+    path.write_text(json.dumps({"g": "triv.json", "family": "fam1.json"}))
+    code, out, err = run(capsys, "batch", path)
+    assert (code, out) == (2, "")
+    assert err == "error: manifest must be a JSON list of {g, family, lambda0} entries\n"
+
+
 def test_batch_unreadable_manifest_exits_2(workdir, capsys):
     path = workdir / "broken.json"
     path.write_text("[")
@@ -734,3 +869,27 @@ def test_gen_family_random_seeded(workdir, capsys):
         "--M", 2, "--seed", 5, "--denom-bound", 3,
     )
     assert code == code2 == 0 and out1 == out2
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (("--gen", "deterministic", "--cap", -1), "cap must be >= 0"),
+        (("--gen", "random", "--M", 0), "family size m must be >= 1"),
+        (("--gen", "random", "--M", 1, "--denom-bound", 0), "denom_bound must be >= 1"),
+    ],
+    ids=["cap", "M", "denom-bound"],
+)
+def test_gen_family_refuses_out_of_range_sizes(capsys, flags, reason):
+    code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}\n"
+
+
+def test_gen_family_takes_no_family_flag(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-family", "--a-copy", "1", "--b-copy", "1", "--gen", "deterministic",
+              "--family", str(workdir / "fam1.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: unrecognized arguments: --family {workdir / 'fam1.json'}\n")

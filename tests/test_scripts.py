@@ -48,11 +48,15 @@ def load_mutants():
 
 def test_every_mutant_applies_exactly_once():
     mutants = load_mutants()
-    names = [name for name, _, _, _ in mutants.MUTANTS]
+    names = [name for name, *_ in mutants.MUTANTS]
     assert len(set(names)) == len(names)
-    for name, file, old, new in mutants.MUTANTS:
+    for name, file, old, new, killer in mutants.MUTANTS:
         assert old != new, name
         assert (mutants.ROOT / file).read_text().count(old) == 1, name
+        # the recorded killer names a test function of the suite
+        path, _, test = killer.partition("::")
+        assert path.startswith("tests/") and test, name
+        assert f"\ndef {test.partition('[')[0]}(" in (mutants.ROOT / path).read_text(), name
 
 
 def test_the_killing_test_id_keeps_its_spaces():
