@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check of the checkers, the input decoders, build_lp's row dedup, the
-simplex tableau's row scans, the stage-1 search and the CLI's exit codes:
-every mutant below must fail a test.
+simplex tableau's row scans, the stage-1 search, the stage-2 refit and the
+CLI's exit codes: every mutant below must fail a test.
 
 A mutant is one exact string replacement in one file, plus the test that
 killed it in the last full sweep: (name, file, old, new, killer).  The runner
@@ -62,7 +62,7 @@ MUTANTS = (
      "if cert.digest != _certificate_digest(cert):", "if False:",
      "tests/test_acceptance.py::test_criterion_8_certificate_integrity"),
     ("size-guard-boundary", CERTIFIER,
-     "if dm > self.max_dm:", "if dm > self.max_dm + 1:",
+     "if dm > max_dm:", "if dm > max_dm + 1:",
      "tests/test_certifier.py::test_size_guard_boundary"),
     ("certify-self-check-skipped", CERTIFIER,
      "if not ratlp.check_solution(build.problem, sol):", "if False:",
@@ -170,6 +170,13 @@ MUTANTS = (
      "if num * lambda0.denominator > lambda0.numerator * den:",
      "if num * lambda0.denominator >= lambda0.numerator * den:",
      "tests/test_measures.py::test_distillability_eve_knows_all_none"),
+    # the stage-2 refit
+    ("refit-without-bit-1-bound", MEASURES,
+     "for row in diag[key])", "for row in diag[key][:1])",
+     "tests/test_measures.py::test_refit_matches_the_branch_oracle"),
+    ("refit-objective-coefficient-1", MEASURES,
+     "dict.fromkeys(ts, 2)", "dict.fromkeys(ts, 1)",
+     "tests/test_measures.py::test_refit_matches_the_branch_oracle"),
 )
 
 

@@ -53,6 +53,28 @@ def _count(factor: int, log2: int) -> str:
     return f"2^{factor.bit_length() - 1 + log2} or more"
 
 
+def _check_g_axes(g: JointDist):
+    if len(g.axes) != 3 or g.labels[:2] != ("A", "B"):
+        raise ValueError(
+            f"g must have exactly three axes ordered (A, B, adversary), got {g.labels}"
+        )
+
+
+def check_size_guard(g: JointDist, m: int, max_dm: int):
+    """Refuse d + M above max_dm for g and a family of m pairs, without building
+    the counts it reports; it needs no family, so one can be checked before it
+    is drawn."""
+    _check_g_axes(g)
+    d = g.axes[2].size
+    dm = d + m
+    if dm > max_dm:
+        raise SizeGuardError(
+            f"d + M = {d} + {m} = {dm} exceeds the bound {max_dm}: the program would have "
+            f"{_count(4 * g.axis('A').size * g.axis('B').size, dm)} variables and about "
+            f"{_count(dm, dm)} selector rows; raise max_dm to override"
+        )
+
+
 @dataclass(frozen=True)
 class CertificationProblem:
     g: JointDist
@@ -64,10 +86,7 @@ class CertificationProblem:
         object.__setattr__(self, "lambda0", ensure_fraction(self.lambda0))
         if not (Fraction(1, 2) <= self.lambda0 < 1):
             raise ValueError(f"lambda0 must lie in [1/2, 1), got {self.lambda0}")
-        if len(self.g.axes) != 3 or self.g.labels[:2] != ("A", "B"):
-            raise ValueError(
-                f"g must have exactly three axes ordered (A, B, adversary), got {self.g.labels}"
-            )
+        _check_g_axes(self.g)
         sa, sb = self.size_a, self.size_b
         for i, pair in enumerate(self.family.pairs):
             if pair.map_a.input_axis.size != 2 * sa:
@@ -104,16 +123,6 @@ class CertificationProblem:
     @property
     def num_vars(self) -> int:
         return 4 * self.size_a * self.size_b * self.num_selectors
-
-    def check_size_guard(self):
-        """Refuse d + M above max_dm, without building the counts it reports."""
-        dm = self.d + self.m
-        if dm > self.max_dm:
-            raise SizeGuardError(
-                f"d + M = {self.d} + {self.m} = {dm} exceeds the bound {self.max_dm}: "
-                f"the program would have {_count(4 * self.size_a * self.size_b, dm)} "
-                f"variables and about {_count(dm, dm)} selector rows; raise max_dm to override"
-            )
 
     def q_axes(self) -> tuple[Axis, ...]:
         return (
@@ -215,7 +224,7 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     computed once per bit value as a (cell, coefficient) table and copied
     into every block k at cell * num_selectors + k.
     """
-    problem.check_size_guard()
+    check_size_guard(problem.g, problem.m, problem.max_dm)
     sp = problem
     lam2 = 2 * sp.lambda0
     d, nk = sp.d, sp.num_selectors

@@ -71,8 +71,16 @@ def _family_for(args, g: JointDist) -> families.MapFamily:
         return _load_family(args.family)
     if not args.gen:
         raise ValueError("need --family PATH or --gen deterministic|random")
+    return _generate_for(g, args.max_dm, args.gen, args.M, args.cap, args.seed, args.denom_bound)
+
+
+def _generate_for(g: JointDist, max_dm: int, kind, m, cap, seed, denom_bound):
+    """`_generate_family` on g's alphabets; a random family of m pairs meets
+    the size guard before it is drawn, as drawing it takes time linear in m."""
     sa, sb = g.axis("A").size, g.axis("B").size
-    return _generate_family(args.gen, sa, sb, args.M, args.cap, args.seed, args.denom_bound)
+    if kind == "random" and m is not None:
+        certifier.check_size_guard(g, m, max_dm)
+    return _generate_family(kind, sa, sb, m, cap, seed, denom_bound)
 
 
 def _generate_family(kind, a_copy, b_copy, m, cap, seed, denom_bound) -> families.MapFamily:
@@ -177,7 +185,7 @@ def _batch_row(entry: dict, base: Path, max_dm: int):
             None if fam_spec.get(k) is None else _json_int(fam_spec[k], f"family {k}")
             for k in fields
         ]
-        family = _generate_family(gen, g.axis("A").size, g.axis("B").size, *ints)
+        family = _generate_for(g, max_dm, gen, *ints)
         fam_desc = json.dumps(fam_spec, sort_keys=True, separators=(",", ":"))
     lambda0 = _parse_lambda0(entry.get("lambda0", "1/2"))
     cert = certifier.certify(g, family, lambda0=lambda0, max_dm=max_dm)

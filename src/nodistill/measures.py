@@ -310,85 +310,53 @@ def _refine(p: JointDist, witness: LambdaWitness, rounds: int) -> LambdaWitness:
         start = witness
         for side in ("A", "B"):
             cand = _refit_side(p, witness, side)
-            if cand is not None and cand.value > witness.value:
+            if cand.value > witness.value:
                 witness = cand
         if witness is start:
             break
     return witness
 
 
-def _refit_side(p: JointDist, witness: LambdaWitness, side: str) -> LambdaWitness | None:
-    """Exact best map for one side, the other fixed, via branch LPs.
+def _refit_side(p: JointDist, witness: LambdaWitness, side: str) -> LambdaWitness:
+    """Exact best map for one side, the other fixed, by one LP.
 
-    Branching over which diagonal entry attains the per-Eve-symbol minimum
-    turns the fraction into a linear objective over the normalized cone of
-    map coefficients (denominator pinned to 1), one LP per branch.
+    With the fixed side applied, the fraction 2 * sum_e min_t q(t,t,e) / mass
+    is linear-fractional in the free map's coefficients, with a concave
+    numerator.  Pinning the mass to 1 (Charnes and Cooper, Naval Research
+    Logistics Quarterly 9, 1962) and bounding one variable t_e per Eve symbol
+    by both diagonal entries q(0,0,e) and q(1,1,e) makes its maximum that of
+    one LP: maximize 2 * sum_e t_e.  The LP is feasible (the witness's own
+    map, rescaled) and bounded (t_e <= mass = 1), so any other status is a
+    solver fault.
     """
     pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
     if side == "A":
         fixed_map, free_pos, other_pos = witness.map_b, pos_a, pos_b
     else:
         fixed_map, free_pos, other_pos = witness.map_a, pos_b, pos_a
-
-    # W[x][b][eve_key] = sum over the fixed side
-    w: dict[tuple[int, int, tuple], Fraction] = {}
-    for idx, v in p.items():
-        x = idx[free_pos]
-        yy = idx[other_pos]
-        key = tuple(idx[i] for i in eve)
-        for b in range(2):
-            c = fixed_map.coeffs[b][yy]
-            if c:
-                k = (x, b, key)
-                w[k] = w.get(k, Fraction(0)) + c * v
-    if not w:
-        return None
-    eve_syms = sorted({k[2] for k in w})
-    if len(eve_syms) > 10:
-        raise ValueError(
-            f"refinement needs 2^{len(eve_syms)} branch programs; Eve alphabet too large"
-        )
     n = p.axes[free_pos].size
-    var = lambda a, x: a * n + x  # noqa: E731 - tiny index helper
-
-    best_val = witness.value
-    best_matrix = None
-    for sigma in itertools.product((0, 1), repeat=len(eve_syms)):
-        sel = dict(zip(eve_syms, sigma))
-        objective: dict[int, Fraction] = {}
-        norm_row: dict[int, Fraction] = {}
-        sel_rows: dict[tuple, dict[int, Fraction]] = {key: {} for key in eve_syms}
-        for (x, b, key), val in w.items():
-            for a in range(2):
-                j = var(a, x)
-                norm_row[j] = norm_row.get(j, Fraction(0)) + val
-            s = sel[key]
-            if b == s:
-                j = var(s, x)
-                objective[j] = objective.get(j, Fraction(0)) + 2 * val
-                sel_rows[key][j] = sel_rows[key].get(j, Fraction(0)) + val
-            if b == 1 - s:
-                j = var(1 - s, x)
-                sel_rows[key][j] = sel_rows[key].get(j, Fraction(0)) - val
-        rows = [ratlp.LpRow(norm_row, "=", Fraction(1))]
-        for key in eve_syms:
-            if sel_rows[key]:
-                rows.append(ratlp.LpRow(sel_rows[key], "<=", Fraction(0)))
-        problem = ratlp.LpProblem(num_vars=2 * n, objective=objective, rows=tuple(rows))
-        sol = ratlp.solve(problem)
-        if sol.status != ratlp.OPTIMAL:
-            continue
-        if sol.objective_value > best_val:
-            best_val = sol.objective_value
-            best_matrix = [[sol.primal[var(a, x)] for x in range(n)] for a in range(2)]
-    if best_matrix is None:
-        return None
+    mass: dict[int, Fraction] = {}
+    # diag[eve_key][b]: the row t_e - q(b,b,e) <= 0 without its t_e entry
+    diag: dict[tuple, tuple[dict, dict]] = {}
+    for idx, v in apply_local(fixed_map, p, p.axes[other_pos].party).items():
+        x, b = idx[free_pos], idx[other_pos]
+        for j in (x, n + x):
+            mass[j] = mass.get(j, 0) + v
+        row = diag.setdefault(tuple(idx[i] for i in eve), ({}, {}))[b]
+        row[b * n + x] = row.get(b * n + x, 0) - v
+    ts = range(2 * n, 2 * n + len(diag))
+    rows = [ratlp.LpRow(mass, "=", 1)]
+    for t, key in zip(ts, sorted(diag)):
+        rows.extend(ratlp.LpRow({t: 1, **row}, "<=", 0) for row in diag[key])
+    sol = ratlp.solve(ratlp.LpProblem(ts.stop, dict.fromkeys(ts, 2), tuple(rows)))
+    if sol.status != ratlp.OPTIMAL:
+        raise RuntimeError(f"refinement program is {sol.status}; solver invariant broken")
     axis = p.axes[free_pos]
-    new_map = LocalMap(axis, Axis(axis.party, 2), best_matrix)
+    new_map = LocalMap(axis, Axis(axis.party, 2), [sol.primal[:n], sol.primal[n : 2 * n]])
     if side == "A":
-        cand = LambdaWitness(value=best_val, map_a=new_map, map_b=witness.map_b)
+        cand = LambdaWitness(value=sol.objective_value, map_a=new_map, map_b=witness.map_b)
     else:
-        cand = LambdaWitness(value=best_val, map_a=witness.map_a, map_b=new_map)
+        cand = LambdaWitness(value=sol.objective_value, map_a=witness.map_a, map_b=new_map)
     if cand.recheck(p) != cand.value:
         raise RuntimeError("refinement produced a witness that fails its exact recheck")
     return cand

@@ -5,8 +5,9 @@ certification program (the universal copy-matching map, currying, lifted
 products, selector grouping, true-minimum lifted values, feasible-point spot
 checks), independent recomputations of values the program works out
 another way (the decomposition form of the secret bit fraction, the
-stage-1 search with one Fraction sum per map pair, the certification rows
-written out block by block, the dual check in Fractions, the LP text parser),
+stage-1 search with one Fraction sum per map pair, the stage-2 refit with
+one LP per sign vector over Eve's symbols, the certification rows written
+out block by block, the dual check in Fractions, the LP text parser),
 and the distribution and map algebra those constructions are stated in
 (entry lookup, scaling, sums, axis splitting, the identity map,
 map composition and Kronecker products, the duplicate-pair test).  Each
@@ -16,6 +17,7 @@ what makes it an oracle.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +27,7 @@ from typing import Iterable, Sequence
 from nodistill import ratlp
 from nodistill.certifier import UNDISTILLABLE, Certificate, CertificationProblem, build_lp
 from nodistill.families import BOTH, OUTPUTS, MapFamily, deterministic_codes
-from nodistill.measures import _ab_eve_split, lambda_advantage
+from nodistill.measures import LambdaWitness, _ab_eve_split, lambda_advantage
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local
 from nodistill.ratlp import LpProblem, LpRow
 from nodistill.rat import ensure_fraction, parse_rational
@@ -538,6 +540,86 @@ def stage1_pairs(p: JointDist):
             value = filtered_fraction(items, pos_a, pos_b, eve, code_a, code_b)
             if value is not None:
                 yield value, code_a, code_b
+
+
+# -- stage-2 refit by branch LPs, one per sign vector over Eve's symbols ------------
+
+
+def refit_side_by_branches(p: JointDist, witness: LambdaWitness, side: str) -> LambdaWitness | None:
+    """Exact best map for one side, the other fixed, via branch LPs.
+
+    Branching over which diagonal entry attains the per-Eve-symbol minimum
+    turns the fraction into a linear objective over the normalized cone of
+    map coefficients (denominator pinned to 1), one LP per branch.
+    """
+    pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
+    if side == "A":
+        fixed_map, free_pos, other_pos = witness.map_b, pos_a, pos_b
+    else:
+        fixed_map, free_pos, other_pos = witness.map_a, pos_b, pos_a
+
+    # W[x][b][eve_key] = sum over the fixed side
+    w: dict[tuple[int, int, tuple], Fraction] = {}
+    for idx, v in p.items():
+        x = idx[free_pos]
+        yy = idx[other_pos]
+        key = tuple(idx[i] for i in eve)
+        for b in range(2):
+            c = fixed_map.coeffs[b][yy]
+            if c:
+                k = (x, b, key)
+                w[k] = w.get(k, Fraction(0)) + c * v
+    if not w:
+        return None
+    eve_syms = sorted({k[2] for k in w})
+    if len(eve_syms) > 10:
+        raise ValueError(
+            f"refinement needs 2^{len(eve_syms)} branch programs; Eve alphabet too large"
+        )
+    n = p.axes[free_pos].size
+    var = lambda a, x: a * n + x  # noqa: E731 - tiny index helper
+
+    best_val = witness.value
+    best_matrix = None
+    for sigma in itertools.product((0, 1), repeat=len(eve_syms)):
+        sel = dict(zip(eve_syms, sigma))
+        objective: dict[int, Fraction] = {}
+        norm_row: dict[int, Fraction] = {}
+        sel_rows: dict[tuple, dict[int, Fraction]] = {key: {} for key in eve_syms}
+        for (x, b, key), val in w.items():
+            for a in range(2):
+                j = var(a, x)
+                norm_row[j] = norm_row.get(j, Fraction(0)) + val
+            s = sel[key]
+            if b == s:
+                j = var(s, x)
+                objective[j] = objective.get(j, Fraction(0)) + 2 * val
+                sel_rows[key][j] = sel_rows[key].get(j, Fraction(0)) + val
+            if b == 1 - s:
+                j = var(1 - s, x)
+                sel_rows[key][j] = sel_rows[key].get(j, Fraction(0)) - val
+        rows = [ratlp.LpRow(norm_row, "=", Fraction(1))]
+        for key in eve_syms:
+            if sel_rows[key]:
+                rows.append(ratlp.LpRow(sel_rows[key], "<=", Fraction(0)))
+        problem = ratlp.LpProblem(num_vars=2 * n, objective=objective, rows=tuple(rows))
+        sol = ratlp.solve(problem)
+        if sol.status != ratlp.OPTIMAL:
+            continue
+        if sol.objective_value > best_val:
+            best_val = sol.objective_value
+            best_matrix = [[sol.primal[var(a, x)] for x in range(n)] for a in range(2)]
+    if best_matrix is None:
+        return None
+    axis = p.axes[free_pos]
+    new_map = LocalMap(axis, Axis(axis.party, 2), best_matrix)
+    if side == "A":
+        cand = LambdaWitness(value=best_val, map_a=new_map, map_b=witness.map_b)
+    else:
+        cand = LambdaWitness(value=best_val, map_a=witness.map_a, map_b=new_map)
+    if cand.recheck(p) != cand.value:
+        raise RuntimeError("refinement produced a witness that fails its exact recheck")
+    return cand
 
 
 # -- the certification rows, block by block ------------------------------------------

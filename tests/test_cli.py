@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -137,6 +138,30 @@ def test_lambda_max_exits_4_when_a_refined_witness_fails_its_recheck(workdir, ca
     code, out, err = run(capsys, "lambda-max", workdir / "p.json", "--refine-rounds", 1)
     assert (code, out) == (4, "")
     assert err == "solver failure: refinement produced a witness that fails its exact recheck\n"
+
+
+def test_lambda_max_refines_an_eleven_symbol_eve_alphabet(workdir, capsys):
+    # the input of test_lambda_max_refine_rounds with Eve's symbol 0 split into
+    # 6 equal copies and symbol 1 into 5: every map pair keeps its fraction, so
+    # refinement still reaches 6/11, with one LP per refit and no 2^11 branches
+    p = {
+        (0, 0, 0): F(4, 11), (0, 0, 1): F(2, 11), (0, 1, 0): F(3, 11),
+        (1, 0, 1): F(1, 11), (1, 1, 0): F(1, 11),
+    }
+    copies = (range(0, 6), range(6, 11))
+    split = JointDist(
+        (Axis("A", 2), Axis("B", 2), Axis("E", 11)),
+        {(a, b, c): v / len(copies[e]) for (a, b, e), v in p.items() for c in copies[e]},
+    )
+    (workdir / "e11.json").write_text(split.dumps())
+    code0, out0, _ = run(capsys, "lambda-max", workdir / "e11.json")
+    code1, out1, err1 = run(capsys, "lambda-max", workdir / "e11.json", "--refine-rounds", 1)
+    assert (code0, code1, err1) == (0, 0, "")
+    head0, _, _ = out0.partition("\n")
+    head1, _, body1 = out1.partition("\n")
+    assert (head0, head1) == ("lower bound 1/2", "lower bound 6/11")
+    witness = LambdaWitness.from_json_dict(json.loads(body1))
+    assert witness.recheck(split) == witness.value == F(6, 11)
 
 
 def test_lambda_max_negative_refine_rounds_exits_2(workdir, capsys):
@@ -308,6 +333,45 @@ def test_batch_guard_refusal_is_an_exit_3_row(huge_eve, workdir, capsys, entry, 
     code, out, _ = run(capsys, "batch", path, "--max-dm", max_dm)
     assert code == 3
     assert out.splitlines()[1:] == [f"{entry['g']}\t?\t?\tERROR\t{reason}"]
+
+
+HUGE_M_REFUSAL = (
+    "d + M = 2 + 100000000 = 100000002 exceeds the bound 16: the program would have "
+    "2^100000006 or more variables and about 2^100000028 or more selector rows; "
+    "raise max_dm to override"
+)
+
+
+def test_certify_refuses_a_huge_random_family_before_drawing_it(workdir, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "certify", workdir / "eka.json", "--gen", "random", "--M", 100_000_000
+    )
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (3, "")
+    assert err == f"refused: {HUGE_M_REFUSAL}\n"
+
+
+def test_a_two_axis_g_is_an_input_error_before_the_random_family_guard(workdir, capsys):
+    g = JointDist((Axis("A", 2), Axis("B", 2)), {(0, 0): F(1)})
+    (workdir / "g2.json").write_text(g.dumps())
+    code, out, err = run(
+        capsys, "certify", workdir / "g2.json", "--gen", "random", "--M", 100_000_000
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: g must have exactly three axes ordered (A, B, adversary), got ('A', 'B')\n"
+    )
+
+
+def test_batch_refuses_a_huge_random_family_before_drawing_it(workdir, capsys):
+    path = workdir / "manifest_huge_m.json"
+    path.write_text(json.dumps([{"g": "eka.json", "family": {"gen": "random", "M": 100_000_000}}]))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "batch", path)
+    assert time.perf_counter() - t0 < 2
+    assert code == 3
+    assert out.splitlines()[1:] == [f"eka.json\t?\t?\tERROR\t{HUGE_M_REFUSAL}"]
 
 
 def test_certify_exits_4_when_the_solver_output_fails_its_check(workdir, capsys, monkeypatch):

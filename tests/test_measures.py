@@ -11,6 +11,7 @@ from nodistill.measures import (
     LambdaWitness,
     SearchBudgetExhausted,
     SearchOptions,
+    _refit_side,
     _stage1_pairs,
     distillability_witness,
     estimate_lambda_max,
@@ -20,7 +21,12 @@ from nodistill.measures import (
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local, tensor, tensor_power
 
 from conftest import normalized, rand_dist, trivial_eve
-from oracles import scale, secret_bit_fraction_by_decomposition, stage1_pairs
+from oracles import (
+    refit_side_by_branches,
+    scale,
+    secret_bit_fraction_by_decomposition,
+    stage1_pairs,
+)
 
 
 def product_dist(rng, size_a=2, size_b=2, size_e=2):
@@ -267,6 +273,34 @@ def test_stage1_witness_pinned(request, name, refine_rounds, value, digest):
     assert w.value == value
     blob = json.dumps(w.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+REFIT_SHAPES = ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 3, 2), (2, 3, 3), (3, 2, 4))
+
+
+def refit_sample():
+    """105 seeded distributions with up to 5 Eve symbols; refinement gains on 46."""
+    return [rand_dist(random.Random(i), REFIT_SHAPES[i % len(REFIT_SHAPES)]) for i in range(105)]
+
+
+def test_refit_matches_the_branch_oracle():
+    """One LP per refit reaches the best of the 2^|E| branch LPs, on both sides."""
+    for p in refit_sample():
+        w = estimate_lambda_max(p)
+        for side in ("A", "B"):
+            by_branches = refit_side_by_branches(p, w, side)
+            assert _refit_side(p, w, side).value == (by_branches or w).value
+
+
+def test_refined_witnesses_pinned():
+    """The witness bytes of refine_rounds 1, 2 and 3 over the sample, as the
+    branch refit gave them."""
+    h = hashlib.sha256()
+    for p in refit_sample():
+        for rounds in (1, 2, 3):
+            w = estimate_lambda_max(p, SearchOptions(refine_rounds=rounds))
+            h.update(json.dumps(w.to_json_dict(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == "4ab306420eebf59639a0714a88e40f97c1cd84580970a272dea1f098d32c2fc0"
 
 
 def stage1_input(name):
