@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check of the checkers, the input decoders, build_lp's row dedup, the
-simplex tableau's row scans, the stage-1 search, the stage-2 refit and the
-CLI's exit codes: every mutant below must fail a test.
+simplex tableau's row scans, the stage-1 search, the stage-2 refit, the size
+guard and the CLI's exit codes: every mutant below must fail a test.
 
 A mutant is one exact string replacement in one file, plus the test that
 killed it in the last full sweep: (name, file, old, new, killer).  The runner
@@ -55,6 +55,9 @@ MUTANTS = (
     ("witness-axes-unchecked", CERTIFIER,
      "if cert.primal.axes != setup.q_axes():", "if False:",
      "tests/test_certifier.py::test_verify_refuses_a_witness_on_other_axes"),
+    ("certificate-lambda0-unbound", CERTIFIER,
+     "if cert.lambda0 != lambda0:", "if False:",
+     "tests/test_cli.py::test_verify_binds_the_certificate_lambda0"),
     ("fingerprint-unchecked", CERTIFIER,
      "if cert.fingerprint != problem_fingerprint(g, family, lambda0):", "if False:",
      "tests/test_certifier.py::test_verify_wrong_g_fingerprint"),
@@ -63,6 +66,9 @@ MUTANTS = (
      "tests/test_acceptance.py::test_criterion_8_certificate_integrity"),
     ("size-guard-boundary", CERTIFIER,
      "if dm > max_dm:", "if dm > max_dm + 1:",
+     "tests/test_certifier.py::test_size_guard_boundary"),
+    ("problem-skips-guard", CERTIFIER,
+     "check_size_guard(self.g, self.m, self.max_dm)", "pass",
      "tests/test_certifier.py::test_size_guard_boundary"),
     ("certify-self-check-skipped", CERTIFIER,
      "if not ratlp.check_solution(build.problem, sol):", "if False:",
@@ -148,13 +154,18 @@ MUTANTS = (
      "tests/test_cli.py::test_batch_refuses_a_loose_entry[g-not-string]"),
     # the CLI's exit codes
     ("runtime-error-escapes-main", CLI,
-     "except RuntimeError as exc:",
-     "except (ratlp.PivotBudgetExceeded, certifier.CertifierError) as exc:",
+     "except (ValueError, KeyError, RuntimeError) as exc:",
+     "except (ValueError, KeyError, ratlp.PivotBudgetExceeded, certifier.CertifierError) as exc:",
      "tests/test_cli.py::test_lambda_max_exits_4_when_a_refined_witness_fails_its_recheck"),
     ("batch-guard-row-exits-2", CLI,
      "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_GUARD",
      "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_INPUT",
      "tests/test_cli.py::test_batch_guard_refusal_is_an_exit_3_row[huge]"),
+    ("generated-family-drawn-before-guard", CLI,
+     "    certifier.check_size_guard(g, size, max_dm)\n",
+     '    if kind == "random":\n        certifier.check_size_guard(g, size, max_dm)\n',
+     "tests/test_cli.py::test_certify_refuses_a_huge_random_family_before_drawing_it"
+     "[deterministic]"),
     ("guard-counts-always-in-digits", CERTIFIER,
      "if factor.bit_length() + log2 <= 64:", "if True:",
      "tests/test_cli.py::test_certify_guard_refuses_a_huge_adversary_axis"),

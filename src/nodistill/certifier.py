@@ -33,6 +33,7 @@ from .rat import ensure_fraction, format_rational, parse_rational
 
 UNDISTILLABLE = "undistillable"
 INCONCLUSIVE = "inconclusive"
+MAX_DM = 16  # default bound on d + M: the program has 4*|A|*|B|*2^(d+M) variables
 
 
 class SizeGuardError(ValueError):
@@ -53,24 +54,20 @@ def _count(factor: int, log2: int) -> str:
     return f"2^{factor.bit_length() - 1 + log2} or more"
 
 
-def _check_g_axes(g: JointDist):
+def check_size_guard(g: JointDist, m: int, max_dm: int):
+    """Refuse d + M above max_dm for g and a family of m pairs, without building
+    the counts it reports; it needs no family, so one can be checked before it
+    is drawn.  A g whose axes are not (A, B, adversary) is an input error."""
     if len(g.axes) != 3 or g.labels[:2] != ("A", "B"):
         raise ValueError(
             f"g must have exactly three axes ordered (A, B, adversary), got {g.labels}"
         )
-
-
-def check_size_guard(g: JointDist, m: int, max_dm: int):
-    """Refuse d + M above max_dm for g and a family of m pairs, without building
-    the counts it reports; it needs no family, so one can be checked before it
-    is drawn."""
-    _check_g_axes(g)
     d = g.axes[2].size
     dm = d + m
     if dm > max_dm:
         raise SizeGuardError(
             f"d + M = {d} + {m} = {dm} exceeds the bound {max_dm}: the program would have "
-            f"{_count(4 * g.axis('A').size * g.axis('B').size, dm)} variables and about "
+            f"{_count(4 * g.axes[0].size * g.axes[1].size, dm)} variables and about "
             f"{_count(dm, dm)} selector rows; raise max_dm to override"
         )
 
@@ -80,13 +77,13 @@ class CertificationProblem:
     g: JointDist
     family: MapFamily
     lambda0: Fraction = Fraction(1, 2)
-    max_dm: int = 16
+    max_dm: int = MAX_DM
 
     def __post_init__(self):
         object.__setattr__(self, "lambda0", ensure_fraction(self.lambda0))
         if not (Fraction(1, 2) <= self.lambda0 < 1):
             raise ValueError(f"lambda0 must lie in [1/2, 1), got {self.lambda0}")
-        _check_g_axes(self.g)
+        check_size_guard(self.g, self.m, self.max_dm)
         sa, sb = self.size_a, self.size_b
         for i, pair in enumerate(self.family.pairs):
             if pair.map_a.input_axis.size != 2 * sa:
@@ -102,15 +99,15 @@ class CertificationProblem:
 
     @property
     def size_a(self) -> int:
-        return self.g.axis("A").size
+        return self.g.axes[0].size
 
     @property
     def size_b(self) -> int:
-        return self.g.axis("B").size
+        return self.g.axes[1].size
 
     @property
     def d(self) -> int:
-        return next(ax.size for ax in self.g.axes if ax.party not in ("A", "B"))
+        return self.g.axes[2].size
 
     @property
     def m(self) -> int:
@@ -224,7 +221,6 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     computed once per bit value as a (cell, coefficient) table and copied
     into every block k at cell * num_selectors + k.
     """
-    check_size_guard(problem.g, problem.m, problem.max_dm)
     sp = problem
     lam2 = 2 * sp.lambda0
     d, nk = sp.d, sp.num_selectors
@@ -409,7 +405,7 @@ def certify(
     g: JointDist,
     family: MapFamily,
     lambda0: Fraction = Fraction(1, 2),
-    max_dm: int = 16,
+    max_dm: int = MAX_DM,
 ) -> Certificate:
     """Solve the certification program exactly and package the result.
 
@@ -472,15 +468,16 @@ def verify_certificate(
     family: MapFamily,
     lambda0: Fraction,
     cert: Certificate,
-    max_dm: int = 16,
+    max_dm: int = MAX_DM,
 ) -> VerificationResult:
     """Recheck a certificate exactly, independently of the solver.
 
     The problem fingerprint and the certificate's own content digest must
-    match; an inconclusive certificate must carry a feasible witness whose
-    objective equals the claimed optimum; an undistillable one must carry
-    sign-correct, feasible dual multipliers whose bound equals the claimed
-    (non-positive) optimum.  The first violated condition is reported.
+    match, and it must state the lambda0 it is checked at; an inconclusive
+    certificate must carry a feasible witness whose objective equals the
+    claimed optimum; an undistillable one must carry sign-correct, feasible
+    dual multipliers whose bound equals the claimed (non-positive) optimum.
+    The first violated condition is reported.
     """
 
     def fail(reason: str) -> VerificationResult:
@@ -491,6 +488,8 @@ def verify_certificate(
         return fail("fingerprint mismatch: certificate was issued for different inputs")
     if cert.digest != _certificate_digest(cert):
         return fail("digest mismatch: certificate content was altered")
+    if cert.lambda0 != lambda0:
+        return fail(f"lambda0 mismatch: certificate states {cert.lambda0}, checked at {lambda0}")
     if cert.verdict == UNDISTILLABLE:
         if cert.optimum > 0:
             return fail("verdict/optimum mismatch: undistillable requires optimum <= 0")

@@ -25,6 +25,8 @@ EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_SOLVER = 4
+_STDERR_PREFIX = {EXIT_GUARD: "refused", EXIT_INPUT: "error", EXIT_SOLVER: "solver failure"}
+GENERATORS = ("deterministic", "random")
 
 
 def _reason(exc: Exception) -> str:
@@ -74,27 +76,32 @@ def _family_for(args, g: JointDist) -> families.MapFamily:
     return _generate_for(g, args.max_dm, args.gen, args.M, args.cap, args.seed, args.denom_bound)
 
 
+def _family_size(kind, m, cap):
+    """The family size `kind` is asked for: M for random, cap (else M) for deterministic."""
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator {kind!r}")
+    return cap if kind == "deterministic" and cap is not None else m
+
+
 def _generate_for(g: JointDist, max_dm: int, kind, m, cap, seed, denom_bound):
-    """`_generate_family` on g's alphabets; a random family of m pairs meets
-    the size guard before it is drawn, as drawing it takes time linear in m."""
-    sa, sb = g.axis("A").size, g.axis("B").size
-    if kind == "random" and m is not None:
-        certifier.check_size_guard(g, m, max_dm)
-    return _generate_family(kind, sa, sb, m, cap, seed, denom_bound)
+    """A family on g's alphabets, whose size meets the guard before it is drawn."""
+    size = _family_size(kind, m, cap)
+    if size is None:
+        raise ValueError(f"{kind} family generation needs --M")
+    certifier.check_size_guard(g, size, max_dm)
+    return _generate_family(kind, g.axes[0].size, g.axes[1].size, size, seed, denom_bound)
 
 
-def _generate_family(kind, a_copy, b_copy, m, cap, seed, denom_bound) -> families.MapFamily:
+def _generate_family(kind, a_copy, b_copy, size, seed, denom_bound) -> families.MapFamily:
+    """A family of `size` pairs; a deterministic one of size None has every pair."""
     if kind == "deterministic":
-        size = cap if cap is not None else m
         return families.deterministic_family(a_copy, b_copy, cap=size)
-    if kind == "random":
-        if m is None:
-            raise ValueError("random family generation needs --M")
-        return families.random_filter_family(
-            a_copy, b_copy, m=m, seed=seed if seed is not None else 0,
-            denom_bound=denom_bound if denom_bound is not None else 4,
-        )
-    raise ValueError(f"unknown generator {kind!r}")
+    if size is None:
+        raise ValueError("random family generation needs --M")
+    return families.random_filter_family(
+        a_copy, b_copy, m=size, seed=seed if seed is not None else 0,
+        denom_bound=denom_bound if denom_bound is not None else 4,
+    )
 
 
 # -- commands -----------------------------------------------------------------
@@ -124,10 +131,7 @@ def cmd_certify(args) -> int:
     lambda0 = _parse_lambda0(args.lambda0)
     t0 = time.perf_counter()
     if args.dump_lp:
-        setup = certifier.CertificationProblem(
-            g=g, family=family, lambda0=lambda0, max_dm=args.max_dm
-        )
-        build = certifier.build_lp(setup)
+        build = certifier.build_lp(certifier.CertificationProblem(g, family, lambda0, args.max_dm))
         Path(args.dump_lp).write_text(ratlp.dump_lp(build.problem))
         cert = certifier.certify_lp(build)
     else:
@@ -220,8 +224,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_gen_family(args) -> int:
-    fam = _generate_family(args.gen, args.a_copy, args.b_copy, args.M, args.cap,
-                           args.seed, args.denom_bound)
+    size = _family_size(args.gen, args.M, args.cap)
+    fam = _generate_family(args.gen, args.a_copy, args.b_copy, size, args.seed, args.denom_bound)
     text = fam.dumps()
     if args.out:
         Path(args.out).write_text(text)
@@ -234,7 +238,7 @@ def cmd_gen_family(args) -> int:
 
 
 def _add_family_flags(sp):
-    sp.add_argument("--gen", choices=["deterministic", "random"], help="generate the family")
+    sp.add_argument("--gen", choices=GENERATORS, help="generate the family")
     sp.add_argument("--M", type=int, default=None, help="family size for generation")
     sp.add_argument("--cap", type=int, default=None, help="cap for deterministic generation")
     sp.add_argument("--seed", type=int, default=None, help="seed for random generation")
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", help="path to a family JSON file")
     _add_family_flags(sp)
     sp.add_argument("--lambda0", default="1/2")
-    sp.add_argument("--max-dm", type=int, default=16, dest="max_dm",
+    sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm",
                     help="refuse problems with d + M beyond this bound")
     sp.add_argument("--out", help="write the certificate JSON here")
     sp.add_argument("--dump-lp", dest="dump_lp",
@@ -276,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("family")
     sp.add_argument("cert")
     sp.add_argument("--lambda0", default=None)
-    sp.add_argument("--max-dm", type=int, default=16, dest="max_dm")
+    sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("batch", help="run a manifest of certifications")
     sp.add_argument("manifest")
-    sp.add_argument("--max-dm", type=int, default=16, dest="max_dm")
+    sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm")
     sp.set_defaults(func=cmd_batch)
 
     sp = sub.add_parser("gen-family", help="generate and save a map family")
@@ -298,15 +302,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except certifier.SizeGuardError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (ValueError, KeyError) as exc:
-        print(f"error: {_reason(exc)}", file=sys.stderr)
-        return EXIT_INPUT
-    except RuntimeError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except (ValueError, KeyError, RuntimeError) as exc:
+        code = _exit_code(exc)
+        print(f"{_STDERR_PREFIX[code]}: {_reason(exc)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -146,6 +146,12 @@ def test_size_guard_refuses_with_estimate(eve_knows_all):
         certify(eve_knows_all, fam, max_dm=8)
 
 
+def test_a_problem_over_the_bound_cannot_be_made(eve_knows_all):
+    # 20 pairs on d = 2: refused when the problem is defined, before any program is built
+    with pytest.raises(SizeGuardError, match="^d \\+ M = 2 \\+ 20 = 22 exceeds the bound 16: "):
+        CertificationProblem(g=eve_knows_all, family=deterministic_family(2, 2, cap=20))
+
+
 def test_lambda0_range_enforced(secret_bit_e):
     with pytest.raises(ValueError, match="lambda0"):
         certify(secret_bit_e, MapFamily(pairs=()), lambda0=F(1, 3))

@@ -4,9 +4,11 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from nodistill.certifier import Certificate, _certificate_digest
 from nodistill.cli import main
 from nodistill.families import deterministic_family
 from nodistill.measures import LambdaWitness
@@ -80,6 +82,13 @@ def test_lambda_missing_party_axis_exits_2(workdir, capsys):
     (workdir / "odd.json").write_text(odd.dumps())
     code, _, err = run(capsys, "lambda", workdir / "odd.json")
     assert code == 2 and "labeled" in err
+
+
+def test_lambda_refuses_a_ternary_b_alphabet(workdir, capsys):
+    g = JointDist((Axis("A", 2), Axis("B", 3), Axis("E", 1)), {(0, 2, 0): F(1)})
+    (workdir / "b3.json").write_text(g.dumps())
+    code, out, err = run(capsys, "lambda", workdir / "b3.json")
+    assert (code, out, err) == (2, "", "error: B alphabet must be binary, got size 3\n")
 
 
 # -- lambda-max ---------------------------------------------------------------------
@@ -342,10 +351,11 @@ HUGE_M_REFUSAL = (
 )
 
 
-def test_certify_refuses_a_huge_random_family_before_drawing_it(workdir, capsys):
+@pytest.mark.parametrize("gen", ["random", "deterministic"])
+def test_certify_refuses_a_huge_random_family_before_drawing_it(workdir, capsys, gen):
     t0 = time.perf_counter()
     code, out, err = run(
-        capsys, "certify", workdir / "eka.json", "--gen", "random", "--M", 100_000_000
+        capsys, "certify", workdir / "eka.json", "--gen", gen, "--M", 100_000_000
     )
     assert time.perf_counter() - t0 < 2
     assert (code, out) == (3, "")
@@ -364,9 +374,10 @@ def test_a_two_axis_g_is_an_input_error_before_the_random_family_guard(workdir, 
     )
 
 
-def test_batch_refuses_a_huge_random_family_before_drawing_it(workdir, capsys):
+@pytest.mark.parametrize("gen", ["random", "deterministic"])
+def test_batch_refuses_a_huge_random_family_before_drawing_it(workdir, capsys, gen):
     path = workdir / "manifest_huge_m.json"
-    path.write_text(json.dumps([{"g": "eka.json", "family": {"gen": "random", "M": 100_000_000}}]))
+    path.write_text(json.dumps([{"g": "eka.json", "family": {"gen": gen, "M": 100_000_000}}]))
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "batch", path)
     assert time.perf_counter() - t0 < 2
@@ -437,8 +448,9 @@ def test_certify_refuses_a_family_for_other_alphabets(workdir, capsys, sizes, re
     [
         ((), "need --family PATH or --gen deterministic|random"),
         (("--gen", "random"), "random family generation needs --M"),
+        (("--gen", "deterministic"), "deterministic family generation needs --M"),
     ],
-    ids=["no-family", "random-without-M"],
+    ids=["no-family", "random-without-M", "deterministic-without-M"],
 )
 def test_certify_refuses_missing_family_flags(workdir, capsys, flags, reason):
     code, out, err = run(capsys, "certify", workdir / "triv.json", *flags)
@@ -462,6 +474,43 @@ def test_verify_tampered_exits_nonzero(workdir, capsys):
     out_path.write_text(json.dumps(data))
     code, out, _ = run(capsys, "verify", workdir / "triv.json", workdir / "fam1.json", out_path)
     assert code == 1 and "INVALID" in out
+
+
+def redigested(cert: Certificate) -> str:
+    return replace(cert, digest=_certificate_digest(cert)).dumps()
+
+
+@pytest.mark.parametrize(
+    "g, fam, field, reason",
+    [
+        ("triv.json", "fam1.json", "dual", "undistillable certificate is missing dual multipliers"),
+        ("sb.json", "fam22.json", "primal", "inconclusive certificate is missing a primal witness"),
+    ],
+    ids=["undistillable-without-dual", "inconclusive-without-primal"],
+)
+def test_verify_refuses_a_certificate_without_its_proof(workdir, capsys, g, fam, field, reason):
+    path = workdir / "unproved.json"
+    run(capsys, "certify", workdir / g, "--family", workdir / fam, "--out", path)
+    path.write_text(redigested(replace(Certificate.loads(path.read_text()), **{field: None})))
+    code, out, err = run(capsys, "verify", workdir / g, workdir / fam, path)
+    assert (code, out, err) == (1, f"certificate INVALID: {reason}\n", "")
+
+
+STORED = Path(__file__).resolve().parent.parent / "perfbench" / "stored"
+
+
+def test_verify_binds_the_certificate_lambda0(workdir, capsys):
+    # the fingerprint is taken at the lambda0 checked against, so a certificate
+    # restated at 3/4 and re-digested still matches the inputs at 1/2
+    cert = Certificate.loads((STORED / "cert_unif-M5.json").read_text())
+    (workdir / "forged.json").write_text(redigested(replace(cert, lambda0=F(3, 4))))
+    code, out, err = run(
+        capsys, "verify", STORED / "g_unif.json", STORED / "family_M5.json",
+        workdir / "forged.json", "--lambda0", "1/2",
+    )
+    assert (code, out, err) == (
+        1, "certificate INVALID: lambda0 mismatch: certificate states 3/4, checked at 1/2\n", ""
+    )
 
 
 def test_verify_wrong_g_exits_nonzero(workdir, capsys):
@@ -602,6 +651,12 @@ MAP_A = {"input": {"party": "A", "size": 1}, "output": {"party": "A", "size": 2}
             "axis party must be a string, got 5",
         ),
         (
+            "distribution",
+            {"axes": axes_doc(2, 2, 1)},
+            ("lambda", "{bad}"),
+            "distribution JSON needs 'axes' and 'entries'",
+        ),
+        (
             "family",
             {"pairs": [{"map_a": {k: v for k, v in MAP_A.items() if k != "input"},
                         "map_b": MAP_A}]},
@@ -617,7 +672,8 @@ MAP_A = {"input": {"party": "A", "size": 1}, "output": {"party": "A", "size": 2}
     ],
     ids=["dist-party", "dist-index", "dist-entry-not-object", "dist-axis-not-object",
          "dist-axes-not-list", "dist-entries-not-list", "dist-index-not-list",
-         "dist-factors-not-list", "dist-party-not-string", "family-input", "cert-verdict"],
+         "dist-factors-not-list", "dist-party-not-string", "dist-entries", "family-input",
+         "cert-verdict"],
 )
 def test_missing_key_or_non_object_entry_exits_2(workdir, capsys, kind, doc, argv, reason):
     bad = workdir / "incomplete.json"
@@ -625,6 +681,26 @@ def test_missing_key_or_non_object_entry_exits_2(workdir, capsys, kind, doc, arg
     code, out, err = run(capsys, *(a.format(dir=workdir, bad=bad) for a in argv))
     assert code == 2 and out == ""
     assert err == f"error: cannot read {kind} {bad}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "axes, index, reason",
+    [
+        (axes_doc(2, 2, 1), [0, 2, 0], "index (0, 2, 0) out of range on axis 'B' (position 1, size 2)"),
+        (axes_doc(2, 2, 1), [0, 0], "index (0, 0) has wrong arity for 3 axes"),
+        ([*axes_doc(2, 2), {"party": "A", "size": 1}], [0, 0, 0], "duplicate axis label 'A'"),
+        (axes_doc(2, 2, 0), [0, 0, 0], "axis 'E' must have size >= 1, got 0"),
+        ([{"party": "A", "size": 2, "factors": [3]}, *axes_doc(2, 2, 1)[1:]], [0, 0, 0],
+         "axis 'A': factors (3,) do not multiply to size 2"),
+    ],
+    ids=["index-out-of-range", "index-arity", "duplicate-label", "size-0", "factors"],
+)
+def test_inconsistent_distribution_exits_2(workdir, capsys, axes, index, reason):
+    bad = workdir / "inconsistent.json"
+    bad.write_text(json.dumps({"axes": axes, "entries": [{"index": index, "p": "1/1"}]}))
+    code, out, err = run(capsys, "lambda", bad)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read distribution {bad}: {reason}\n"
 
 
 def undistillable_cert_doc(workdir):
@@ -859,9 +935,14 @@ DEEP_LIST = json.loads("[" * 900 + "]" * 900)
         ({"g": "triv.json", "family": {"gen": None, "cap": 1}}, "family gen must be a string"),
         ({"g": "triv.json", "family": {"gen": {"a": 1}}}, "family gen must be a string"),
         ({"g": "triv.json", "family": {"gen": DEEP_LIST}}, "family gen must be a string"),
+        ({"g": "triv.json", "family": {"gen": "cover"}}, "unknown generator 'cover'"),
+        ({"g": "triv.json", "family": {"gen": "cover", "M": 1}}, "unknown generator 'cover'"),
+        ({"g": "triv.json", "family": {"gen": "deterministic"}},
+         "deterministic family generation needs --M"),
     ],
     ids=["unknown-key", "unknown-family-key", "g-not-string", "g-object", "lambda0-float",
-         "lambda0-int", "no-g", "no-family", "no-gen", "gen-null", "gen-object", "gen-deep-list"],
+         "lambda0-int", "no-g", "no-family", "no-gen", "gen-null", "gen-object", "gen-deep-list",
+         "gen-unknown", "gen-unknown-with-M", "deterministic-without-size"],
 )
 def test_batch_refuses_a_loose_entry(workdir, capsys, entry, reason):
     path = workdir / "manifest6.json"

@@ -368,6 +368,11 @@ def test_distillability_budget_signal(eve_knows_all):
         distillability_witness(eve_knows_all, max_n=2, opts=SearchOptions(max_pairs=5))
 
 
+def test_distillability_needs_a_positive_power(secret_bit_e):
+    with pytest.raises(ValueError, match="^max_n must be >= 1$"):
+        distillability_witness(secret_bit_e, max_n=0)
+
+
 # -- witness serialization ----------------------------------------------------------
 
 

@@ -222,6 +222,11 @@ def test_tensor_power_merges_party_axes():
     assert v == value(p, (0, 1, 0)) * value(p, (1, 0, 1))
 
 
+def test_tensor_power_needs_a_positive_power():
+    with pytest.raises(ValueError, match="^tensor power needs n >= 1$"):
+        tensor_power(secret_bit(), 0)
+
+
 # -- JSON ----------------------------------------------------------------------
 
 

@@ -185,6 +185,21 @@ def test_lp_rows_refuse_floats_and_bools(make):
 
 
 @pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LpRow({0: 1}, ">=", 1), "row sense must be '<=' or '=', got '>='"),
+        (lambda: LpProblem(num_vars=2, objective={2: 1}, rows=()),
+         "objective references variable 2 out of range"),
+    ],
+    ids=["sense", "objective-index"],
+)
+def test_lp_refuses_a_bad_sense_or_objective_index(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "make, key",
     [
         (lambda: LpRow({1.5: 1}, "<=", 0), "1.5"),
