@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Mutation check of the checkers, the input decoders, build_lp's row dedup, the
-simplex tableau's row scans, the stage-1 search, the stage-2 refit, the size
-guard and the CLI's exit codes: every mutant below must fail a test.
+simplex tableau's row scans and rhs column, the stage-1 search, the stage-2
+refit, the size guard, the CLI's generator flags and its exit codes: every
+mutant below must fail a test.
 
 A mutant is one exact string replacement in one file, plus the test that
 killed it in the last full sweep: (name, file, old, new, killer).  The runner
@@ -67,6 +68,9 @@ MUTANTS = (
     ("size-guard-boundary", CERTIFIER,
      "if dm > max_dm:", "if dm > max_dm + 1:",
      "tests/test_certifier.py::test_size_guard_boundary"),
+    ("guard-skips-variable-count", CERTIFIER,
+     "if (factor - 1).bit_length() + dm > max_dm + 4:", "if False:",
+     "tests/test_certifier.py::test_size_guard_boundary"),
     ("problem-skips-guard", CERTIFIER,
      "check_size_guard(self.g, self.m, self.max_dm)", "pass",
      "tests/test_certifier.py::test_size_guard_boundary"),
@@ -129,13 +133,19 @@ MUTANTS = (
      'raise ValueError(f"variable index must be an int, got {j!r}")\n    return {j: _exact(c)',
      "pass\n    return {int(j): _exact(c)",
      "tests/test_ratlp.py::test_lp_rows_refuse_non_int_keys[float-key]"),
-    # the simplex tableau's row scans
+    # the simplex tableau's row scans and rhs column
     ("pivot-skips-objective-row", RATLP,
      "for rr, row in enumerate(self.rows):", "for rr, row in enumerate(self.rows[:self.m]):",
      "tests/test_acceptance.py::test_criterion_1_fraction_oracle_equivalence"),
     ("pivot-clears-later-rows-only", RATLP,
      "if j in row and rr != r:", "if j in row and rr > r:",
      "tests/test_acceptance.py::test_criterion_5_soundness_anchors"),
+    ("rhs-column-may-enter", RATLP,
+     "self.artificial | {_B}", "self.artificial",
+     "tests/test_acceptance.py::test_criterion_5_soundness_anchors"),
+    ("ratio-test-reads-rhs-as-0", RATLP,
+     "b = row.get(_B, 0)", "b = 0",
+     "tests/test_ratlp.py::test_two_variable_vertex"),
     ("ratio-tie-to-greatest-basic", RATLP,
      "basis[r] > basis[leaving]", "basis[r] < basis[leaving]",
      "tests/test_certifier.py::test_certificate_digests_pinned[eka-det4]"),
@@ -152,6 +162,13 @@ MUTANTS = (
     ("manifest-g-any-type", CLI,
      "if not isinstance(g_path, str):", "if False:",
      "tests/test_cli.py::test_batch_refuses_a_loose_entry[g-not-string]"),
+    # the CLI's generator flags
+    ("unread-generator-field-accepted", CLI,
+     'raise ValueError(f"{kind} family generation does not read {name}")', "pass",
+     "tests/test_cli.py::test_certify_refuses_missing_family_flags[deterministic-seed]"),
+    ("family-file-beside-generator-flags", CLI,
+     "raise ValueError(f\"--family and --{name.replace('_', '-')} cannot be combined\")", "pass",
+     "tests/test_cli.py::test_certify_refuses_generator_flags_beside_a_family_file[gen]"),
     # the CLI's exit codes
     ("runtime-error-escapes-main", CLI,
      "except (ValueError, KeyError, RuntimeError) as exc:",

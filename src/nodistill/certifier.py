@@ -33,7 +33,7 @@ from .rat import ensure_fraction, format_rational, parse_rational
 
 UNDISTILLABLE = "undistillable"
 INCONCLUSIVE = "inconclusive"
-MAX_DM = 16  # default bound on d + M: the program has 4*|A|*|B|*2^(d+M) variables
+MAX_DM = 16  # default bound on d + M; the 4*|A|*|B|*2^(d+M) variables stay <= 2^(MAX_DM+4)
 
 
 class SizeGuardError(ValueError):
@@ -55,20 +55,31 @@ def _count(factor: int, log2: int) -> str:
 
 
 def check_size_guard(g: JointDist, m: int, max_dm: int):
-    """Refuse d + M above max_dm for g and a family of m pairs, without building
+    """Refuse d + M above max_dm for g and a family of m pairs, and a program of
+    more variables than d + M = max_dm gives at |A| = |B| = 2, without building
     the counts it reports; it needs no family, so one can be checked before it
     is drawn.  A g whose axes are not (A, B, adversary) is an input error."""
     if len(g.axes) != 3 or g.labels[:2] != ("A", "B"):
         raise ValueError(
             f"g must have exactly three axes ordered (A, B, adversary), got {g.labels}"
         )
+    if m < 0:
+        raise ValueError(f"family size must be >= 0, got {m}")
     d = g.axes[2].size
     dm = d + m
+    factor = 4 * g.axes[0].size * g.axes[1].size
     if dm > max_dm:
         raise SizeGuardError(
             f"d + M = {d} + {m} = {dm} exceeds the bound {max_dm}: the program would have "
-            f"{_count(4 * g.axes[0].size * g.axes[1].size, dm)} variables and about "
+            f"{_count(factor, dm)} variables and about "
             f"{_count(dm, dm)} selector rows; raise max_dm to override"
+        )
+    # factor * 2^dm > 2^(max_dm + 4), compared by bit length; dm <= max_dm here
+    if (factor - 1).bit_length() + dm > max_dm + 4:
+        raise SizeGuardError(
+            f"|A| = {g.axes[0].size} and |B| = {g.axes[1].size} at d + M = {dm}: the program "
+            f"would have {_count(factor, dm)} variables, more than the {_count(16, max_dm)} "
+            f"the bound {max_dm} allows; raise max_dm to override"
         )
 
 

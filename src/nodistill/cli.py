@@ -27,6 +27,7 @@ EXIT_GUARD = 3
 EXIT_SOLVER = 4
 _STDERR_PREFIX = {EXIT_GUARD: "refused", EXIT_INPUT: "error", EXIT_SOLVER: "solver failure"}
 GENERATORS = ("deterministic", "random")
+GEN_FIELDS = ("M", "cap", "seed", "denom_bound")
 
 
 def _reason(exc: Exception) -> str:
@@ -70,22 +71,33 @@ def _parse_lambda0(text: str) -> Fraction:
 def _family_for(args, g: JointDist) -> families.MapFamily:
     """Resolve --family / --gen flags against g's alphabet sizes."""
     if args.family:
+        for name in ("gen", *GEN_FIELDS):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--family and --{name.replace('_', '-')} cannot be combined")
         return _load_family(args.family)
     if not args.gen:
         raise ValueError("need --family PATH or --gen deterministic|random")
     return _generate_for(g, args.max_dm, args.gen, args.M, args.cap, args.seed, args.denom_bound)
 
 
-def _family_size(kind, m, cap):
-    """The family size `kind` is asked for: M for random, cap (else M) for deterministic."""
+def _family_size(kind, m, cap, seed, denom_bound):
+    """The family size `kind` is asked for: M for random, cap (else M) for deterministic.
+
+    A field the kind does not read is refused: seed and denom_bound for a
+    deterministic family, cap for a random one.
+    """
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator {kind!r}")
+    unread = {"seed": seed, "denom_bound": denom_bound} if kind == "deterministic" else {"cap": cap}
+    for name, value in unread.items():
+        if value is not None:
+            raise ValueError(f"{kind} family generation does not read {name}")
     return cap if kind == "deterministic" and cap is not None else m
 
 
 def _generate_for(g: JointDist, max_dm: int, kind, m, cap, seed, denom_bound):
     """A family on g's alphabets, whose size meets the guard before it is drawn."""
-    size = _family_size(kind, m, cap)
+    size = _family_size(kind, m, cap, seed, denom_bound)
     if size is None:
         raise ValueError(f"{kind} family generation needs --M")
     certifier.check_size_guard(g, size, max_dm)
@@ -180,14 +192,13 @@ def _batch_row(entry: dict, base: Path, max_dm: int):
     elif not isinstance(fam_spec, dict):
         raise ValueError(f"family must be a path or an object, got {json.dumps(fam_spec)}")
     else:
-        fields = ("M", "cap", "seed", "denom_bound")
-        _known_keys(fam_spec, "family", ("gen", *fields))
+        _known_keys(fam_spec, "family", ("gen", *GEN_FIELDS))
         gen = fam_spec["gen"]
         if not isinstance(gen, str):
             raise ValueError("family gen must be a string")
         ints = [
             None if fam_spec.get(k) is None else _json_int(fam_spec[k], f"family {k}")
-            for k in fields
+            for k in GEN_FIELDS
         ]
         family = _generate_for(g, max_dm, gen, *ints)
         fam_desc = json.dumps(fam_spec, sort_keys=True, separators=(",", ":"))
@@ -224,7 +235,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_gen_family(args) -> int:
-    size = _family_size(args.gen, args.M, args.cap)
+    size = _family_size(args.gen, args.M, args.cap, args.seed, args.denom_bound)
     fam = _generate_family(args.gen, args.a_copy, args.b_copy, size, args.seed, args.denom_bound)
     text = fam.dumps()
     if args.out:

@@ -10,13 +10,14 @@ and names the first condition that fails; its column sums are ints over one
 common denominator.  `check_solution` runs it on a solve's result, and
 certificate verification on a certificate.
 
-The tableau keeps each row as Python int numerators over the row's own
-basic entry, and the objective as one more row, z - c.x = 0 (Dantzig,
-Linear Programming and Extensions, 1963); every row is updated alike, by
-fraction-free pivoting (Bareiss, Math. Comp. 22, 1968) that divides out
-each changed row's content.  `Fraction` appears only where rational rows
-come in and where the primal, dual and objective go out; an int row is
-taken as it is.  Rows are stored sparsely, one dict per row, because the
+The tableau is the augmented matrix [A | b] (Dantzig, Linear Programming
+and Extensions, 1963): each row is Python int numerators over the row's own
+basic entry, its right-hand side one more column, and the objective one
+more row, z - c.x = 0.  Every row is updated alike, as one dict, by
+fraction-free pivoting (Bareiss, Math. Comp. 22, 1968), and one helper
+divides out each changed row's content.  `Fraction` appears only where
+rational rows come in and where the primal, dual and objective go out; an
+int row is taken as it is.  Rows are stored sparsely, one dict per row, because the
 certification LPs are large but very sparse; there is no column index, and
 the rows holding a column are found by scanning the rows.  Pivot selection
 is deterministic and depends only on the exact rational values: the
@@ -51,6 +52,9 @@ _PIVOT_BUDGET = 200_000
 _ZERO = Fraction(0)
 # Tableau column of the objective variable z, basic in the objective row.
 _Z = -1
+# Tableau column of each row's right-hand side; it never enters the basis.
+# Not -2: in CPython hash(-2) == hash(-1), so it would collide with _Z in row m.
+_B = -3
 
 
 class PivotBudgetExceeded(RuntimeError):
@@ -66,21 +70,20 @@ def _exact(c) -> int | Fraction:
     return c if type(c) in _EXACT else ensure_fraction(c)
 
 
-def _typed(coeffs: dict) -> bool:
-    """Whether every key is an int and every value a nonzero int or Fraction.
+def _coefficients(given: Mapping) -> dict:
+    """A copy of `given`: less its zeros, the rest through `_exact`, a non-int key refused.
 
-    One C-level pass over the keys and one over the values, so a row that
-    is already in final form is taken without reading its entries one by one.
+    A copy whose keys are all ints and values all nonzero ints or Fractions
+    is taken as it is, after one C-level pass over the keys and one over the
+    values, without reading its entries one by one.
     """
-    return (
+    coeffs = dict(given)
+    if (
         set(map(type, coeffs)) <= _INT
         and set(map(type, coeffs.values())) <= _EXACT
         and 0 not in coeffs.values()
-    )
-
-
-def _checked(coeffs: dict) -> dict:
-    """`coeffs` less its zeros, the rest through `_exact`; a non-int key is refused."""
+    ):
+        return coeffs
     for j in coeffs:
         if type(j) is not int:
             raise ValueError(f"variable index must be an int, got {j!r}")
@@ -104,10 +107,7 @@ class LpRow:
     def __post_init__(self):
         if self.sense not in (SENSE_LE, SENSE_EQ):
             raise ValueError(f"row sense must be '<=' or '=', got {self.sense!r}")
-        coeffs = dict(self.coeffs)
-        if not _typed(coeffs):
-            coeffs = _checked(coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _coefficients(self.coeffs))
         if type(self.rhs) is not int:
             object.__setattr__(self, "rhs", _exact(self.rhs))
 
@@ -148,9 +148,7 @@ class LpProblem:
     rows: tuple[LpRow, ...]
 
     def __post_init__(self):
-        objective = dict(self.objective)
-        if not _typed(objective):
-            objective = _checked(objective)
+        objective = _coefficients(self.objective)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", tuple(self.rows))
         j = _first_out_of_range(objective, self.num_vars)
@@ -175,29 +173,30 @@ class _Tableau:
     """Sparse simplex tableau over integer rows.
 
     Rows 0..m-1 are the constraints; row m is the objective row z - c.x = 0,
-    with z in column `_Z`.  Row r is the integer numerators `rows[r]`,
-    `rhs[r]` over its basic entry, rows[r][basis[r]] > 0 (z's for row m).
-    Rows are negated to make rhs >= 0, and each constraint row gets one
-    basic column of its own, numbered after the variables in row order: a
-    slack for a "<=" row whose rhs was already >= 0, else an artificial; a
+    with z in column `_Z`.  Row r is the integer numerators `rows[r]` over
+    its basic entry, rows[r][basis[r]] > 0 (z's for row m), with its
+    right-hand side in column `_B`; like any entry, a zero rhs is not
+    stored.  Rows are negated to make rhs >= 0, and each constraint row gets
+    one basic column of its own, numbered after the variables in row order:
+    a slack for a "<=" row whose rhs was already >= 0, else an artificial; a
     negated "<=" row also gets a surplus column (minus its denominator) just
     before its artificial.  Over rows[m][_Z], row m holds the reduced costs
-    z_j - c_j and rhs[m] the objective value of the basis.
+    z_j - c_j and, in column `_B`, the objective value of the basis.
 
     A pivot makes the pivot entry its row's denominator, then clears the
     pivot column with `_eliminate` from every other row holding it, found,
-    as in the ratio test, by scanning the rows.  The represented
-    rationals are those of a Fraction tableau, so pivot choices, which depend
-    only on them, are too: the entering column compares numerators over the
-    one denominator of row m, and the ratio test compares rhs/a by
-    cross-multiplication.
+    as in the ratio test, by scanning the rows; `_divide_content` divides
+    the content out of the pivot row, of each row `_eliminate` scales and of
+    a new objective row.  The represented rationals are those of a Fraction
+    tableau, so pivot choices, which depend only on them, are too: the
+    entering column compares numerators over the one denominator of row m,
+    and the ratio test compares rhs/a by cross-multiplication.
     """
 
     def __init__(self, problem: LpProblem):
         self.n = problem.num_vars
         self.m = len(problem.rows)
         self.rows: list[dict[int, int]] = []
-        self.rhs: list[int] = []
         self.sigma: list[int] = []  # -1 where the original row was negated
         self.basis: list[int] = []
         self.artificial: set[int] = set()
@@ -218,49 +217,38 @@ class _Tableau:
             coeffs[next_col] = den
             self.basis.append(next_col)
             next_col += 1
+            if rhs:
+                coeffs[_B] = rhs
             self.rows.append(coeffs)
-            self.rhs.append(rhs)
             self.sigma.append(sig)
         self.init_col = list(self.basis)
         self.rows.append({_Z: 1})
-        self.rhs.append(0)
         self.pivots = 0
 
     # -- objective row ----------------------------------------------------
 
     def set_costs(self, costs: Mapping[int, int | Fraction]):
         """Make row m z - c.x = 0 for `costs`: basic columns cleared, content divided out."""
-        m = self.m
-        d = lcm(*(c.denominator for c in costs.values()))
-        row = {j: -c.numerator * (d // c.denominator) for j, c in costs.items() if c}
+        d, coeffs, _ = _integer_row(costs)
+        row = {j: -c for j, c in coeffs.items()}
         row[_Z] = d
-        b = 0
-        for r in range(m):
+        for r in range(self.m):
             if self.basis[r] in row:
-                b = _eliminate(row, b, self.basis[r], self.rows[r], self.rhs[r])
-        g = gcd(b, *row.values())
-        self.rows[m] = {k: v // g for k, v in row.items()}
-        self.rhs[m] = b // g
+                _eliminate(row, self.basis[r], self.rows[r])
+        _divide_content(row)
+        self.rows[self.m] = row
 
     # -- pivoting ---------------------------------------------------------
 
     def pivot(self, r: int, j: int):
         prow = self.rows[r]
-        pb = self.rhs[r]
         if prow[j] < 0:
             for k, v in prow.items():
                 prow[k] = -v
-            pb = -pb
-        g = gcd(pb, *prow.values())
-        if g > 1:
-            for k, v in prow.items():
-                prow[k] = v // g
-            pb //= g
-        rhs = self.rhs
-        rhs[r] = pb
+        _divide_content(prow)
         for rr, row in enumerate(self.rows):
             if j in row and rr != r:
-                rhs[rr] = _eliminate(row, rhs[rr], j, prow, pb)
+                _eliminate(row, j, prow)
         self.basis[r] = j
         self.pivots += 1
 
@@ -268,12 +256,13 @@ class _Tableau:
         """Pivot until optimal or unbounded; returns OPTIMAL or UNBOUNDED.
 
         Artificials never enter: they start basic, and once out stay out.
+        Nor does the rhs column, which row m holds negative in phase 1.
         """
         stall = 0
-        rows, rhs, basis = self.rows, self.rhs, self.basis
-        red, art = self.rows[self.m], self.artificial
+        rows, basis = self.rows, self.basis
+        red, barred = self.rows[self.m], self.artificial | {_B}
         while True:
-            cands = [(v, j) for j, v in red.items() if v < 0 and j not in art]
+            cands = [(v, j) for j, v in red.items() if v < 0 and j not in barred]
             if not cands:
                 return OPTIMAL
             if stall > _STALL_LIMIT:
@@ -287,7 +276,7 @@ class _Tableau:
             for r, row in enumerate(rows):
                 a = row.get(entering, 0)
                 if a > 0:
-                    b = rhs[r]
+                    b = row.get(_B, 0)
                     if leaving is not None:
                         lhs, rhs_best = b * best_a, best_b * a
                         if lhs > rhs_best or (lhs == rhs_best and basis[r] > basis[leaving]):
@@ -303,14 +292,23 @@ class _Tableau:
             stall = stall + 1 if best_b == 0 else 0
 
 
-def _eliminate(row, b, j, prow, pb):
-    """Clear column j of a tableau row against the pivot row; returns the new rhs.
+def _divide_content(row):
+    """Divide a tableau row, rhs included, by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k, v in row.items():
+            row[k] = v // g
 
-    `row`, `b` are over the row's basic entry, and the pivot row `prow`, `pb`
-    over its pivot entry p = prow[j].  The row becomes row * p/c - f/c * prow,
-    with f = row[j] and c = gcd(f, p), so when p divides f only the pivot
-    row's columns change; prow is zero in the row's basic column, so the basic
-    entry stays the denominator.  A scaled row has its content divided out.
+
+def _eliminate(row, j, prow):
+    """Clear column j of a tableau row against the pivot row, in place.
+
+    `row` is over the row's basic entry, and the pivot row `prow` over its
+    pivot entry p = prow[j], each with its rhs in column `_B`.  The row
+    becomes row * p/c - f/c * prow, with f = row[j] and c = gcd(f, p), so
+    when p divides f only the pivot row's columns change; prow is zero in the
+    row's basic column, so the basic entry stays the denominator.  A scaled
+    row has its content divided out.
     """
     p = prow[j]
     f = row[j]
@@ -320,7 +318,6 @@ def _eliminate(row, b, j, prow, pb):
     if s != 1:
         for k, v in row.items():
             row[k] = v * s
-        b *= s
     # an entry the row lacks becomes -q * pv, never 0: q and pv are nonzero
     get = row.get
     for k, pv in prow.items():
@@ -329,14 +326,8 @@ def _eliminate(row, b, j, prow, pb):
             row[k] = nv
         else:
             del row[k]
-    b -= q * pb
     if s != 1:
-        g = gcd(b, *row.values())
-        if g > 1:
-            for k, v in row.items():
-                row[k] = v // g
-            b //= g
-    return b
+        _divide_content(row)
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -350,14 +341,16 @@ def solve(problem: LpProblem) -> LpSolution:
     t = _Tableau(problem)
 
     if t.artificial:
-        t.set_costs({j: Fraction(-1) for j in t.artificial})
+        t.set_costs(dict.fromkeys(t.artificial, -1))
         if t.run() != OPTIMAL:
             raise RuntimeError("phase 1 cannot be unbounded; solver invariant broken")
-        if t.rhs[t.m] != 0:
+        if t.rows[t.m].get(_B, 0) != 0:
             return LpSolution(status=INFEASIBLE, pivots=(t.pivots, 0))
         for r in range(t.m):
             if t.basis[r] in t.artificial:
-                target = min((j for j in t.rows[r] if j not in t.artificial), default=None)
+                target = min(
+                    (j for j in t.rows[r] if j >= 0 and j not in t.artificial), default=None
+                )
                 if target is not None:
                     t.pivot(r, target)
                 # else: row is redundant; its artificial stays basic at zero
@@ -372,7 +365,7 @@ def solve(problem: LpProblem) -> LpSolution:
     primal = [_ZERO] * t.n
     for r in range(t.m):
         if t.basis[r] < t.n:
-            primal[t.basis[r]] = Fraction(t.rhs[r], t.rows[r][t.basis[r]])
+            primal[t.basis[r]] = Fraction(t.rows[r].get(_B, 0), t.rows[r][t.basis[r]])
     red = t.rows[t.m]
     dual = []
     for r in range(t.m):
@@ -381,7 +374,7 @@ def solve(problem: LpProblem) -> LpSolution:
     return LpSolution(
         status=OPTIMAL,
         primal=primal,
-        objective_value=Fraction(t.rhs[t.m], red[_Z]),
+        objective_value=Fraction(red.get(_B, 0), red[_Z]),
         dual=dual,
         pivots=pivots,
     )

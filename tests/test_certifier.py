@@ -612,6 +612,16 @@ def test_size_guard_boundary(secret_bit_e):
         certify(secret_bit_e, fam, max_dm=2)
     res = verify_certificate(secret_bit_e, fam, HALF, cert, max_dm=2)
     assert res.failure.startswith("cannot rebuild program: d + M = 1 + 2 = 3 exceeds the bound 2")
+    # the variable count 4 * |A| * |B| * 2^(d + M) may reach what d + M = max_dm gives at
+    # |A| = |B| = 2, 2^(max_dm + 4); at |A| = 4, |B| = 2 that is d + M = max_dm - 1
+    wide = JointDist((Axis("A", 4), Axis("B", 2), Axis("E", 1)), {(0, 0, 0): F(1)})
+    wide_fam = deterministic_family(4, 2, cap=2)
+    assert CertificationProblem(wide, wide_fam, max_dm=4).m == 2
+    with pytest.raises(SizeGuardError, match=(
+        "^\\|A\\| = 4 and \\|B\\| = 2 at d \\+ M = 3: the program would have 256 variables, "
+        "more than the 128 the bound 3 allows; raise max_dm to override$"
+    )):
+        CertificationProblem(wide, wide_fam, max_dm=3)
 
 
 def test_two_copy_projection_pairs_certify_aka(eve_knows_all):

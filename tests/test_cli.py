@@ -10,7 +10,7 @@ import pytest
 
 from nodistill.certifier import Certificate, _certificate_digest
 from nodistill.cli import main
-from nodistill.families import deterministic_family
+from nodistill.families import MapFamily, deterministic_family
 from nodistill.measures import LambdaWitness
 from nodistill.probvec import Axis, JointDist, secret_bit, tensor
 
@@ -326,6 +326,49 @@ def test_verify_refuses_to_rebuild_a_huge_program(huge_eve, workdir, capsys):
     assert out == f"certificate INVALID: cannot rebuild program: {HUGE_REFUSAL}\n"
 
 
+WIDE = 10**12
+# 4 * 10^12 * 1 * 2^(1 + 1) variables, though d + M = 2 is well inside the bound
+WIDE_REFUSAL = (
+    f"|A| = {WIDE} and |B| = 1 at d + M = 2: the program would have 16000000000000 variables, "
+    "more than the 1048576 the bound 16 allows; raise max_dm to override"
+)
+
+
+@pytest.fixture
+def wide_a(workdir, monkeypatch):
+    """A one-entry g whose A axis has 10^12 symbols; drawing any family for it fails the test."""
+    from nodistill import families
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a family was drawn before the size guard refused it")
+
+    monkeypatch.setattr(families, "deterministic_family", drawn)
+    monkeypatch.setattr(families, "random_filter_family", drawn)
+    g = JointDist((Axis("A", WIDE), Axis("B", 1), Axis("E", 1)), {(0, 0, 0): F(1)})
+    (workdir / "wide.json").write_text(g.dumps())
+    return workdir / "wide.json"
+
+
+@pytest.mark.parametrize("gen", ["random", "deterministic"])
+def test_certify_guard_bounds_the_variable_count(wide_a, capsys, gen):
+    code, out, err = run(capsys, "certify", wide_a, "--gen", gen, "--M", 1)
+    assert (code, out) == (3, "")
+    assert err == f"refused: {WIDE_REFUSAL}\n"
+
+
+def test_verify_refuses_to_rebuild_a_program_of_too_many_variables(wide_a, workdir, capsys):
+    from nodistill.certifier import UNDISTILLABLE, problem_fingerprint
+
+    g = JointDist.loads(wide_a.read_text())
+    fam = MapFamily.loads((workdir / "fam1.json").read_text())
+    cert = Certificate(UNDISTILLABLE, F(0), F(1, 2), problem_fingerprint(g, fam, F(1, 2)), dual=())
+    cert = replace(cert, digest=_certificate_digest(cert))
+    (workdir / "wide_cert.json").write_text(cert.dumps())
+    code, out, err = run(capsys, "verify", wide_a, workdir / "fam1.json", workdir / "wide_cert.json")
+    assert (code, err) == (1, "")
+    assert out == f"certificate INVALID: cannot rebuild program: {WIDE_REFUSAL}\n"
+
+
 @pytest.mark.parametrize(
     "entry, max_dm, reason",
     [
@@ -333,10 +376,14 @@ def test_verify_refuses_to_rebuild_a_huge_program(huge_eve, workdir, capsys):
         ({"g": "triv.json", "family": "fam1.json"}, 1,
          "d + M = 1 + 1 = 2 exceeds the bound 1: the program would have 16 variables "
          "and about 8 selector rows; raise max_dm to override"),
+        ({"g": "wide.json", "family": {"gen": "deterministic", "M": 1}}, 16, WIDE_REFUSAL),
+        ({"g": "wide.json", "family": {"gen": "random", "M": 1}}, 16, WIDE_REFUSAL),
     ],
-    ids=["huge", "small"],
+    ids=["huge", "small", "wide-deterministic", "wide-random"],
 )
-def test_batch_guard_refusal_is_an_exit_3_row(huge_eve, workdir, capsys, entry, max_dm, reason):
+def test_batch_guard_refusal_is_an_exit_3_row(
+    huge_eve, wide_a, workdir, capsys, entry, max_dm, reason
+):
     path = workdir / "manifest_guard.json"
     path.write_text(json.dumps([entry]))
     code, out, _ = run(capsys, "batch", path, "--max-dm", max_dm)
@@ -383,6 +430,18 @@ def test_batch_refuses_a_huge_random_family_before_drawing_it(workdir, capsys, g
     assert time.perf_counter() - t0 < 2
     assert code == 3
     assert out.splitlines()[1:] == [f"eka.json\t?\t?\tERROR\t{HUGE_M_REFUSAL}"]
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [(("--gen", "random", "--M", 1), "--gen"), (("--M", 1), "--M"), (("--cap", 1), "--cap"),
+     (("--seed", 1), "--seed"), (("--denom-bound", 2), "--denom-bound")],
+    ids=["gen", "M", "cap", "seed", "denom-bound"],
+)
+def test_certify_refuses_generator_flags_beside_a_family_file(workdir, capsys, flags, flag):
+    code, out, err = run(capsys, "certify", workdir / "triv.json", "--family", workdir / "fam1.json",
+                         *flags)
+    assert (code, out, err) == (2, "", f"error: --family and {flag} cannot be combined\n")
 
 
 def test_certify_exits_4_when_the_solver_output_fails_its_check(workdir, capsys, monkeypatch):
@@ -449,8 +508,15 @@ def test_certify_refuses_a_family_for_other_alphabets(workdir, capsys, sizes, re
         ((), "need --family PATH or --gen deterministic|random"),
         (("--gen", "random"), "random family generation needs --M"),
         (("--gen", "deterministic"), "deterministic family generation needs --M"),
+        (("--gen", "deterministic", "--M", 2, "--seed", 7, "--denom-bound", 3),
+         "deterministic family generation does not read seed"),
+        (("--gen", "deterministic", "--M", 2, "--denom-bound", 3),
+         "deterministic family generation does not read denom_bound"),
+        (("--gen", "random", "--M", 2, "--cap", 40), "random family generation does not read cap"),
+        (("--gen", "random", "--M", -1), "family size must be >= 0, got -1"),
     ],
-    ids=["no-family", "random-without-M", "deterministic-without-M"],
+    ids=["no-family", "random-without-M", "deterministic-without-M", "deterministic-seed",
+         "deterministic-denom-bound", "random-cap", "negative-M"],
 )
 def test_certify_refuses_missing_family_flags(workdir, capsys, flags, reason):
     code, out, err = run(capsys, "certify", workdir / "triv.json", *flags)
@@ -939,10 +1005,17 @@ DEEP_LIST = json.loads("[" * 900 + "]" * 900)
         ({"g": "triv.json", "family": {"gen": "cover", "M": 1}}, "unknown generator 'cover'"),
         ({"g": "triv.json", "family": {"gen": "deterministic"}},
          "deterministic family generation needs --M"),
+        ({"g": "triv.json", "family": {"gen": "deterministic", "M": 1, "seed": 7}},
+         "deterministic family generation does not read seed"),
+        ({"g": "triv.json", "family": {"gen": "deterministic", "cap": 1, "denom_bound": 3}},
+         "deterministic family generation does not read denom_bound"),
+        ({"g": "triv.json", "family": {"gen": "random", "M": 1, "cap": 40}},
+         "random family generation does not read cap"),
     ],
     ids=["unknown-key", "unknown-family-key", "g-not-string", "g-object", "lambda0-float",
          "lambda0-int", "no-g", "no-family", "no-gen", "gen-null", "gen-object", "gen-deep-list",
-         "gen-unknown", "gen-unknown-with-M", "deterministic-without-size"],
+         "gen-unknown", "gen-unknown-with-M", "deterministic-without-size",
+         "deterministic-seed", "deterministic-denom-bound", "random-cap"],
 )
 def test_batch_refuses_a_loose_entry(workdir, capsys, entry, reason):
     path = workdir / "manifest6.json"
@@ -1029,6 +1102,22 @@ def test_gen_family_refuses_out_of_range_sizes(capsys, flags, reason):
     code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags)
     assert (code, out) == (2, "")
     assert err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (("--gen", "deterministic", "--M", 1, "--seed", 7),
+         "deterministic family generation does not read seed"),
+        (("--gen", "deterministic", "--denom-bound", 3),
+         "deterministic family generation does not read denom_bound"),
+        (("--gen", "random", "--M", 1, "--cap", 40), "random family generation does not read cap"),
+    ],
+    ids=["deterministic-seed", "deterministic-denom-bound", "random-cap"],
+)
+def test_gen_family_refuses_a_flag_its_generator_does_not_read(capsys, flags, reason):
+    code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 def test_gen_family_takes_no_family_flag(workdir, capsys):
