@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Mutation check of the checkers, the input decoders, build_lp's row dedup, the
-simplex tableau's row scans and rhs column, the stage-1 search, the stage-2
-refit, the size guard, the CLI's generator flags and its exit codes: every
-mutant below must fail a test.
+"""Mutation check of the checkers, the input decoders, build_lp's integer tables
+and row dedup, the simplex tableau's row scans and rhs column, the stage-1
+search, the stage-2 refit, the size guards, the CLI's generator flags and its
+exit codes: every mutant below must fail a test.
 
 A mutant is one exact string replacement in one file, plus the test that
 killed it in the last full sweep: (name, file, old, new, killer).  The runner
@@ -79,9 +79,14 @@ MUTANTS = (
      "tests/test_cli.py::test_certify_exits_4_when_the_solver_output_fails_its_check"),
     # build_lp
     ("row-key-without-block", CERTIFIER,
-     "key = tuple((k, keys[(k >> shift) & 1]) for k in ks",
-     "key = tuple(keys[(k >> shift) & 1] for k in ks",
+     "key = ((k, keys[s]),)", "key = (keys[s],)",
      "tests/test_acceptance.py::test_criterion_5_soundness_anchors"),
+    ("table-gcd-without-den", CERTIFIER,
+     "g = gcd(den, *(c for t in tables for _, c in t))", "g = gcd(*(c for t in tables for _, c in t))",
+     "tests/test_certifier.py::test_integer_tables_match_the_fraction_oracle[0-2/3]"),
+    ("family-tables-drop-lambda0-denominator", CERTIFIER,
+     "[4 * ld * p for p in a]", "[4 * p for p in a]",
+     "tests/test_certifier.py::test_integer_tables_match_the_fraction_oracle[0-2/3]"),
     # ratlp.violation and the problem it checks against
     ("negative-entry-allowed", RATLP,
      "            if v < 0:\n", "            if v < -1:\n",
@@ -89,6 +94,11 @@ MUTANTS = (
     ("equality-row-as-le", RATLP,
      "if lhs > row.rhs if row.sense == SENSE_LE else lhs != row.rhs:", "if lhs > row.rhs:",
      "tests/test_certifier.py::test_verify_checks_the_norm_row_as_an_equality"),
+    ("untouched-row-passes", RATLP,
+     "lhs = 0 if row.coeffs.keys().isdisjoint(support) else dot(row.coeffs, x)",
+     "if row.coeffs.keys().isdisjoint(support):\n                continue\n"
+     "            lhs = dot(row.coeffs, x)",
+     "tests/test_ratlp.py::test_primal_check_matches_the_every_row_oracle"),
     ("le-row-off-by-one", RATLP,
      "if lhs > row.rhs if row.sense", "if lhs > row.rhs + 1 if row.sense",
      "tests/test_ratlp.py::test_violation_names_the_first_failed_condition[le-row]"),
@@ -123,8 +133,8 @@ MUTANTS = (
      "return c if type(c) in _EXACT else ensure_fraction(c)", "return c",
      "tests/test_ratlp.py::test_lp_rows_refuse_floats_and_bools[float-coefficient]"),
     ("int-row-admits-bools", RATLP,
-     "and set(map(type, coeffs.values())) <= _EXACT\n",
-     "and set(map(type, coeffs.values())) <= _EXACT | {bool}\n",
+     "and _EXACT.issuperset(map(type, coeffs.values()))\n",
+     "and (_EXACT | {bool}).issuperset(map(type, coeffs.values()))\n",
      "tests/test_ratlp.py::test_lp_rows_refuse_floats_and_bools[bool-coefficient]"),
     ("dual-denominator-without-row", RATLP,
      "den = yr.denominator * scale", "den = yr.denominator",
@@ -183,6 +193,12 @@ MUTANTS = (
      '    if kind == "random":\n        certifier.check_size_guard(g, size, max_dm)\n',
      "tests/test_cli.py::test_certify_refuses_a_huge_random_family_before_drawing_it"
      "[deterministic]"),
+    ("gen-family-draws-before-guard", CLI,
+     "        certifier.check_family_size(size, args.max_dm)\n", "        pass\n",
+     "tests/test_cli.py::test_gen_family_refuses_a_size_no_g_can_certify_before_drawing[random]"),
+    ("family-size-guard-boundary", CERTIFIER,
+     "if 1 + m > max_dm:", "if m > max_dm:",
+     "tests/test_cli.py::test_gen_family_guard_boundary[random-5]"),
     ("guard-counts-always-in-digits", CERTIFIER,
      "if factor.bit_length() + log2 <= 64:", "if True:",
      "tests/test_cli.py::test_certify_guard_refuses_a_huge_adversary_axis"),

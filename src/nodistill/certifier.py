@@ -19,12 +19,10 @@ without trusting the solver.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
-from math import lcm
+from math import gcd, lcm
 
 from . import ratlp
 from .families import MapFamily
@@ -80,6 +78,16 @@ def check_size_guard(g: JointDist, m: int, max_dm: int):
             f"|A| = {g.axes[0].size} and |B| = {g.axes[1].size} at d + M = {dm}: the program "
             f"would have {_count(factor, dm)} variables, more than the {_count(16, max_dm)} "
             f"the bound {max_dm} allows; raise max_dm to override"
+        )
+
+
+def check_family_size(m: int, max_dm: int):
+    """Refuse a family of m pairs that no g can be certified with under max_dm:
+    every g has d >= 1, so d + M >= 1 + m.  It needs neither g nor the family."""
+    if 1 + m > max_dm:
+        raise SizeGuardError(
+            f"a family of M = {m} pairs gives d + M >= {1 + m} for every g, above the bound "
+            f"{max_dm}; raise max_dm to override"
         )
 
 
@@ -182,36 +190,60 @@ class CertificationLp:
         return JointDist(sp.q_axes(), entries)
 
 
-def _scaled_to_integers(tables):
-    """Multiply (cell, coefficient) tables by the lcm of all their denominators, as ints."""
-    scale = reduce(lcm, (c.denominator for t in tables for _, c in t), 1)
-    return [[(cell, c.numerator * (scale // c.denominator)) for cell, c in t] for t in tables]
+def _integer_map(m) -> tuple[int, list[list[int]]]:
+    """A map's rows as ints over the lcm of their denominators: (lcm, rows)."""
+    den = lcm(*(c.denominator for row in m.coeffs for c in row))
+    return den, [[c.numerator * (den // c.denominator) for c in row] for row in m.coeffs]
 
 
-def _product_table(terms) -> list[tuple[int, Fraction]]:
-    """Per cell, the sum of coef * wa[sym_a] * wb[sym_b] over (coef, wa, wb) terms.
+def _difference_table(xa, xb, ya, yb) -> list[tuple[int, int]]:
+    """(cell, xa[i] * xb[j] - ya[i] * yb[j]) over i, j row-major, zeros left out.
 
-    wa and wb are indexed by the composite symbols a*|A| + x and b*|B| + y, so
-    the row-major position of (sym_a, sym_b) is the cell.  Zeros are left out.
+    The lists are indexed by the composite symbols i = a*|A| + x and
+    j = b*|B| + y, so the row-major position of (i, j) is the cell.
     """
-    _, wa0, wb0 = terms[0]
+    nb = len(xb)
     table = []
-    for cell, (i, j) in enumerate(itertools.product(range(len(wa0)), range(len(wb0)))):
-        c = sum(coef * wa[i] * wb[j] for coef, wa, wb in terms)
-        if c:
-            table.append((cell, c))
+    for i, (p, q) in enumerate(zip(xa, ya)):
+        for j, (r, s) in enumerate(zip(xb, yb)):
+            c = p * r - q * s
+            if c:
+                table.append((i * nb + j, c))
     return table
 
 
-def _family_tables(family: MapFamily):
-    """Per pair: output-row coefficient tables and column sums per side."""
-    tables = []
-    for pair in family.pairs:
-        ma, mb = pair.map_a.coeffs, pair.map_b.coeffs
-        col_a = [ma[0][s] + ma[1][s] for s in range(len(ma[0]))]
-        col_b = [mb[0][s] + mb[1][s] for s in range(len(mb[0]))]
-        tables.append((ma, mb, col_a, col_b))
-    return tables
+def _reduced(den: int, tables) -> list[list[tuple[int, int]]]:
+    """Integer (cell, coefficient) tables T that stand for T/den, as (T/den) * L in
+    ints, L the lcm of the denominators of all the T/den entries.
+
+    That is T divided by g = gcd(den, *entries).  With den = L * k, T is k
+    times (T/den) * L, and a prime dividing L divides some entry's reduced
+    denominator as often as L, so not that entry of (T/den) * L: g = k.
+    """
+    g = gcd(den, *(c for t in tables for _, c in t))
+    return tables if g == 1 else [[(cell, c // g) for cell, c in t] for t in tables]
+
+
+def _pair_tables(pair, lam2: Fraction) -> tuple[list, list]:
+    """The per-bit family-row and filter-selector tables of one map pair, in ints.
+
+    For output bit s, with ma and mb the maps' rows and col_a, col_b their
+    column sums, the family table is 4 * ma[s] (x) mb[s] - lam2 * col_a (x)
+    col_b and the filter table ma[s] (x) mb[s] - ma[1-s] (x) mb[1-s], each pair
+    of tables scaled by the lcm of its denominators.  Both are worked out over
+    the maps' integer rows, the family tables over lam2's denominator too.
+    """
+    da, (a0, a1) = _integer_map(pair.map_a)
+    db, (b0, b1) = _integer_map(pair.map_b)
+    ln, ld = lam2.numerator, lam2.denominator
+    col_a = [ln * (p + q) for p, q in zip(a0, a1)]
+    col_b = [p + q for p, q in zip(b0, b1)]
+    family = _reduced(
+        da * db * ld,
+        [_difference_table([4 * ld * p for p in a], b, col_a, col_b) for a, b in ((a0, b0), (a1, b1))],
+    )
+    sel = _difference_table(a0, b0, a1, b1)
+    return family, _reduced(da * db, [sel, [(cell, -c) for cell, c in sel]])
 
 
 def build_lp(problem: CertificationProblem) -> CertificationLp:
@@ -230,16 +262,19 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     A coefficient depends on the selector block k only through one selector
     bit (through the d adversary bits for the objective), so each one is
     computed once per bit value as a (cell, coefficient) table and copied
-    into every block k at cell * num_selectors + k.
+    into every block k at cell * num_selectors + k.  The constraint tables
+    are worked out in ints, and each selector row, which fills one block,
+    is placed by a loop of its own.
     """
     sp = problem
     lam2 = 2 * sp.lambda0
     d, nk = sp.d, sp.num_selectors
     sa, sb = sp.size_a, sp.size_b
 
-    def placed(tables, shift, mask, ks=range(nk)) -> dict[int, int | Fraction]:
-        """tables[(k >> shift) & mask] copied into block k, for each k in ks."""
-        return {cell * nk + k: c for k in ks for cell, c in tables[(k >> shift) & mask]}
+    def placed(tables, shift, mask) -> dict[int, int | Fraction]:
+        """tables[(k >> shift) & mask] copied into every block k."""
+        starts = [[(cell * nk, c) for cell, c in t] for t in tables]
+        return {j + k: c for k in range(nk) for j, c in starts[(k >> shift) & mask]}
 
     g_slices: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(d)]
     g_total: dict[tuple[int, int], Fraction] = {}
@@ -273,50 +308,57 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     row_info: list[tuple] = []
     seen_rows: set[tuple] = set()
 
-    def emit(tables, keys, shift: int, ks, info: tuple):
-        """Append tables[(k >> shift) & 1] placed into each block k of ks as a row,
+    def emit(tables, shift: int, info: tuple):
+        """Append tables[(k >> shift) & 1] placed into every block k as a row,
         unless it is empty or an earlier row.
 
         A row is the table it holds in each block, so its key is the pairs
         (k, keys[table]) over its nonempty blocks, with keys[s] the frozenset
         of table s's (cell, coefficient) pairs: equal keys, equal rows.
         """
-        key = tuple((k, keys[(k >> shift) & 1]) for k in ks if tables[(k >> shift) & 1])
+        keys = [frozenset(t) for t in tables]
+        key = tuple((k, keys[(k >> shift) & 1]) for k in range(nk) if tables[(k >> shift) & 1])
         if key and key not in seen_rows:
             seen_rows.add(key)
-            rows.append(ratlp.LpRow(placed(tables, shift, 1, ks), ratlp.SENSE_LE, 0))
+            rows.append(ratlp.LpRow(placed(tables, shift, 1), ratlp.SENSE_LE, 0))
             row_info.append(info)
 
-    fam = _family_tables(sp.family)
+    def emit_blocks(tables, shift: int, info: tuple):
+        """For each block k, append tables[(k >> shift) & 1] in block k alone as a
+        row with info + (k,), unless it is empty or an earlier row; the key is
+        `emit`'s for a one-block row."""
+        keys = [frozenset(t) for t in tables]
+        starts = [[(cell * nk, c) for cell, c in t] for t in tables]
+        for k in range(nk):
+            s = (k >> shift) & 1
+            if tables[s]:
+                key = ((k, keys[s]),)
+                if key not in seen_rows:
+                    seen_rows.add(key)
+                    rows.append(ratlp.LpRow({j + k: c for j, c in starts[s]}, ratlp.SENSE_LE, 0))
+                    row_info.append((*info, k))
+
+    pair_tables = [_pair_tables(pair, lam2) for pair in sp.family.pairs]
 
     # family advantage rows: filtered advantage <= 0
-    for i, (ma, mb, col_a, col_b) in enumerate(fam):
-        tables = _scaled_to_integers(
-            [_product_table(((4, ma[s], mb[s]), (-lam2, col_a, col_b))) for s in range(2)]
-        )
-        emit(tables, [frozenset(t) for t in tables], d + i, range(nk), ("family", i))
+    for i, (tables, _) in enumerate(pair_tables):
+        emit(tables, d + i, ("family", i))
 
     # selector rows for the lifted product: selected diagonal <= other diagonal.
     # A selector row holds one of its two tables, and the two negate each
-    # other (here and for the filters below), so one lcm scales both.
+    # other (here and for the filters), so one lcm scales both.
     for e, sl in enumerate(g_slices):
+        scale = lcm(*(v.denominator for v in sl.values()))
         tables = [[], []]
         for (x, y), v in sl.items():
+            c = v.numerator * (scale // v.denominator)
             for s in range(2):
-                tables[s] += [(_cell(sa, sb, s, x, s, y), v), (_cell(sa, sb, 1 - s, x, 1 - s, y), -v)]
-        tables = _scaled_to_integers(tables)
-        keys = [frozenset(t) for t in tables]
-        for k in range(nk):
-            emit(tables, keys, e, (k,), ("sel-e", e, k))
+                tables[s] += [(_cell(sa, sb, s, x, s, y), c), (_cell(sa, sb, 1 - s, x, 1 - s, y), -c)]
+        emit_blocks(tables, e, ("sel-e", e))
 
     # selector rows for each family filter
-    for i, (ma, mb, _, _) in enumerate(fam):
-        tables = _scaled_to_integers(
-            [_product_table(((1, ma[s], mb[s]), (-1, ma[1 - s], mb[1 - s]))) for s in range(2)]
-        )
-        keys = [frozenset(t) for t in tables]
-        for k in range(nk):
-            emit(tables, keys, d + i, (k,), ("sel-i", i, k))
+    for i, (_, tables) in enumerate(pair_tables):
+        emit_blocks(tables, d + i, ("sel-i", i))
 
     rows.append(ratlp.LpRow(dict.fromkeys(range(sp.num_vars), 1), ratlp.SENSE_EQ, 1))
     row_info.append(("norm",))

@@ -236,6 +236,8 @@ def cmd_batch(args) -> int:
 
 def cmd_gen_family(args) -> int:
     size = _family_size(args.gen, args.M, args.cap, args.seed, args.denom_bound)
+    if size is not None:
+        certifier.check_family_size(size, args.max_dm)
     fam = _generate_family(args.gen, args.a_copy, args.b_copy, size, args.seed, args.denom_bound)
     text = fam.dumps()
     if args.out:
@@ -303,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a-copy", type=int, required=True, dest="a_copy")
     sp.add_argument("--b-copy", type=int, required=True, dest="b_copy")
     _add_family_flags(sp)
+    sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm",
+                    help="refuse a family size that no g can be certified with under this bound")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_gen_family)
 

@@ -79,8 +79,8 @@ def _coefficients(given: Mapping) -> dict:
     """
     coeffs = dict(given)
     if (
-        set(map(type, coeffs)) <= _INT
-        and set(map(type, coeffs.values())) <= _EXACT
+        _INT.issuperset(map(type, coeffs))
+        and _EXACT.issuperset(map(type, coeffs.values()))
         and 0 not in coeffs.values()
     ):
         return coeffs
@@ -117,7 +117,7 @@ def _integer_row(coeffs: Mapping[int, int | Fraction], rhs: int | Fraction = 0):
 
     A row of ints is returned as it is, with d = 1, after one type test.
     """
-    if type(rhs) is int and set(map(type, coeffs.values())) <= _INT:
+    if type(rhs) is int and _INT.issuperset(map(type, coeffs.values())):
         return 1, coeffs, rhs
     d = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
     return (
@@ -408,10 +408,12 @@ def violation(
         for j, v in x.items():
             if v < 0:
                 return "entry", j, v, _ZERO
+        support = x.keys()
         for r, row in enumerate(problem.rows):
-            lhs = dot(row.coeffs, x)
+            # a row that holds none of the point's entries has lhs 0
+            lhs = 0 if row.coeffs.keys().isdisjoint(support) else dot(row.coeffs, x)
             if lhs > row.rhs if row.sense == SENSE_LE else lhs != row.rhs:
-                return "row", r, lhs, row.rhs
+                return "row", r, Fraction(lhs), row.rhs
         obj = dot(problem.objective, x)
         if obj != value:
             return "objective", None, obj, value

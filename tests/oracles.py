@@ -7,7 +7,9 @@ checks), independent recomputations of values the program works out
 another way (the decomposition form of the secret bit fraction, the
 stage-1 search with one Fraction sum per map pair, the stage-2 refit with
 one LP per sign vector over Eve's symbols, the certification rows written
-out block by block, the dual check in Fractions, the LP text parser),
+out block by block, the certification program from per-bit tables summed
+in Fractions, the witness check with one dot product per row, the dual
+check in Fractions, the LP text parser),
 and the distribution and map algebra those constructions are stated in
 (entry lookup, scaling, sums, axis splitting, the identity map,
 map composition and Kronecker products, the duplicate-pair test).  Each
@@ -21,11 +23,18 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Iterable, Sequence
 
 from nodistill import ratlp
-from nodistill.certifier import UNDISTILLABLE, Certificate, CertificationProblem, build_lp
+from nodistill.certifier import (
+    UNDISTILLABLE,
+    Certificate,
+    CertificationProblem,
+    _cell,
+    build_lp,
+)
 from nodistill.families import BOTH, OUTPUTS, MapFamily, deterministic_codes
 from nodistill.measures import LambdaWitness, _ab_eve_split, lambda_advantage
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local
@@ -686,6 +695,133 @@ def certification_rows(problem: CertificationProblem) -> tuple[list[tuple], list
     rows.append((dict.fromkeys(range(sp.num_vars), 1), ratlp.SENSE_EQ, 1))
     row_info.append(("norm",))
     return rows, row_info
+
+
+# -- the certification program from Fraction per-bit tables -------------------------
+
+
+def scaled_to_integers(tables):
+    """Multiply (cell, coefficient) tables by the lcm of all their denominators, as ints."""
+    scale = reduce(lcm, (c.denominator for t in tables for _, c in t), 1)
+    return [[(cell, c.numerator * (scale // c.denominator)) for cell, c in t] for t in tables]
+
+
+def product_table(terms) -> list[tuple[int, Fraction]]:
+    """Per cell, the sum of coef * wa[sym_a] * wb[sym_b] over (coef, wa, wb) terms.
+
+    wa and wb are indexed by the composite symbols a*|A| + x and b*|B| + y, so
+    the row-major position of (sym_a, sym_b) is the cell.  Zeros are left out.
+    """
+    _, wa0, wb0 = terms[0]
+    table = []
+    for cell, (i, j) in enumerate(itertools.product(range(len(wa0)), range(len(wb0)))):
+        c = sum(coef * wa[i] * wb[j] for coef, wa, wb in terms)
+        if c:
+            table.append((cell, c))
+    return table
+
+
+def fraction_table_program(problem: CertificationProblem) -> tuple[LpProblem, tuple[tuple, ...]]:
+    """build_lp's program and row_info, its per-bit tables summed in Fractions.
+
+    Each family pair's tables are Fraction sums over its maps' rows, scaled
+    to integers by the lcm of their denominators; every row, one block or
+    all of them, is placed and keyed by one generic emit.  The program works
+    the tables out in ints and places one-block rows in a loop of their own.
+    """
+    sp = problem
+    lam2 = 2 * sp.lambda0
+    d, nk = sp.d, sp.num_selectors
+    sa, sb = sp.size_a, sp.size_b
+
+    def placed(tables, shift, mask, ks=range(nk)):
+        return {cell * nk + k: c for k in ks for cell, c in tables[(k >> shift) & mask]}
+
+    g_slices: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(d)]
+    g_total: dict[tuple[int, int], Fraction] = {}
+    for (x, y, e), v in sp.g.items():
+        g_slices[e][(x, y)] = v
+        g_total[(x, y)] = g_total.get((x, y), Fraction(0)) + v
+
+    obj_tables = []
+    for t in range(1 << d):
+        diag_sum: list[dict[tuple[int, int], Fraction]] = [dict(), dict()]
+        for e in range(d):
+            target = diag_sum[(t >> e) & 1]
+            for xy, v in g_slices[e].items():
+                target[xy] = target.get(xy, Fraction(0)) + v
+        table = []
+        for (x, y), tot in g_total.items():
+            base = -lam2 * tot
+            for a in range(2):
+                for b in range(2):
+                    c = base
+                    if a == b:
+                        c = c + 4 * diag_sum[a].get((x, y), Fraction(0))
+                    if c:
+                        table.append((_cell(sa, sb, a, x, b, y), c))
+        obj_tables.append(table)
+    objective = placed(obj_tables, 0, (1 << d) - 1)
+
+    rows, row_info, seen_rows = [], [], set()
+
+    def emit(tables, shift, ks, info):
+        keys = [frozenset(t) for t in tables]
+        key = tuple((k, keys[(k >> shift) & 1]) for k in ks if tables[(k >> shift) & 1])
+        if key and key not in seen_rows:
+            seen_rows.add(key)
+            rows.append(LpRow(placed(tables, shift, 1, ks), ratlp.SENSE_LE, 0))
+            row_info.append(info)
+
+    maps = []
+    for pair in sp.family.pairs:
+        ma, mb = pair.map_a.coeffs, pair.map_b.coeffs
+        col_a = [ma[0][s] + ma[1][s] for s in range(len(ma[0]))]
+        col_b = [mb[0][s] + mb[1][s] for s in range(len(mb[0]))]
+        maps.append((ma, mb, col_a, col_b))
+    for i, (ma, mb, col_a, col_b) in enumerate(maps):
+        tables = scaled_to_integers(
+            [product_table(((4, ma[s], mb[s]), (-lam2, col_a, col_b))) for s in range(2)]
+        )
+        emit(tables, d + i, range(nk), ("family", i))
+    for e, sl in enumerate(g_slices):
+        tables = [[], []]
+        for (x, y), v in sl.items():
+            for s in range(2):
+                tables[s] += [(_cell(sa, sb, s, x, s, y), v), (_cell(sa, sb, 1 - s, x, 1 - s, y), -v)]
+        tables = scaled_to_integers(tables)
+        for k in range(nk):
+            emit(tables, e, (k,), ("sel-e", e, k))
+    for i, (ma, mb, _, _) in enumerate(maps):
+        tables = scaled_to_integers(
+            [product_table(((1, ma[s], mb[s]), (-1, ma[1 - s], mb[1 - s]))) for s in range(2)]
+        )
+        for k in range(nk):
+            emit(tables, d + i, (k,), ("sel-i", i, k))
+
+    rows.append(LpRow(dict.fromkeys(range(sp.num_vars), 1), ratlp.SENSE_EQ, 1))
+    row_info.append(("norm",))
+    return LpProblem(num_vars=sp.num_vars, objective=objective, rows=tuple(rows)), tuple(row_info)
+
+
+# -- the witness check, one dot product per row ----------------------------------------
+
+
+def primal_violation(problem: LpProblem, value: Fraction, x):
+    """`ratlp.violation(problem, value, x=x)` with a dot product for every row,
+    whether or not the row holds any of the point's entries."""
+    zero = Fraction(0)
+    for j, v in x.items():
+        if v < 0:
+            return "entry", j, v, zero
+    for r, row in enumerate(problem.rows):
+        lhs = ratlp.dot(row.coeffs, x)
+        if lhs > row.rhs if row.sense == ratlp.SENSE_LE else lhs != row.rhs:
+            return "row", r, lhs, row.rhs
+    obj = ratlp.dot(problem.objective, x)
+    if obj != value:
+        return "objective", None, obj, value
+    return None
 
 
 # -- the dual check, one Fraction product per nonzero ------------------------------

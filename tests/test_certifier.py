@@ -28,6 +28,7 @@ from oracles import (
     canonical_witness_q,
     certification_rows,
     family_constraint_value,
+    fraction_table_program,
     group_by_selector,
     lifted_objective_value,
     selector_bits,
@@ -414,6 +415,47 @@ def test_an_empty_per_bit_table_leaves_its_blocks_out():
     build = assert_rows_match_the_oracle(trivial_g(), MapFamily(pairs=(ONE_EMPTY_TABLE,)), HALF)
     family_row = build.problem.rows[build.row_info.index(("family", 0))]
     assert {j % 4 for j in family_row.coeffs} == {0, 1}
+
+
+def program_entries(lp: ratlp.LpProblem):
+    """The objective and rows, each coefficient and rhs with its type, in insertion order."""
+    return (
+        lp.num_vars,
+        [(j, c, type(c)) for j, c in lp.objective.items()],
+        [
+            ([(j, c, type(c)) for j, c in r.coeffs.items()], r.sense, r.rhs, type(r.rhs))
+            for r in lp.rows
+        ],
+    )
+
+
+def random_code_pair(rng, sa, sb) -> MapPair:
+    """A pair of 0/1 maps, one action drawn per symbol: a bit, both bits or none."""
+    return MapPair(*(
+        families.code_map(Axis(party, 2 * size, (2, size)),
+                          tuple(rng.randrange(4) for _ in range(2 * size)))
+        for party, size in (("A", sa), ("B", sb))
+    ))
+
+
+@pytest.mark.parametrize("lambda0", [HALF, F(2, 3), F(7, 8), F(31, 32)], ids=str)
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_tables_match_the_fraction_oracle(seed, lambda0):
+    # d = 1..3, denom_bound = 1..6, and three kinds of family: rational maps,
+    # the deterministic prefix, and drawn 0/1 codes (the all-discard map too)
+    rng = random.Random(seed)
+    d, sa, sb, m = seed % 3 + 1, rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2)
+    g = rand_dist(rng, (sa, sb, d))
+    for family in (
+        random_filter_family(sa, sb, m=m, seed=seed, denom_bound=seed % 6 + 1),
+        deterministic_family(sa, sb, cap=m),
+        MapFamily(pairs=[random_code_pair(rng, sa, sb) for _ in range(m)]),
+    ):
+        setup = CertificationProblem(g=g, family=family, lambda0=lambda0)
+        build = build_lp(setup)
+        problem, row_info = fraction_table_program(setup)
+        assert program_entries(build.problem) == program_entries(problem)
+        assert build.row_info == row_info
 
 
 # -- verification -----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from nodistill.certifier import Certificate, _certificate_digest
+from nodistill import families
 from nodistill.cli import main
 from nodistill.families import MapFamily, deterministic_family
 from nodistill.measures import LambdaWitness
@@ -560,6 +561,22 @@ def test_verify_refuses_a_certificate_without_its_proof(workdir, capsys, g, fam,
     path.write_text(redigested(replace(Certificate.loads(path.read_text()), **{field: None})))
     code, out, err = run(capsys, "verify", workdir / g, workdir / fam, path)
     assert (code, out, err) == (1, f"certificate INVALID: {reason}\n", "")
+
+
+def test_verify_checks_an_inconclusive_witness(workdir, capsys):
+    g, fam, path = workdir / "sb.json", workdir / "fam22.json", workdir / "witness.json"
+    run(capsys, "certify", g, "--family", fam, "--out", path)
+    cert = Certificate.loads(path.read_text())
+    assert cert.verdict == "inconclusive"
+    assert run(capsys, "verify", g, fam, path) == (0, "certificate valid\n", "")
+    # the first witness entry's mass moves to the next selector block
+    entries = dict(cert.primal.items())
+    first = min(entries)
+    entries[(*first[:-1], first[-1] + 1)] = entries.pop(first)
+    path.write_text(redigested(replace(cert, primal=JointDist(cert.primal.axes, entries))))
+    assert run(capsys, "verify", g, fam, path) == (
+        1, "certificate INVALID: witness violates row 15 ('sel-i', 0, 5): 1/4 vs 0\n", ""
+    )
 
 
 STORED = Path(__file__).resolve().parent.parent / "perfbench" / "stored"
@@ -1118,6 +1135,62 @@ def test_gen_family_refuses_out_of_range_sizes(capsys, flags, reason):
 def test_gen_family_refuses_a_flag_its_generator_does_not_read(capsys, flags, reason):
     code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags)
     assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+@pytest.fixture
+def no_family_drawn(monkeypatch):
+    """Fail the test if either generator draws a family."""
+
+    def drawn(*args, **kwargs):
+        pytest.fail("a family was drawn")
+
+    monkeypatch.setattr(families, "deterministic_family", drawn)
+    monkeypatch.setattr(families, "random_filter_family", drawn)
+
+
+@pytest.mark.parametrize(
+    "gen, size",
+    [("random", "--M"), ("deterministic", "--M"), ("deterministic", "--cap")],
+    ids=["random", "deterministic-M", "deterministic-cap"],
+)
+def test_gen_family_refuses_a_size_no_g_can_certify_before_drawing(no_family_drawn, capsys,
+                                                                   gen, size):
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "gen-family", "--a-copy", 2, "--b-copy", 2, "--gen", gen, size, 100_000_000
+    )
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (3, "")
+    assert err == (
+        "refused: a family of M = 100000000 pairs gives d + M >= 100000001 for every g, "
+        "above the bound 16; raise max_dm to override\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, refused",
+    [(("--gen", "random", "--M", 4), False), (("--gen", "random", "--M", 5), True),
+     (("--gen", "deterministic", "--cap", 4), False), (("--gen", "deterministic", "--cap", 5), True)],
+    ids=["random-4", "random-5", "deterministic-4", "deterministic-5"],
+)
+def test_gen_family_guard_boundary(capsys, flags, refused):
+    # d >= 1, so under --max-dm 5 a family of 4 pairs can still be certified
+    code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags, "--max-dm", 5)
+    if refused:
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: a family of M = 5 pairs gives d + M >= 6 for every g, ")
+    else:
+        assert (code, err) == (0, "")
+        assert len(MapFamily.loads(out)) == 4
+
+
+def test_gen_family_with_no_size_writes_every_pair(capsys):
+    code, out, err = run(
+        capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, "--gen", "deterministic", "--max-dm", 1
+    )
+    assert (code, err) == (0, "")
+    assert out == deterministic_family(1, 1).dumps()
+    assert len(MapFamily.loads(out)) == 64
 
 
 def test_gen_family_takes_no_family_flag(workdir, capsys):

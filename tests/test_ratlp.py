@@ -22,7 +22,7 @@ from nodistill.ratlp import (
     violation,
 )
 
-from oracles import dual_violation, parse_lp
+from oracles import dual_violation, parse_lp, primal_violation
 
 
 def lp(num_vars, objective, rows):
@@ -314,6 +314,45 @@ def dual_checks(draw):
 def test_dual_check_matches_the_fraction_oracle(case):
     problem, value, y = case
     assert violation(problem, value, y=y) == dual_violation(problem, value, y)
+
+
+@st.composite
+def primal_checks(draw):
+    """A problem of int and Fraction rows, a point by its nonzero entries, and a value.
+
+    The point holds at most two of up to six variables, so many rows miss
+    its support, and a row's rhs is as often negative as not.
+    """
+    n = draw(st.integers(1, 6))
+    x = draw(st.dictionaries(st.integers(0, n - 1), _VALUES.filter(bool), max_size=2))
+    if draw(_MOSTLY):
+        x = {j: abs(v) for j, v in x.items()}
+    rows = tuple(
+        LpRow(draw(st.dictionaries(st.integers(0, n - 1), _VALUES, max_size=3)),
+              draw(st.sampled_from(["<=", "="])), draw(_VALUES))
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    objective = draw(st.dictionaries(st.integers(0, n - 1), _VALUES, max_size=n))
+    value = ratlp.dot(objective, x) + draw(st.sampled_from([0, 0, F(1, 3)]))
+    return LpProblem(num_vars=n, objective=objective, rows=rows), value, x
+
+
+@given(primal_checks())
+@settings(max_examples=300, deadline=None)
+@example(
+    # the second row misses the point's support, so its lhs is 0, above its rhs
+    (LpProblem(num_vars=2, objective={0: 1},
+               rows=(LpRow({0: 1}, "<=", 1), LpRow({1: 2}, "<=", -1))),
+     F(1, 2), {0: F(1, 2)}),
+)
+@example(
+    # an "=" row the support misses, with a nonzero rhs
+    (LpProblem(num_vars=3, objective={}, rows=(LpRow({2: F(1, 3)}, "=", F(1, 4)),)),
+     F(0), {0: F(1), 1: F(2)}),
+)
+def test_primal_check_matches_the_every_row_oracle(case):
+    problem, value, x = case
+    assert repr(violation(problem, value, x=x)) == repr(primal_violation(problem, value, x))
 
 
 # -- determinism, scaling, budget ----------------------------------------------------
