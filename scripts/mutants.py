@@ -16,7 +16,7 @@ Sayward, IEEE Computer 11(4), 1978, order tests by how likely they are to
 kill).  It prints the test that failed, and the recorded killer too when
 that was another test.  A mutant whose runs pass has survived: the tests do
 not pin the check it breaks.  The exit code is 1 if any mutant survived.  A
-sweep takes about two minutes on a 2-vCPU host, most of it the unmutated
+sweep takes about four minutes on a 2-vCPU host, one of them the unmutated
 run; it is not part of the test suite.
 
 Usage:
@@ -72,8 +72,17 @@ MUTANTS = (
      "if (factor - 1).bit_length() + dm > max_dm + 4:", "if False:",
      "tests/test_certifier.py::test_size_guard_boundary"),
     ("problem-skips-guard", CERTIFIER,
-     "check_size_guard(self.g, self.m, self.max_dm)", "pass",
+     "check_size_guard(*alphabet_sizes(self.g), self.m, self.max_dm)", "pass",
      "tests/test_certifier.py::test_size_guard_boundary"),
+    ("verify-guard-refusal-as-invalid", CERTIFIER,
+     "    setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)\n"
+     "    build = build_lp(setup)\n",
+     "    try:\n"
+     "        setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)\n"
+     "    except SizeGuardError as exc:\n"
+     '        return fail(f"cannot rebuild program: {exc}")\n'
+     "    build = build_lp(setup)\n",
+     "tests/test_cli.py::test_verify_refuses_the_stored_aka_m5_program_as_certify_does"),
     ("certify-self-check-skipped", CERTIFIER,
      "if not ratlp.check_solution(build.problem, sol):", "if False:",
      "tests/test_cli.py::test_certify_exits_4_when_the_solver_output_fails_its_check"),
@@ -189,20 +198,32 @@ MUTANTS = (
      "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_INPUT",
      "tests/test_cli.py::test_batch_guard_refusal_is_an_exit_3_row[huge]"),
     ("generated-family-drawn-before-guard", CLI,
-     "    certifier.check_size_guard(g, size, max_dm)\n",
-     '    if kind == "random":\n        certifier.check_size_guard(g, size, max_dm)\n',
+     "    certifier.check_size_guard(*sizes, size or 0, max_dm)\n",
+     '    if kind == "random":\n        certifier.check_size_guard(*sizes, size or 0, max_dm)\n',
      "tests/test_cli.py::test_certify_refuses_a_huge_random_family_before_drawing_it"
      "[deterministic]"),
     ("gen-family-draws-before-guard", CLI,
-     "        certifier.check_family_size(size, args.max_dm)\n", "        pass\n",
+     "    certifier.check_size_guard(*sizes, size or 0, max_dm)\n",
+     "    if sized:\n        certifier.check_size_guard(*sizes, size or 0, max_dm)\n",
      "tests/test_cli.py::test_gen_family_refuses_a_size_no_g_can_certify_before_drawing[random]"),
-    ("family-size-guard-boundary", CERTIFIER,
-     "if 1 + m > max_dm:", "if m > max_dm:",
+    ("gen-family-guard-without-copy-sizes", CLI,
+     "check_size_guard(*sizes, size or 0, max_dm)",
+     "check_size_guard(*(sizes if sized else (1, 1, 1)), size or 0, max_dm)",
+     "tests/test_cli.py::test_generators_refuse_a_family_spec_alike"
+     "[huge-copy-alphabets-gen-family]"),
+    ("family-size-guard-boundary", CLI,
+     "sizes = (args.a_copy, args.b_copy, 1)", "sizes = (args.a_copy, args.b_copy, 0)",
      "tests/test_cli.py::test_gen_family_guard_boundary[random-5]"),
+    ("cap-beside-M-accepted", CLI,
+     'raise ValueError("deterministic family generation reads M or cap, not both")', "pass",
+     "tests/test_cli.py::test_generators_refuse_a_family_spec_alike[cap-with-M-certify]"),
     ("guard-counts-always-in-digits", CERTIFIER,
      "if factor.bit_length() + log2 <= 64:", "if True:",
      "tests/test_cli.py::test_certify_guard_refuses_a_huge_adversary_axis"),
     # the stage-1 search
+    ("search-bound-off-by-one", MEASURES,
+     "if n_a + n_b > MAX_AB:", "if n_a + n_b > MAX_AB + 1:",
+     "tests/test_cli.py::test_lambda_max_search_bound[11-True]"),
     ("best-pair-tie-to-last", MEASURES,
      "if best is None or num * best[1] > best[0] * den:",
      "if best is None or num * best[1] >= best[0] * den:",

@@ -52,20 +52,23 @@ def _count(factor: int, log2: int) -> str:
     return f"2^{factor.bit_length() - 1 + log2} or more"
 
 
-def check_size_guard(g: JointDist, m: int, max_dm: int):
-    """Refuse d + M above max_dm for g and a family of m pairs, and a program of
-    more variables than d + M = max_dm gives at |A| = |B| = 2, without building
-    the counts it reports; it needs no family, so one can be checked before it
-    is drawn.  A g whose axes are not (A, B, adversary) is an input error."""
+def alphabet_sizes(g: JointDist) -> tuple[int, int, int]:
+    """(|A|, |B|, d) of g; a g whose axes are not (A, B, adversary) is an input error."""
     if len(g.axes) != 3 or g.labels[:2] != ("A", "B"):
         raise ValueError(
             f"g must have exactly three axes ordered (A, B, adversary), got {g.labels}"
         )
+    return g.axes[0].size, g.axes[1].size, g.axes[2].size
+
+
+def check_size_guard(size_a: int, size_b: int, d: int, m: int, max_dm: int):
+    """Refuse d + M above max_dm, and a program of more variables than d + M =
+    max_dm gives at |A| = |B| = 2, without building the counts it reports.  It
+    reads alphabet sizes only, so a family can be checked before it is drawn."""
     if m < 0:
         raise ValueError(f"family size must be >= 0, got {m}")
-    d = g.axes[2].size
     dm = d + m
-    factor = 4 * g.axes[0].size * g.axes[1].size
+    factor = 4 * size_a * size_b
     if dm > max_dm:
         raise SizeGuardError(
             f"d + M = {d} + {m} = {dm} exceeds the bound {max_dm}: the program would have "
@@ -75,19 +78,9 @@ def check_size_guard(g: JointDist, m: int, max_dm: int):
     # factor * 2^dm > 2^(max_dm + 4), compared by bit length; dm <= max_dm here
     if (factor - 1).bit_length() + dm > max_dm + 4:
         raise SizeGuardError(
-            f"|A| = {g.axes[0].size} and |B| = {g.axes[1].size} at d + M = {dm}: the program "
+            f"|A| = {size_a} and |B| = {size_b} at d + M = {dm}: the program "
             f"would have {_count(factor, dm)} variables, more than the {_count(16, max_dm)} "
             f"the bound {max_dm} allows; raise max_dm to override"
-        )
-
-
-def check_family_size(m: int, max_dm: int):
-    """Refuse a family of m pairs that no g can be certified with under max_dm:
-    every g has d >= 1, so d + M >= 1 + m.  It needs neither g nor the family."""
-    if 1 + m > max_dm:
-        raise SizeGuardError(
-            f"a family of M = {m} pairs gives d + M >= {1 + m} for every g, above the bound "
-            f"{max_dm}; raise max_dm to override"
         )
 
 
@@ -102,7 +95,7 @@ class CertificationProblem:
         object.__setattr__(self, "lambda0", ensure_fraction(self.lambda0))
         if not (Fraction(1, 2) <= self.lambda0 < 1):
             raise ValueError(f"lambda0 must lie in [1/2, 1), got {self.lambda0}")
-        check_size_guard(self.g, self.m, self.max_dm)
+        check_size_guard(*alphabet_sizes(self.g), self.m, self.max_dm)
         sa, sb = self.size_a, self.size_b
         for i, pair in enumerate(self.family.pairs):
             if pair.map_a.input_axis.size != 2 * sa:
@@ -530,7 +523,8 @@ def verify_certificate(
     certificate must carry a feasible witness whose objective equals the
     claimed optimum; an undistillable one must carry sign-correct, feasible
     dual multipliers whose bound equals the claimed (non-positive) optimum.
-    The first violated condition is reported.
+    The first violated condition is reported.  Inputs that define no program,
+    or one the size guard refuses, raise as `CertificationProblem` does.
     """
 
     def fail(reason: str) -> VerificationResult:
@@ -556,11 +550,8 @@ def verify_certificate(
     else:
         return fail(f"unknown verdict {cert.verdict!r}")
 
-    try:
-        setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)
-        build = build_lp(setup)
-    except ValueError as exc:
-        return fail(f"cannot rebuild program: {exc}")
+    setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)
+    build = build_lp(setup)
 
     if cert.verdict == INCONCLUSIVE:
         if cert.primal.axes != setup.q_axes():

@@ -77,14 +77,17 @@ def _family_for(args, g: JointDist) -> families.MapFamily:
         return _load_family(args.family)
     if not args.gen:
         raise ValueError("need --family PATH or --gen deterministic|random")
-    return _generate_for(g, args.max_dm, args.gen, args.M, args.cap, args.seed, args.denom_bound)
+    sizes = certifier.alphabet_sizes(g)
+    return _generate(args.gen, sizes, args.max_dm, args.M, args.cap, args.seed, args.denom_bound)
 
 
-def _family_size(kind, m, cap, seed, denom_bound):
-    """The family size `kind` is asked for: M for random, cap (else M) for deterministic.
+def _generate(kind, sizes, max_dm, m, cap, seed, denom_bound, sized=True) -> families.MapFamily:
+    """A `kind` family on the copy alphabets of sizes = (|A|, |B|, d), drawn only
+    after the size guard has passed it.
 
-    A field the kind does not read is refused: seed and denom_bound for a
-    deterministic family, cap for a random one.
+    Its size is M, or for a deterministic family cap; a field the kind does
+    not read, and cap beside M, are refused.  Unless `sized` asks for a size,
+    a deterministic family of no size has every pair, guarded at M = 0.
     """
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator {kind!r}")
@@ -92,26 +95,16 @@ def _family_size(kind, m, cap, seed, denom_bound):
     for name, value in unread.items():
         if value is not None:
             raise ValueError(f"{kind} family generation does not read {name}")
-    return cap if kind == "deterministic" and cap is not None else m
-
-
-def _generate_for(g: JointDist, max_dm: int, kind, m, cap, seed, denom_bound):
-    """A family on g's alphabets, whose size meets the guard before it is drawn."""
-    size = _family_size(kind, m, cap, seed, denom_bound)
-    if size is None:
+    if cap is not None and m is not None:
+        raise ValueError("deterministic family generation reads M or cap, not both")
+    size = m if cap is None else cap
+    if size is None and (sized or kind == "random"):
         raise ValueError(f"{kind} family generation needs --M")
-    certifier.check_size_guard(g, size, max_dm)
-    return _generate_family(kind, g.axes[0].size, g.axes[1].size, size, seed, denom_bound)
-
-
-def _generate_family(kind, a_copy, b_copy, size, seed, denom_bound) -> families.MapFamily:
-    """A family of `size` pairs; a deterministic one of size None has every pair."""
+    certifier.check_size_guard(*sizes, size or 0, max_dm)
     if kind == "deterministic":
-        return families.deterministic_family(a_copy, b_copy, cap=size)
-    if size is None:
-        raise ValueError("random family generation needs --M")
+        return families.deterministic_family(sizes[0], sizes[1], cap=size)
     return families.random_filter_family(
-        a_copy, b_copy, m=size, seed=seed if seed is not None else 0,
+        sizes[0], sizes[1], m=size, seed=seed if seed is not None else 0,
         denom_bound=denom_bound if denom_bound is not None else 4,
     )
 
@@ -200,7 +193,7 @@ def _batch_row(entry: dict, base: Path, max_dm: int):
             None if fam_spec.get(k) is None else _json_int(fam_spec[k], f"family {k}")
             for k in GEN_FIELDS
         ]
-        family = _generate_for(g, max_dm, gen, *ints)
+        family = _generate(gen, certifier.alphabet_sizes(g), max_dm, *ints)
         fam_desc = json.dumps(fam_spec, sort_keys=True, separators=(",", ":"))
     lambda0 = _parse_lambda0(entry.get("lambda0", "1/2"))
     cert = certifier.certify(g, family, lambda0=lambda0, max_dm=max_dm)
@@ -235,10 +228,10 @@ def cmd_batch(args) -> int:
 
 
 def cmd_gen_family(args) -> int:
-    size = _family_size(args.gen, args.M, args.cap, args.seed, args.denom_bound)
-    if size is not None:
-        certifier.check_family_size(size, args.max_dm)
-    fam = _generate_family(args.gen, args.a_copy, args.b_copy, size, args.seed, args.denom_bound)
+    # every g has d >= 1: guard at d = 1, so a family no g can be certified with is refused
+    sizes = (args.a_copy, args.b_copy, 1)
+    fam = _generate(args.gen, sizes, args.max_dm, args.M, args.cap, args.seed, args.denom_bound,
+                    sized=False)
     text = fam.dumps()
     if args.out:
         Path(args.out).write_text(text)

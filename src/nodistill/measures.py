@@ -26,9 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlp
+from .certifier import SizeGuardError
 from .families import BOTH, DISCARD, OUTPUTS, code_map, deterministic_codes
 from .probvec import Axis, JointDist, LocalMap, apply_local
 from .rat import ensure_fraction, format_rational, parse_rational
+
+MAX_AB = 12  # bound on |A| + |B|: stage 1 ranges over 3^(|A| + |B|) map pairs
 
 
 class SearchBudgetExhausted(RuntimeError):
@@ -199,10 +202,15 @@ def _stage1_pairs(p: JointDist, budget: int | None):
     lexicographic order, then the coin code (every symbol to both bits), so
     the order is lexicographic in (code_a, code_b).  p is scaled to integers
     once, and each A code's `_side_table` is built once for all B codes.
+    |A| + |B| above MAX_AB is refused before anything is built per symbol.
     """
+    n_a, n_b = p.axis("A").size, p.axis("B").size
+    if n_a + n_b > MAX_AB:
+        raise SizeGuardError(
+            f"|A| + |B| = {n_a} + {n_b} = {n_a + n_b} exceeds the bound {MAX_AB}: the search "
+            f"would range over 3^{n_a + n_b} map pairs"
+        )
     by_a, n_eve = _entries_by_a(p)
-    n_a = len(by_a)
-    n_b = p.axis("B").size
     codes_b = [*deterministic_codes(n_b), (BOTH,) * n_b]
     examined = 0
     for code_a in itertools.chain(deterministic_codes(n_a), [(BOTH,) * n_a]):
@@ -276,7 +284,8 @@ def distillability_witness(
 
     Returns None when the bounded search finds nothing; that is not a proof
     of non-distillability.  Exhausting opts.max_pairs raises
-    SearchBudgetExhausted instead of silently under-reporting.
+    SearchBudgetExhausted instead of silently under-reporting, and a power
+    whose |A| + |B| exceeds MAX_AB raises SizeGuardError.
     """
     from .probvec import tensor_power
 

@@ -213,6 +213,46 @@ def test_lambda_max_pair_budget(workdir, capsys, max_pairs, head, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("flags", [(), ("--max-pairs", 1)], ids=["exhaustive", "budget-1"])
+def test_lambda_max_refuses_a_huge_a_alphabet_before_building_anything(
+    workdir, capsys, monkeypatch, flags
+):
+    from nodistill import measures
+
+    def built(*args, **kwargs):
+        pytest.fail("the search built its per-symbol tables")
+
+    monkeypatch.setattr(measures, "_entries_by_a", built)
+    g = JointDist((Axis("A", 10**12), Axis("B", 2), Axis("E", 1)), {(0, 0, 0): F(1)})
+    (workdir / "wide.json").write_text(g.dumps())
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "lambda-max", workdir / "wide.json", *flags)
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (3, "")
+    assert err == (
+        "refused: |A| + |B| = 1000000000000 + 2 = 1000000000002 exceeds the bound 12: "
+        "the search would range over 3^1000000000002 map pairs\n"
+    )
+
+
+@pytest.mark.parametrize("size_a, refused", [(10, False), (11, True)])
+def test_lambda_max_search_bound(workdir, capsys, size_a, refused):
+    # |A| + |B| = 12 is searched; one more symbol is refused
+    g = JointDist((Axis("A", size_a), Axis("B", 2), Axis("E", 1)), {(0, 0, 0): F(1)})
+    (workdir / "g.json").write_text(g.dumps())
+    code, out, err = run(capsys, "lambda-max", workdir / "g.json", "--max-pairs", 1)
+    if refused:
+        assert (code, out) == (3, "")
+        assert err == (
+            "refused: |A| + |B| = 11 + 2 = 13 exceeds the bound 12: "
+            "the search would range over 3^13 map pairs\n"
+        )
+    else:
+        assert (code, out, err) == (
+            0, "no witness searched: map-pair budget 1 exhausted after 1 pairs\n", ""
+        )
+
+
 # -- certify / verify -----------------------------------------------------------------
 
 
@@ -323,8 +363,8 @@ def test_verify_refuses_to_rebuild_a_huge_program(huge_eve, workdir, capsys):
     cert = replace(cert, digest=_certificate_digest(cert))
     (workdir / "huge_cert.json").write_text(cert.dumps())
     code, out, err = run(capsys, "verify", huge_eve, workdir / "fam1.json", workdir / "huge_cert.json")
-    assert (code, err) == (1, "")
-    assert out == f"certificate INVALID: cannot rebuild program: {HUGE_REFUSAL}\n"
+    assert (code, out) == (3, "")
+    assert err == f"refused: {HUGE_REFUSAL}\n"
 
 
 WIDE = 10**12
@@ -366,8 +406,8 @@ def test_verify_refuses_to_rebuild_a_program_of_too_many_variables(wide_a, workd
     cert = replace(cert, digest=_certificate_digest(cert))
     (workdir / "wide_cert.json").write_text(cert.dumps())
     code, out, err = run(capsys, "verify", wide_a, workdir / "fam1.json", workdir / "wide_cert.json")
-    assert (code, err) == (1, "")
-    assert out == f"certificate INVALID: cannot rebuild program: {WIDE_REFUSAL}\n"
+    assert (code, out) == (3, "")
+    assert err == f"refused: {WIDE_REFUSAL}\n"
 
 
 @pytest.mark.parametrize(
@@ -594,6 +634,43 @@ def test_verify_binds_the_certificate_lambda0(workdir, capsys):
     assert (code, out, err) == (
         1, "certificate INVALID: lambda0 mismatch: certificate states 3/4, checked at 1/2\n", ""
     )
+
+
+def test_verify_refuses_the_stored_aka_m5_program_as_certify_does(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "verify", STORED / "g_aka.json", STORED / "family_M5.json",
+        STORED / "cert_aka-M5.json", "--max-dm", 3,
+    )
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (3, "")
+    assert err == (
+        "refused: d + M = 2 + 5 = 7 exceeds the bound 3: the program would have 2048 variables "
+        "and about 896 selector rows; raise max_dm to override\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "g, fam, reason",
+    [
+        (JointDist((Axis("A", 2), Axis("B", 2)), {(0, 0): F(1)}), deterministic_family(1, 1, cap=1),
+         "g must have exactly three axes ordered (A, B, adversary), got ('A', 'B')"),
+        (JointDist((Axis("A", 1), Axis("B", 1), Axis("E", 1)), {(0, 0, 0): F(1)}),
+         deterministic_family(2, 2, cap=1), "family pair 0: map_a input size 4 != 2*|A| = 2"),
+    ],
+    ids=["two-axis-g", "family-for-other-alphabets"],
+)
+def test_verify_of_inputs_that_define_no_program_is_an_input_error(workdir, capsys, g, fam, reason):
+    # the certificate matches the inputs, so only the program's definition can fail
+    from nodistill.certifier import UNDISTILLABLE, problem_fingerprint
+
+    cert = Certificate(UNDISTILLABLE, F(0), F(1, 2), problem_fingerprint(g, fam, F(1, 2)), dual=())
+    (workdir / "g.json").write_text(g.dumps())
+    (workdir / "fam.json").write_text(fam.dumps())
+    (workdir / "cert.json").write_text(redigested(cert))
+    code, out, err = run(capsys, "verify", workdir / "g.json", workdir / "fam.json",
+                         workdir / "cert.json")
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 def test_verify_wrong_g_exits_nonzero(workdir, capsys):
@@ -1109,7 +1186,7 @@ def test_gen_family_random_seeded(workdir, capsys):
 @pytest.mark.parametrize(
     "flags, reason",
     [
-        (("--gen", "deterministic", "--cap", -1), "cap must be >= 0"),
+        (("--gen", "deterministic", "--cap", -1), "family size must be >= 0, got -1"),
         (("--gen", "random", "--M", 0), "family size m must be >= 1"),
         (("--gen", "random", "--M", 1, "--denom-bound", 0), "denom_bound must be >= 1"),
     ],
@@ -1161,9 +1238,11 @@ def test_gen_family_refuses_a_size_no_g_can_certify_before_drawing(no_family_dra
     )
     assert time.perf_counter() - t0 < 2
     assert (code, out) == (3, "")
+    # guarded at d = 1, the least d any g has, with the copy sizes 2 and 2
     assert err == (
-        "refused: a family of M = 100000000 pairs gives d + M >= 100000001 for every g, "
-        "above the bound 16; raise max_dm to override\n"
+        "refused: d + M = 1 + 100000000 = 100000001 exceeds the bound 16: the program would "
+        "have 2^100000005 or more variables and about 2^100000027 or more selector rows; "
+        "raise max_dm to override\n"
     )
 
 
@@ -1178,7 +1257,10 @@ def test_gen_family_guard_boundary(capsys, flags, refused):
     code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags, "--max-dm", 5)
     if refused:
         assert (code, out) == (3, "")
-        assert err.startswith("refused: a family of M = 5 pairs gives d + M >= 6 for every g, ")
+        assert err == (
+            "refused: d + M = 1 + 5 = 6 exceeds the bound 5: the program would have 256 "
+            "variables and about 384 selector rows; raise max_dm to override\n"
+        )
     else:
         assert (code, err) == (0, "")
         assert len(MapFamily.loads(out)) == 4
@@ -1200,3 +1282,73 @@ def test_gen_family_takes_no_family_flag(workdir, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith(f"error: unrecognized arguments: --family {workdir / 'fam1.json'}\n")
+
+
+def test_gen_family_guards_its_copy_sizes_before_drawing_every_pair(no_family_drawn, capsys):
+    # the guard is applied at d = 1 with the copy sizes, and at M = 0 for a family of no size
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "gen-family", "--a-copy", 10**8, "--b-copy", 2, "--gen", "deterministic"
+    )
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (3, "")
+    assert err == (
+        "refused: |A| = 100000000 and |B| = 2 at d + M = 1: the program would have 1600000000 "
+        "variables, more than the 1048576 the bound 16 allows; raise max_dm to override\n"
+    )
+
+
+# A family spec each of certify --gen, a batch {"gen": ...} object and gen-family
+# refuses alike: (|A| = a_copy, |B| = b_copy, d of g; the spec; the commands that
+# read it; exit code; reason).  gen-family writes every pair of a deterministic
+# family of no size, so it does not read the first spec.
+SHARED_REFUSALS = {
+    "missing-size-deterministic": (
+        (1, 1, 1), {"gen": "deterministic"}, ("certify", "batch"), 2,
+        "deterministic family generation needs --M"),
+    "missing-size-random": (
+        (1, 1, 1), {"gen": "random"}, ("certify", "batch", "gen-family"), 2,
+        "random family generation needs --M"),
+    "unread-field": (
+        (1, 1, 1), {"gen": "deterministic", "M": 1, "seed": 7}, ("certify", "batch", "gen-family"),
+        2, "deterministic family generation does not read seed"),
+    "cap-with-M": (
+        (1, 1, 1), {"gen": "deterministic", "M": 3, "cap": 1}, ("certify", "batch", "gen-family"),
+        2, "deterministic family generation reads M or cap, not both"),
+    "negative-size": (
+        (1, 1, 1), {"gen": "deterministic", "cap": -1}, ("certify", "batch", "gen-family"), 2,
+        "family size must be >= 0, got -1"),
+    "M-over-the-bound": (
+        (1, 1, 1), {"gen": "random", "M": 16}, ("certify", "batch", "gen-family"), 3,
+        "d + M = 1 + 16 = 17 exceeds the bound 16: the program would have 524288 variables "
+        "and about 2228224 selector rows; raise max_dm to override"),
+    "huge-copy-alphabets": (
+        (10**12, 2, 1), {"gen": "random", "M": 1}, ("certify", "batch", "gen-family"), 3,
+        "|A| = 1000000000000 and |B| = 2 at d + M = 2: the program would have 32000000000000 "
+        "variables, more than the 1048576 the bound 16 allows; raise max_dm to override"),
+}
+
+
+@pytest.mark.parametrize(
+    "spec_id, command",
+    [(spec_id, command) for spec_id, (_, _, commands, _, _) in SHARED_REFUSALS.items()
+     for command in commands],
+)
+def test_generators_refuse_a_family_spec_alike(no_family_drawn, workdir, capsys, spec_id, command):
+    sizes, spec, _, want_code, reason = SHARED_REFUSALS[spec_id]
+    g = JointDist(tuple(map(Axis, "ABE", sizes)), {(0, 0, 0): F(1)})
+    (workdir / "g.json").write_text(g.dumps())
+    flags = [x for k, v in spec.items() for x in (f"--{k}", v)]
+    t0 = time.perf_counter()
+    if command == "batch":
+        (workdir / "manifest.json").write_text(json.dumps([{"g": "g.json", "family": spec}]))
+        code, out, _ = run(capsys, "batch", workdir / "manifest.json")
+        assert out.splitlines()[1:] == [f"g.json\t?\t?\tERROR\t{reason}"]
+    else:
+        argv = ["certify", workdir / "g.json"] if command == "certify" else [
+            "gen-family", "--a-copy", sizes[0], "--b-copy", sizes[1]]
+        code, out, err = run(capsys, *argv, *flags)
+        prefix = "refused" if want_code == 3 else "error"
+        assert (out, err) == ("", f"{prefix}: {reason}\n")
+    assert time.perf_counter() - t0 < 2
+    assert code == want_code
