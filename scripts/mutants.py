@@ -16,7 +16,7 @@ Sayward, IEEE Computer 11(4), 1978, order tests by how likely they are to
 kill).  It prints the test that failed, and the recorded killer too when
 that was another test.  A mutant whose runs pass has survived: the tests do
 not pin the check it breaks.  The exit code is 1 if any mutant survived.  A
-sweep takes about four minutes on a 2-vCPU host, one of them the unmutated
+sweep takes about three minutes on a 2-vCPU host, one of them the unmutated
 run; it is not part of the test suite.
 
 Usage:
@@ -198,19 +198,26 @@ MUTANTS = (
      "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_INPUT",
      "tests/test_cli.py::test_batch_guard_refusal_is_an_exit_3_row[huge]"),
     ("generated-family-drawn-before-guard", CLI,
-     "    certifier.check_size_guard(*sizes, size or 0, max_dm)\n",
-     '    if kind == "random":\n        certifier.check_size_guard(*sizes, size or 0, max_dm)\n',
+     "    certifier.check_size_guard(*sizes, size, max_dm)\n",
+     '    if kind == "random":\n        certifier.check_size_guard(*sizes, size, max_dm)\n',
      "tests/test_cli.py::test_certify_refuses_a_huge_random_family_before_drawing_it"
      "[deterministic]"),
-    ("gen-family-draws-before-guard", CLI,
-     "    certifier.check_size_guard(*sizes, size or 0, max_dm)\n",
-     "    if sized:\n        certifier.check_size_guard(*sizes, size or 0, max_dm)\n",
+    ("random-family-drawn-before-guard", CLI,
+     "    certifier.check_size_guard(*sizes, size, max_dm)\n",
+     '    if kind == "deterministic":\n        certifier.check_size_guard(*sizes, size, max_dm)\n',
      "tests/test_cli.py::test_gen_family_refuses_a_size_no_g_can_certify_before_drawing[random]"),
-    ("gen-family-guard-without-copy-sizes", CLI,
-     "check_size_guard(*sizes, size or 0, max_dm)",
-     "check_size_guard(*(sizes if sized else (1, 1, 1)), size or 0, max_dm)",
+    ("guard-without-copy-sizes", CLI,
+     "check_size_guard(*sizes, size, max_dm)", "check_size_guard(1, 1, sizes[2], size, max_dm)",
      "tests/test_cli.py::test_generators_refuse_a_family_spec_alike"
      "[huge-copy-alphabets-gen-family]"),
+    ("deterministic-family-of-no-size-drawn", CLI,
+     "    if size is None:\n"
+     "        raise ValueError(f\"{kind} family generation needs --M\")\n"
+     "    certifier.check_size_guard(*sizes, size, max_dm)\n",
+     "    if size is None and kind == \"random\":\n"
+     "        raise ValueError(f\"{kind} family generation needs --M\")\n"
+     "    certifier.check_size_guard(*sizes, size or 0, max_dm)\n",
+     "tests/test_cli.py::test_gen_family_with_no_size_is_refused"),
     ("family-size-guard-boundary", CLI,
      "sizes = (args.a_copy, args.b_copy, 1)", "sizes = (args.a_copy, args.b_copy, 0)",
      "tests/test_cli.py::test_gen_family_guard_boundary[random-5]"),
@@ -224,10 +231,13 @@ MUTANTS = (
     ("search-bound-off-by-one", MEASURES,
      "if n_a + n_b > MAX_AB:", "if n_a + n_b > MAX_AB + 1:",
      "tests/test_cli.py::test_lambda_max_search_bound[11-True]"),
+    ("search-refused-at-the-bound", MEASURES,
+     "if n_a + n_b > MAX_AB:", "if n_a + n_b >= MAX_AB:",
+     "tests/test_cli.py::test_lambda_max_search_bound[10-False]"),
     ("best-pair-tie-to-last", MEASURES,
      "if best is None or num * best[1] > best[0] * den:",
      "if best is None or num * best[1] >= best[0] * den:",
-     "tests/test_cli.py::test_lambda_max_pair_budget[budget-6561]"),
+     "tests/test_cli.py::test_lambda_max_p442_pinned"),
     ("coin-mass-not-doubled", MEASURES,
      "mass += mass_a[y] * len(OUTPUTS[action])", "mass += mass_a[y]",
      "tests/test_acceptance.py::test_criterion_10_estimator_sanity"),

@@ -81,13 +81,12 @@ def _family_for(args, g: JointDist) -> families.MapFamily:
     return _generate(args.gen, sizes, args.max_dm, args.M, args.cap, args.seed, args.denom_bound)
 
 
-def _generate(kind, sizes, max_dm, m, cap, seed, denom_bound, sized=True) -> families.MapFamily:
+def _generate(kind, sizes, max_dm, m, cap, seed, denom_bound) -> families.MapFamily:
     """A `kind` family on the copy alphabets of sizes = (|A|, |B|, d), drawn only
     after the size guard has passed it.
 
-    Its size is M, or for a deterministic family cap; a field the kind does
-    not read, and cap beside M, are refused.  Unless `sized` asks for a size,
-    a deterministic family of no size has every pair, guarded at M = 0.
+    Its size is M, or for a deterministic family cap, and one is required; a
+    field the kind does not read, and cap beside M, are refused.
     """
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator {kind!r}")
@@ -98,9 +97,9 @@ def _generate(kind, sizes, max_dm, m, cap, seed, denom_bound, sized=True) -> fam
     if cap is not None and m is not None:
         raise ValueError("deterministic family generation reads M or cap, not both")
     size = m if cap is None else cap
-    if size is None and (sized or kind == "random"):
+    if size is None:
         raise ValueError(f"{kind} family generation needs --M")
-    certifier.check_size_guard(*sizes, size or 0, max_dm)
+    certifier.check_size_guard(*sizes, size, max_dm)
     if kind == "deterministic":
         return families.deterministic_family(sizes[0], sizes[1], cap=size)
     return families.random_filter_family(
@@ -119,12 +118,8 @@ def cmd_lambda(args) -> int:
 
 def cmd_lambda_max(args) -> int:
     p = _load_dist(args.dist)
-    opts = measures.SearchOptions(max_pairs=args.max_pairs, refine_rounds=args.refine_rounds)
-    try:
-        witness = measures.estimate_lambda_max(p, opts)
-    except measures.SearchBudgetExhausted as exc:
-        print(f"no witness searched: {exc}")
-        return EXIT_OK
+    opts = measures.SearchOptions(refine_rounds=args.refine_rounds)
+    witness = measures.estimate_lambda_max(p, opts)
     print(f"lower bound {format_rational(witness.value)}")
     print(json.dumps(witness.to_json_dict(), indent=1, sort_keys=True))
     return EXIT_OK
@@ -230,8 +225,7 @@ def cmd_batch(args) -> int:
 def cmd_gen_family(args) -> int:
     # every g has d >= 1: guard at d = 1, so a family no g can be certified with is refused
     sizes = (args.a_copy, args.b_copy, 1)
-    fam = _generate(args.gen, sizes, args.max_dm, args.M, args.cap, args.seed, args.denom_bound,
-                    sized=False)
+    fam = _generate(args.gen, sizes, args.max_dm, args.M, args.cap, args.seed, args.denom_bound)
     text = fam.dumps()
     if args.out:
         Path(args.out).write_text(text)
@@ -265,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lambda-max", help="witnessed lower bound on the extractable fraction")
     sp.add_argument("dist")
-    sp.add_argument("--max-pairs", type=int, default=None, dest="max_pairs")
     sp.add_argument("--refine-rounds", type=int, default=0, dest="refine_rounds")
     sp.set_defaults(func=cmd_lambda_max)
 

@@ -34,25 +34,18 @@ from .rat import ensure_fraction, format_rational, parse_rational
 MAX_AB = 12  # bound on |A| + |B|: stage 1 ranges over 3^(|A| + |B|) map pairs
 
 
-class SearchBudgetExhausted(RuntimeError):
-    """The pair budget ran out before the search space was covered."""
-
-
 @dataclass(frozen=True)
 class SearchOptions:
     """Knobs for the witness search.
 
-    max_pairs caps how many map pairs are examined (None = exhaustive);
-    refine_rounds > 0 enables alternating linear-fractional refinement of the
-    best stage-1 witness.
+    Stage 1 is always exhaustive (MAX_AB bounds its size); refine_rounds > 0
+    enables alternating linear-fractional refinement of the best stage-1
+    witness.
     """
 
-    max_pairs: int | None = None
     refine_rounds: int = 0
 
     def __post_init__(self):
-        if self.max_pairs is not None and self.max_pairs < 0:
-            raise ValueError(f"max_pairs must be >= 0, got {self.max_pairs}")
         if self.refine_rounds < 0:
             raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
 
@@ -194,7 +187,7 @@ def _filtered_fraction(side_a, code_b: tuple) -> tuple[int, int] | None:
     return 2 * sum(map(min, map(sum, zip(*rows0)), map(sum, zip(*rows1)))), mass
 
 
-def _stage1_pairs(p: JointDist, budget: int | None):
+def _stage1_pairs(p: JointDist):
     """Yield (num, den, code_a, code_b) in canonical order, pairs of zero mass skipped.
 
     num/den, unreduced, is the pair's filtered fraction.  Each side runs over
@@ -202,7 +195,8 @@ def _stage1_pairs(p: JointDist, budget: int | None):
     lexicographic order, then the coin code (every symbol to both bits), so
     the order is lexicographic in (code_a, code_b).  p is scaled to integers
     once, and each A code's `_side_table` is built once for all B codes.
-    |A| + |B| above MAX_AB is refused before anything is built per symbol.
+    |A| + |B| above MAX_AB is refused before anything is built per symbol;
+    at or below it, every pair is examined.
     """
     n_a, n_b = p.axis("A").size, p.axis("B").size
     if n_a + n_b > MAX_AB:
@@ -212,15 +206,9 @@ def _stage1_pairs(p: JointDist, budget: int | None):
         )
     by_a, n_eve = _entries_by_a(p)
     codes_b = [*deterministic_codes(n_b), (BOTH,) * n_b]
-    examined = 0
     for code_a in itertools.chain(deterministic_codes(n_a), [(BOTH,) * n_a]):
         side_a = _side_table(by_a, n_b, n_eve, code_a)
         for code_b in codes_b:
-            if budget is not None and examined >= budget:
-                raise SearchBudgetExhausted(
-                    f"map-pair budget {budget} exhausted after {examined} pairs"
-                )
-            examined += 1
             value = _filtered_fraction(side_a, code_b)
             if value is not None:
                 yield *value, code_a, code_b
@@ -248,13 +236,11 @@ def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> 
     lower bound only: the witness recheck is exact, no claim of optimality is
     made.
     """
-    if opts.max_pairs == 0:
-        raise SearchBudgetExhausted("empty search: map-pair budget is 0")
     if p.total_mass() == 0:
         raise ValueError("lambda-max search needs positive total mass")
     best = None
     best_det = None
-    for entry in _stage1_pairs(p, opts.max_pairs):
+    for entry in _stage1_pairs(p):
         num, den, code_a, code_b = entry
         if best is None or num * best[1] > best[0] * den:
             best = entry
@@ -275,36 +261,25 @@ def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> 
 
 
 def distillability_witness(
-    p: JointDist,
-    max_n: int,
-    lambda0: Fraction = Fraction(1, 2),
-    opts: SearchOptions = SearchOptions(),
+    p: JointDist, max_n: int, lambda0: Fraction = Fraction(1, 2)
 ) -> LambdaWitness | None:
     """First stage-1 witness on any tensor power up to max_n with value > lambda0.
 
-    Returns None when the bounded search finds nothing; that is not a proof
-    of non-distillability.  Exhausting opts.max_pairs raises
-    SearchBudgetExhausted instead of silently under-reporting, and a power
-    whose |A| + |B| exceeds MAX_AB raises SizeGuardError.
+    Returns None when the search over powers 1..max_n finds nothing; that is
+    not a proof of non-distillability.  The first power whose |A| + |B|
+    exceeds MAX_AB, reached with no witness found below it, raises
+    SizeGuardError.
     """
     from .probvec import tensor_power
 
     lambda0 = ensure_fraction(lambda0)
-    if opts.max_pairs == 0:
-        raise SearchBudgetExhausted("empty search: map-pair budget is 0")
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    budget = opts.max_pairs
     for n in range(1, max_n + 1):
         pn = tensor_power(p, n)
-        try:
-            for num, den, code_a, code_b in _stage1_pairs(pn, budget):
-                if num * lambda0.denominator > lambda0.numerator * den:
-                    return _witness(pn, num, den, code_a, code_b)
-        except SearchBudgetExhausted:
-            raise SearchBudgetExhausted(
-                f"budget exhausted at tensor power n={n} before covering the space"
-            ) from None
+        for num, den, code_a, code_b in _stage1_pairs(pn):
+            if num * lambda0.denominator > lambda0.numerator * den:
+                return _witness(pn, num, den, code_a, code_b)
     return None
 
 

@@ -180,40 +180,30 @@ def test_lambda_max_negative_refine_rounds_exits_2(workdir, capsys):
     assert err == "error: refine_rounds must be >= 0, got -1\n"
 
 
-def test_lambda_max_negative_max_pairs_exits_2(workdir, capsys):
-    code, out, err = run(capsys, "lambda-max", workdir / "sb.json", "--max-pairs", -1)
-    assert code == 2 and out == ""
-    assert err == "error: max_pairs must be >= 0, got -1\n"
+def test_lambda_max_takes_no_pair_budget(workdir, capsys):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda-max", str(workdir / "sb.json"), "--max-pairs", "1"])
+    assert time.perf_counter() - t0 < 2
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: unrecognized arguments: --max-pairs 1\n")
 
 
-def test_lambda_max_zero_budget_status(workdir, capsys):
-    code, out, _ = run(capsys, "lambda-max", workdir / "sb.json", "--max-pairs", 0)
-    assert code == 0 and out.startswith("no witness searched")
-
-
-@pytest.mark.parametrize(
-    "max_pairs, head, digest",
-    [
-        (1, "no witness searched: map-pair budget 1 exhausted after 1 pairs",
-         "e27501a0da4cef4927e6688180488e1351f18e8e41364cecaffb106cef58f91f"),
-        (6560, "no witness searched: map-pair budget 6560 exhausted after 6560 pairs",
-         "77885eba2904746d93190c1bcd83479a61b45b4ad7981134f3712773737755b9"),
-        (6561, "lower bound 84/131",
-         "e1b17d5a0938741332a4be6ca0e8187bd922775a82d221e6ca14bc24398af99d"),
-    ],
-    ids=["budget-1", "budget-6560", "budget-6561"],
-)
-def test_lambda_max_pair_budget(workdir, capsys, max_pairs, head, digest):
-    """A 4x4 input has 81 x 81 map pairs: a budget one short of them is exhausted."""
+def test_lambda_max_p442_pinned(workdir, capsys):
+    """A 4x4 input: all 81 x 81 map pairs are searched, and the output is pinned."""
     p = rand_dist(random.Random(44), (4, 4, 2), denom_max=5)
     (workdir / "p442.json").write_text(p.dumps())
-    code, out, _ = run(capsys, "lambda-max", workdir / "p442.json", "--max-pairs", max_pairs)
+    code, out, _ = run(capsys, "lambda-max", workdir / "p442.json")
     assert code == 0
-    assert out.partition("\n")[0] == head
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out.partition("\n")[0] == "lower bound 84/131"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e1b17d5a0938741332a4be6ca0e8187bd922775a82d221e6ca14bc24398af99d"
+    )
 
 
-@pytest.mark.parametrize("flags", [(), ("--max-pairs", 1)], ids=["exhaustive", "budget-1"])
+@pytest.mark.parametrize("flags", [(), ("--refine-rounds", 1)], ids=["exhaustive", "refined"])
 def test_lambda_max_refuses_a_huge_a_alphabet_before_building_anything(
     workdir, capsys, monkeypatch, flags
 ):
@@ -238,19 +228,20 @@ def test_lambda_max_refuses_a_huge_a_alphabet_before_building_anything(
 @pytest.mark.parametrize("size_a, refused", [(10, False), (11, True)])
 def test_lambda_max_search_bound(workdir, capsys, size_a, refused):
     # |A| + |B| = 12 is searched; one more symbol is refused
+    from nodistill import measures
+
     g = JointDist((Axis("A", size_a), Axis("B", 2), Axis("E", 1)), {(0, 0, 0): F(1)})
-    (workdir / "g.json").write_text(g.dumps())
-    code, out, err = run(capsys, "lambda-max", workdir / "g.json", "--max-pairs", 1)
     if refused:
+        (workdir / "g.json").write_text(g.dumps())
+        code, out, err = run(capsys, "lambda-max", workdir / "g.json")
         assert (code, out) == (3, "")
         assert err == (
             "refused: |A| + |B| = 11 + 2 = 13 exceeds the bound 12: "
             "the search would range over 3^13 map pairs\n"
         )
     else:
-        assert (code, out, err) == (
-            0, "no witness searched: map-pair budget 1 exhausted after 1 pairs\n", ""
-        )
+        # the whole 3^12 search takes about 2 s: its first pair shows it is not refused
+        assert next(measures._stage1_pairs(g)) == (0, 1, (0,) * 10, (0, 0))
 
 
 # -- certify / verify -----------------------------------------------------------------
@@ -1266,10 +1257,19 @@ def test_gen_family_guard_boundary(capsys, flags, refused):
         assert len(MapFamily.loads(out)) == 4
 
 
-def test_gen_family_with_no_size_writes_every_pair(capsys):
+def test_gen_family_with_no_size_is_refused(no_family_drawn, capsys):
+    # 3x3 copy alphabets have 529,984 deterministic pairs: none is drawn
+    t0 = time.perf_counter()
     code, out, err = run(
-        capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, "--gen", "deterministic", "--max-dm", 1
+        capsys, "gen-family", "--a-copy", 3, "--b-copy", 3, "--gen", "deterministic"
     )
+    assert time.perf_counter() - t0 < 2
+    assert (code, out, err) == (2, "", "error: deterministic family generation needs --M\n")
+
+
+def test_gen_family_writes_every_pair_at_the_full_size(capsys):
+    code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, "--gen",
+                         "deterministic", "--cap", 64, "--max-dm", 65)
     assert (code, err) == (0, "")
     assert out == deterministic_family(1, 1).dumps()
     assert len(MapFamily.loads(out)) == 64
@@ -1285,10 +1285,10 @@ def test_gen_family_takes_no_family_flag(workdir, capsys):
 
 
 def test_gen_family_guards_its_copy_sizes_before_drawing_every_pair(no_family_drawn, capsys):
-    # the guard is applied at d = 1 with the copy sizes, and at M = 0 for a family of no size
+    # the guard is applied at d = 1 with the copy sizes
     t0 = time.perf_counter()
     code, out, err = run(
-        capsys, "gen-family", "--a-copy", 10**8, "--b-copy", 2, "--gen", "deterministic"
+        capsys, "gen-family", "--a-copy", 10**8, "--b-copy", 2, "--gen", "deterministic", "--M", 0
     )
     assert time.perf_counter() - t0 < 2
     assert (code, out) == (3, "")
@@ -1300,11 +1300,10 @@ def test_gen_family_guards_its_copy_sizes_before_drawing_every_pair(no_family_dr
 
 # A family spec each of certify --gen, a batch {"gen": ...} object and gen-family
 # refuses alike: (|A| = a_copy, |B| = b_copy, d of g; the spec; the commands that
-# read it; exit code; reason).  gen-family writes every pair of a deterministic
-# family of no size, so it does not read the first spec.
+# read it; exit code; reason).
 SHARED_REFUSALS = {
     "missing-size-deterministic": (
-        (1, 1, 1), {"gen": "deterministic"}, ("certify", "batch"), 2,
+        (1, 1, 1), {"gen": "deterministic"}, ("certify", "batch", "gen-family"), 2,
         "deterministic family generation needs --M"),
     "missing-size-random": (
         (1, 1, 1), {"gen": "random"}, ("certify", "batch", "gen-family"), 2,

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodistill.certifier import SizeGuardError
 from nodistill.measures import (
     LambdaWitness,
-    SearchBudgetExhausted,
     SearchOptions,
     _refit_side,
     _stage1_pairs,
@@ -178,12 +178,6 @@ def test_estimate_zero_mass_rejected():
         estimate_lambda_max(z)
 
 
-def test_estimate_budget_zero_is_explicit():
-    p = product_dist(random.Random(5))
-    with pytest.raises(SearchBudgetExhausted):
-        estimate_lambda_max(p, SearchOptions(max_pairs=0))
-
-
 def test_witness_recheck_on_random_inputs():
     rng = random.Random(6)
     for _ in range(10):
@@ -332,7 +326,7 @@ def stage1_input(name):
 def test_stage1_pairs_match_the_fraction_kernel(name):
     """The integer, A-factored search yields the reference kernel's pairs and values."""
     p = stage1_input(name)
-    got = [(F(num, den), code_a, code_b) for num, den, code_a, code_b in _stage1_pairs(p, None)]
+    got = [(F(num, den), code_a, code_b) for num, den, code_a, code_b in _stage1_pairs(p)]
     assert got == list(stage1_pairs(p))
     if name == "no-eve":
         # 27 A codes x 9 B codes, less the A codes (2, 2, 0) and (2, 2, 1)
@@ -363,9 +357,13 @@ def test_distillability_uniform_bits_none(uniform_bits):
     assert distillability_witness(uniform_bits, max_n=2) is None
 
 
-def test_distillability_budget_signal(eve_knows_all):
-    with pytest.raises(SearchBudgetExhausted):
-        distillability_witness(eve_knows_all, max_n=2, opts=SearchOptions(max_pairs=5))
+def test_distillability_ends_at_the_search_bound(eve_knows_all):
+    # powers 1 and 2 hold no witness; power 3 has 8 + 8 symbols, past MAX_AB
+    with pytest.raises(SizeGuardError) as exc:
+        distillability_witness(eve_knows_all, max_n=3)
+    assert str(exc.value) == (
+        "|A| + |B| = 8 + 8 = 16 exceeds the bound 12: the search would range over 3^16 map pairs"
+    )
 
 
 def test_distillability_needs_a_positive_power(secret_bit_e):
