@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Mutation check of the checkers, the input decoders, build_lp's integer tables
-and row dedup, the simplex tableau's row scans and rhs column, the stage-1
-search, the stage-2 refit, the size guards, the CLI's generator flags and its
-exit codes: every mutant below must fail a test.
+"""Mutation check of the checkers, the rows verify reads, the input decoders,
+build_lp's integer tables and row dedup, the simplex tableau's row scans and
+rhs column, the stage-1 search, the stage-2 refit, the size guards, the CLI's
+generator flags, its argparse refusals and its exit codes: every mutant below
+must fail a test.
 
 A mutant is one exact string replacement in one file, plus the test that
 killed it in the last full sweep: (name, file, old, new, killer).  The runner
@@ -75,17 +76,28 @@ MUTANTS = (
      "check_size_guard(*alphabet_sizes(self.g), self.m, self.max_dm)", "pass",
      "tests/test_certifier.py::test_size_guard_boundary"),
     ("verify-guard-refusal-as-invalid", CERTIFIER,
-     "    setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)\n"
-     "    build = build_lp(setup)\n",
+     "    setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)\n",
      "    try:\n"
      "        setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)\n"
      "    except SizeGuardError as exc:\n"
-     '        return fail(f"cannot rebuild program: {exc}")\n'
-     "    build = build_lp(setup)\n",
+     '        return fail(f"cannot rebuild program: {exc}")\n',
      "tests/test_cli.py::test_verify_refuses_the_stored_aka_m5_program_as_certify_does"),
     ("certify-self-check-skipped", CERTIFIER,
      "if not ratlp.check_solution(build.problem, sol):", "if False:",
      "tests/test_cli.py::test_certify_exits_4_when_the_solver_output_fails_its_check"),
+    # the rows verify_certificate reads
+    ("selector-row-never-read", CERTIFIER,
+     "return meets(tables[(block >> shift) & 1], block)", "return False",
+     "tests/test_certifier.py::test_verify_names_the_row_a_witness_fails[sel-e]"),
+    ("family-rows-skipped-for-a-witness", CERTIFIER,
+     "return any(meets(tables[(k >> shift) & 1], k) for k in cells)", "return False",
+     "tests/test_certifier.py::test_verify_names_the_row_a_witness_fails[family]"),
+    ("zero-multiplier-test-inverted", CERTIFIER,
+     "read = {r for r, v in enumerate(y) if v != 0}", "read = {r for r, v in enumerate(y) if v == 0}",
+     "tests/test_certifier.py::test_verify_reads_a_dual_on_the_norm_row_alone"),
+    ("unread-norm-row-rhs-0", CERTIFIER,
+     "_UNREAD_NORM = ratlp.LpRow({}, ratlp.SENSE_EQ, 1)", "_UNREAD_NORM = ratlp.LpRow({}, ratlp.SENSE_EQ, 0)",
+     "tests/test_certifier.py::test_verify_names_the_row_a_witness_fails[empty]"),
     # build_lp
     ("row-key-without-block", CERTIFIER,
      "key = ((k, keys[s]),)", "key = (keys[s],)",
@@ -188,6 +200,12 @@ MUTANTS = (
     ("family-file-beside-generator-flags", CLI,
      "raise ValueError(f\"--family and --{name.replace('_', '-')} cannot be combined\")", "pass",
      "tests/test_cli.py::test_certify_refuses_generator_flags_beside_a_family_file[gen]"),
+    ("gen-family-gen-optional", CLI,
+     "_add_family_flags(sp, gen_required=True)", "_add_family_flags(sp, gen_required=False)",
+     "tests/test_cli.py::test_gen_family_without_gen_is_refused"),
+    ("argparse-refusal-prints-usage", CLI,
+     "    def error(self, message):\n", "    def error(self, message):\n        super().error(message)\n",
+     "tests/test_cli.py::test_an_argparse_refusal_is_one_stderr_line[unknown-flag]"),
     # the CLI's exit codes
     ("runtime-error-escapes-main", CLI,
      "except (ValueError, KeyError, RuntimeError) as exc:",

@@ -96,18 +96,11 @@ class CertificationProblem:
         if not (Fraction(1, 2) <= self.lambda0 < 1):
             raise ValueError(f"lambda0 must lie in [1/2, 1), got {self.lambda0}")
         check_size_guard(*alphabet_sizes(self.g), self.m, self.max_dm)
-        sa, sb = self.size_a, self.size_b
         for i, pair in enumerate(self.family.pairs):
-            if pair.map_a.input_axis.size != 2 * sa:
-                raise ValueError(
-                    f"family pair {i}: map_a input size {pair.map_a.input_axis.size} "
-                    f"!= 2*|A| = {2 * sa}"
-                )
-            if pair.map_b.input_axis.size != 2 * sb:
-                raise ValueError(
-                    f"family pair {i}: map_b input size {pair.map_b.input_axis.size} "
-                    f"!= 2*|B| = {2 * sb}"
-                )
+            for side, m, size in (("a", pair.map_a, self.size_a), ("b", pair.map_b, self.size_b)):
+                if m.input_axis.size != 2 * size:
+                    raise ValueError(f"family pair {i}: map_{side} input size {m.input_axis.size} "
+                                     f"!= 2*|{side.upper()}| = {2 * size}")
 
     @property
     def size_a(self) -> int:
@@ -142,6 +135,25 @@ class CertificationProblem:
             Axis("K", self.num_selectors),
         )
 
+    def vector_from_dist(self, qk: JointDist) -> dict[int, Fraction]:
+        """The program point of qk, as its nonzero entries {variable: value}."""
+        if qk.axes != self.q_axes():
+            raise ValueError("distribution axes do not match the program's variable axes")
+        nk, sa, sb = self.num_selectors, self.size_a, self.size_b
+        return {_cell(sa, sb, a, x, b, y) * nk + k: v for (a, x, b, y, k), v in qk.items()}
+
+    def dist_from_vector(self, vec) -> JointDist:
+        nk, sa, sb = self.num_selectors, self.size_a, self.size_b
+        entries = {}
+        for j, v in enumerate(vec):
+            if v:
+                cell, k = divmod(j, nk)
+                cell, y = divmod(cell, sb)
+                cell, b = divmod(cell, 2)
+                a, x = divmod(cell, sa)
+                entries[(a, x, b, y, k)] = Fraction(v)
+        return JointDist(self.q_axes(), entries)
+
 
 # -- program assembly ---------------------------------------------------------
 
@@ -153,34 +165,11 @@ def _cell(sa: int, sb: int, a: int, x: int, b: int, y: int) -> int:
 
 @dataclass(frozen=True)
 class CertificationLp:
-    """The assembled program plus the variable/row bookkeeping around it."""
+    """The assembled program, the problem it was built for and each row's kind."""
 
     problem: ratlp.LpProblem
     setup: CertificationProblem
     row_info: tuple[tuple, ...]  # ("family", i) | ("sel-e", e, k) | ("sel-i", i, k) | ("norm",)
-
-    def var_index(self, a: int, x: int, b: int, y: int, k: int) -> int:
-        sp = self.setup
-        return _cell(sp.size_a, sp.size_b, a, x, b, y) * sp.num_selectors + k
-
-    def vector_from_dist(self, qk: JointDist) -> dict[int, Fraction]:
-        """The program point of qk, as its nonzero entries {variable: value}."""
-        if qk.axes != self.setup.q_axes():
-            raise ValueError("distribution axes do not match the program's variable axes")
-        return {self.var_index(*idx): v for idx, v in qk.items()}
-
-    def dist_from_vector(self, vec) -> JointDist:
-        sp = self.setup
-        nk, sa, sb = sp.num_selectors, sp.size_a, sp.size_b
-        entries = {}
-        for j, v in enumerate(vec):
-            if v:
-                cell, k = divmod(j, nk)
-                cell, y = divmod(cell, sb)
-                cell, b = divmod(cell, 2)
-                a, x = divmod(cell, sa)
-                entries[(a, x, b, y, k)] = Fraction(v)
-        return JointDist(sp.q_axes(), entries)
 
 
 def _integer_map(m) -> tuple[int, list[list[int]]]:
@@ -239,8 +228,15 @@ def _pair_tables(pair, lam2: Fraction) -> tuple[list, list]:
     return family, _reduced(da * db, [sel, [(cell, -c) for cell, c in sel]])
 
 
-def build_lp(problem: CertificationProblem) -> CertificationLp:
-    """Emit the certification program for (g, family, lambda0).
+def _placed(tables, shift: int, mask: int, nk: int) -> dict[int, int | Fraction]:
+    """tables[(k >> shift) & mask] copied into every block k, at cell * nk + k."""
+    starts = [[(cell * nk, c) for cell, c in t] for t in tables]
+    return {j + k: c for k in range(nk) for j, c in starts[(k >> shift) & mask]}
+
+
+def _program(sp: CertificationProblem) -> tuple[dict, list[tuple]]:
+    """The certification program for (g, family, lambda0) as per-bit tables:
+    the objective, and the rows in order as (tables, shift, block, row_info).
 
     Variables are the entries of the grouped activation distribution
     (non-negative, total mass 1).  The objective doubles the lifted advantage
@@ -248,26 +244,19 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     selected diagonal entry; one row per family member bounds the filtered
     advantage by zero the same way, and per-block selector rows pin each
     selected entry to be the actual minimum (ties allowed, which only closes
-    the feasible set and cannot raise a zero maximum).  Constraint rows are
-    scaled to integer coefficients; empty and exactly duplicated rows are
-    dropped.
+    the feasible set and cannot raise a zero maximum).
 
     A coefficient depends on the selector block k only through one selector
     bit (through the d adversary bits for the objective), so each one is
-    computed once per bit value as a (cell, coefficient) table and copied
-    into every block k at cell * num_selectors + k.  The constraint tables
-    are worked out in ints, and each selector row, which fills one block,
-    is placed by a loop of its own.
+    computed once per bit value, in a (cell, coefficient) table of ints for
+    a row.  A row holds tables[(k >> shift) & 1] in block k, at cell *
+    num_selectors + k: a family row (block None) in every block, a selector
+    row in its own block alone.  Empty and repeated rows are left out; the
+    norm row, last, is (None, 0, None, ("norm",)).
     """
-    sp = problem
     lam2 = 2 * sp.lambda0
     d, nk = sp.d, sp.num_selectors
     sa, sb = sp.size_a, sp.size_b
-
-    def placed(tables, shift, mask) -> dict[int, int | Fraction]:
-        """tables[(k >> shift) & mask] copied into every block k."""
-        starts = [[(cell * nk, c) for cell, c in t] for t in tables]
-        return {j + k: c for k in range(nk) for j, c in starts[(k >> shift) & mask]}
 
     g_slices: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(d)]
     g_total: dict[tuple[int, int], Fraction] = {}
@@ -295,15 +284,14 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
                     if c:
                         table.append((_cell(sa, sb, a, x, b, y), c))
         obj_tables.append(table)
-    objective = placed(obj_tables, 0, (1 << d) - 1)
+    objective = _placed(obj_tables, 0, (1 << d) - 1, nk)
 
-    rows: list[ratlp.LpRow] = []
-    row_info: list[tuple] = []
+    rows: list[tuple] = []
     seen_rows: set[tuple] = set()
 
     def emit(tables, shift: int, info: tuple):
-        """Append tables[(k >> shift) & 1] placed into every block k as a row,
-        unless it is empty or an earlier row.
+        """Append the row of tables[(k >> shift) & 1] in every block k, unless it
+        is empty or an earlier row.
 
         A row is the table it holds in each block, so its key is the pairs
         (k, keys[table]) over its nonempty blocks, with keys[s] the frozenset
@@ -313,23 +301,20 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
         key = tuple((k, keys[(k >> shift) & 1]) for k in range(nk) if tables[(k >> shift) & 1])
         if key and key not in seen_rows:
             seen_rows.add(key)
-            rows.append(ratlp.LpRow(placed(tables, shift, 1), ratlp.SENSE_LE, 0))
-            row_info.append(info)
+            rows.append((tables, shift, None, info))
 
     def emit_blocks(tables, shift: int, info: tuple):
-        """For each block k, append tables[(k >> shift) & 1] in block k alone as a
-        row with info + (k,), unless it is empty or an earlier row; the key is
-        `emit`'s for a one-block row."""
+        """For each block k, append the row of tables[(k >> shift) & 1] in block k
+        alone, with info + (k,), unless it is empty or an earlier row; the key
+        is `emit`'s for a one-block row."""
         keys = [frozenset(t) for t in tables]
-        starts = [[(cell * nk, c) for cell, c in t] for t in tables]
         for k in range(nk):
             s = (k >> shift) & 1
             if tables[s]:
                 key = ((k, keys[s]),)
                 if key not in seen_rows:
                     seen_rows.add(key)
-                    rows.append(ratlp.LpRow({j + k: c for j, c in starts[s]}, ratlp.SENSE_LE, 0))
-                    row_info.append((*info, k))
+                    rows.append((tables, shift, k, (*info, k)))
 
     pair_tables = [_pair_tables(pair, lam2) for pair in sp.family.pairs]
 
@@ -353,11 +338,30 @@ def build_lp(problem: CertificationProblem) -> CertificationLp:
     for i, (_, tables) in enumerate(pair_tables):
         emit_blocks(tables, d + i, ("sel-i", i))
 
-    rows.append(ratlp.LpRow(dict.fromkeys(range(sp.num_vars), 1), ratlp.SENSE_EQ, 1))
-    row_info.append(("norm",))
+    rows.append((None, 0, None, ("norm",)))
+    return objective, rows
 
-    lp = ratlp.LpProblem(num_vars=sp.num_vars, objective=objective, rows=tuple(rows))
-    return CertificationLp(problem=lp, setup=sp, row_info=tuple(row_info))
+
+def _lp_row(row: tuple, nk: int, num_vars: int) -> ratlp.LpRow:
+    """A `_program` row as an LpRow: "<=" 0, or total mass "=" 1 for the norm row."""
+    tables, shift, block, _ = row
+    if tables is None:
+        return ratlp.LpRow(dict.fromkeys(range(num_vars), 1), ratlp.SENSE_EQ, 1)
+    if block is None:
+        return ratlp.LpRow(_placed(tables, shift, 1, nk), ratlp.SENSE_LE, 0)
+    table = tables[(block >> shift) & 1]
+    return ratlp.LpRow({cell * nk + block: c for cell, c in table}, ratlp.SENSE_LE, 0)
+
+
+def build_lp(problem: CertificationProblem) -> CertificationLp:
+    """The certification program of `_program`, every row built.
+
+    `verify_certificate` builds only the rows a certificate reads.
+    """
+    objective, rows = _program(problem)
+    nk, n = problem.num_selectors, problem.num_vars
+    lp = ratlp.LpProblem(n, objective, tuple(_lp_row(row, nk, n) for row in rows))
+    return CertificationLp(problem=lp, setup=problem, row_info=tuple(row[3] for row in rows))
 
 
 # -- certificates -------------------------------------------------------------
@@ -380,11 +384,8 @@ class Certificate:
             "lambda0": format_rational(self.lambda0),
             "fingerprint": self.fingerprint,
             "primal": self.primal.to_json_dict() if self.primal is not None else None,
-            "dual": (
-                {"row_multipliers": [format_rational(y) for y in self.dual]}
-                if self.dual is not None
-                else None
-            ),
+            "dual": None if self.dual is None else {
+                "row_multipliers": [format_rational(y) for y in self.dual]},
         }
 
     def to_json_dict(self) -> dict:
@@ -412,14 +413,8 @@ class Certificate:
             optimum=parse_rational(data["optimum"]),
             lambda0=parse_rational(data["lambda0"]),
             fingerprint=str(data["fingerprint"]),
-            primal=(
-                JointDist.from_json_dict(data["primal"]) if data.get("primal") is not None else None
-            ),
-            dual=(
-                tuple(parse_rational(y) for y in dual["row_multipliers"])
-                if dual is not None
-                else None
-            ),
+            primal=None if data.get("primal") is None else JointDist.from_json_dict(data["primal"]),
+            dual=None if dual is None else tuple(map(parse_rational, dual["row_multipliers"])),
             digest=str(data.get("digest", "")),
         )
 
@@ -434,25 +429,16 @@ def _canonical_hash(payload) -> str:
 
 
 def problem_fingerprint(g: JointDist, family: MapFamily, lambda0: Fraction) -> str:
-    return _canonical_hash(
-        {
-            "g": g.to_json_dict(),
-            "family": family.to_json_dict(),
-            "lambda0": format_rational(ensure_fraction(lambda0)),
-        }
-    )
+    return _canonical_hash({"g": g.to_json_dict(), "family": family.to_json_dict(),
+                            "lambda0": format_rational(ensure_fraction(lambda0))})
 
 
 def _certificate_digest(cert: Certificate) -> str:
     return _canonical_hash(cert.body_json_dict())
 
 
-def certify(
-    g: JointDist,
-    family: MapFamily,
-    lambda0: Fraction = Fraction(1, 2),
-    max_dm: int = MAX_DM,
-) -> Certificate:
+def certify(g: JointDist, family: MapFamily, lambda0: Fraction = Fraction(1, 2),
+            max_dm: int = MAX_DM) -> Certificate:
     """Solve the certification program exactly and package the result.
 
     The maximum is never negative at lambda0 = 1/2 (the independent-sides
@@ -461,8 +447,7 @@ def certify(
     one yields "inconclusive" with the maximizing distribution attached.
     Output is deterministic for fixed input.
     """
-    setup = CertificationProblem(g=g, family=family, lambda0=ensure_fraction(lambda0), max_dm=max_dm)
-    return certify_lp(build_lp(setup))
+    return certify_lp(build_lp(CertificationProblem(g, family, lambda0, max_dm)))
 
 
 def certify_lp(build: CertificationLp) -> Certificate:
@@ -482,7 +467,7 @@ def certify_lp(build: CertificationLp) -> Certificate:
         optimum=sol.objective_value,
         lambda0=setup.lambda0,
         fingerprint=problem_fingerprint(setup.g, setup.family, setup.lambda0),
-        primal=build.dist_from_vector(sol.primal) if positive else None,
+        primal=setup.dist_from_vector(sol.primal) if positive else None,
         dual=None if positive else tuple(sol.dual),
     )
     return replace(cert, digest=_certificate_digest(cert))
@@ -500,6 +485,32 @@ _FAILURES = {
 }
 
 
+def _rows_read(rows: list[tuple], x: dict, nk: int) -> set[int]:
+    """The indices of the `_program` rows that hold a variable of the point x,
+    tested for a family row in every block x touches, for a selector row in
+    its own block; any other row is 0 at x."""
+    cells: dict[int, set[int]] = {}
+    for j in x:
+        cells.setdefault(j % nk, set()).add(j // nk)
+
+    def meets(table, k: int) -> bool:
+        return k in cells and not cells[k].isdisjoint(cell for cell, _ in table)
+
+    def reads(tables, shift: int, block: int | None, _info) -> bool:
+        if tables is None:  # the norm row holds every variable
+            return bool(x)
+        if block is None:
+            return any(meets(tables[(k >> shift) & 1], k) for k in cells)
+        return meets(tables[(block >> shift) & 1], block)
+
+    return {r for r, row in enumerate(rows) if reads(*row)}
+
+
+# in place of a row a certificate does not read: lhs 0, the row's sense and rhs
+_UNREAD_ROW = ratlp.LpRow({}, ratlp.SENSE_LE, 0)
+_UNREAD_NORM = ratlp.LpRow({}, ratlp.SENSE_EQ, 1)
+
+
 @dataclass(frozen=True)
 class VerificationResult:
     ok: bool
@@ -509,13 +520,8 @@ class VerificationResult:
         return self.ok
 
 
-def verify_certificate(
-    g: JointDist,
-    family: MapFamily,
-    lambda0: Fraction,
-    cert: Certificate,
-    max_dm: int = MAX_DM,
-) -> VerificationResult:
+def verify_certificate(g: JointDist, family: MapFamily, lambda0: Fraction, cert: Certificate,
+                       max_dm: int = MAX_DM) -> VerificationResult:
     """Recheck a certificate exactly, independently of the solver.
 
     The problem fingerprint and the certificate's own content digest must
@@ -525,6 +531,11 @@ def verify_certificate(
     dual multipliers whose bound equals the claimed (non-positive) optimum.
     The first violated condition is reported.  Inputs that define no program,
     or one the size guard refuses, raise as `CertificationProblem` does.
+
+    Only the rows the certificate reads are built: for a dual, those with a
+    nonzero multiplier; for a witness, those that hold one of its entries.
+    Any other row goes in empty, with its sense and rhs, so every check and
+    the first failure are those of `build_lp`'s whole program.
     """
 
     def fail(reason: str) -> VerificationResult:
@@ -551,16 +562,23 @@ def verify_certificate(
         return fail(f"unknown verdict {cert.verdict!r}")
 
     setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)
-    build = build_lp(setup)
-
+    nk, n = setup.num_selectors, setup.num_vars
+    objective, rows = _program(setup)
     if cert.verdict == INCONCLUSIVE:
         if cert.primal.axes != setup.q_axes():
             return fail("witness axes do not match the program's variable layout")
-        bad = ratlp.violation(build.problem, cert.optimum, x=build.vector_from_dist(cert.primal))
+        x, y = setup.vector_from_dist(cert.primal), None
+        read = _rows_read(rows, x, nk)
     else:
-        bad = ratlp.violation(build.problem, cert.optimum, y=cert.dual)
+        x, y = None, cert.dual
+        read = {r for r, v in enumerate(y) if v != 0}
+    lp = ratlp.LpProblem(n, objective, tuple(
+        _lp_row(row, nk, n) if r in read else _UNREAD_NORM if row[0] is None else _UNREAD_ROW
+        for r, row in enumerate(rows)
+    ))
+    bad = ratlp.violation(lp, cert.optimum, x=x, y=y)
     if bad is None:
         return VerificationResult(True)
     kind, i, got, want = bad
-    info = build.row_info[i] if kind in ("row", "multiplier") else None
+    info = rows[i][3] if kind in ("row", "multiplier") else None
     return fail(_FAILURES[kind].format(i=i, info=info, got=got, want=want))

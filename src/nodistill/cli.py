@@ -237,8 +237,8 @@ def cmd_gen_family(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _add_family_flags(sp):
-    sp.add_argument("--gen", choices=GENERATORS, help="generate the family")
+def _add_family_flags(sp, gen_required: bool):
+    sp.add_argument("--gen", choices=GENERATORS, required=gen_required, help="generate the family")
     sp.add_argument("--M", type=int, default=None, help="family size for generation")
     sp.add_argument("--cap", type=int, default=None, help="cap for deterministic generation")
     sp.add_argument("--seed", type=int, default=None, help="seed for random generation")
@@ -246,8 +246,15 @@ def _add_family_flags(sp):
                     help="coefficient grid 0, 1/b, ..., 1 for random generation")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusal is one stderr line, without the usage line."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nodistill",
         description="Exact-rational certification that secret correlations cannot be distilled",
     )
@@ -265,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="run the certification program")
     sp.add_argument("g")
     sp.add_argument("--family", help="path to a family JSON file")
-    _add_family_flags(sp)
+    _add_family_flags(sp, gen_required=False)
     sp.add_argument("--lambda0", default="1/2")
     sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm",
                     help="refuse problems with d + M beyond this bound")
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen-family", help="generate and save a map family")
     sp.add_argument("--a-copy", type=int, required=True, dest="a_copy")
     sp.add_argument("--b-copy", type=int, required=True, dest="b_copy")
-    _add_family_flags(sp)
+    _add_family_flags(sp, gen_required=True)
     sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm",
                     help="refuse a family size that no g can be certified with under this bound")
     sp.add_argument("--out")

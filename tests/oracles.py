@@ -428,7 +428,7 @@ def activation_spotcheck(
     points: list[JointDist] = []
     base = ratlp.solve(build.problem)
     if base.status == ratlp.OPTIMAL:
-        points.append(build.dist_from_vector(base.primal))
+        points.append(build.setup.dist_from_vector(base.primal))
     for _ in range(max(0, vertices - 1)):
         alt_obj = {
             j: Fraction(rng.randint(-9, 9))
@@ -439,7 +439,7 @@ def activation_spotcheck(
         )
         sol = ratlp.solve(alt)
         if sol.status == ratlp.OPTIMAL:
-            points.append(build.dist_from_vector(sol.primal))
+            points.append(build.setup.dist_from_vector(sol.primal))
     for _ in range(mixtures):
         if len(points) < 2:
             break

@@ -138,7 +138,7 @@ def test_criterion_4_grouping_identity():
             grouped = group_by_selector(q, g, fam)
             build = build_lp(CertificationProblem(g=g, family=fam))
             assert lifted_objective_value(q, g, HALF) == ratlp.dot(
-                build.problem.objective, build.vector_from_dist(grouped)
+                build.problem.objective, build.setup.vector_from_dist(grouped)
             )
             for pair in fam.pairs:
                 assert family_constraint_value(q, pair, HALF) == family_constraint_value(

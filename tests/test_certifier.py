@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from nodistill import families, ratlp
+from nodistill import certifier, families, ratlp
 from nodistill.certifier import (
     INCONCLUSIVE,
     UNDISTILLABLE,
@@ -27,10 +28,12 @@ from oracles import (
     activation_spotcheck,
     canonical_witness_q,
     certification_rows,
+    dual_violation,
     family_constraint_value,
     fraction_table_program,
     group_by_selector,
     lifted_objective_value,
+    primal_violation,
     selector_bits,
     selector_index,
 )
@@ -98,7 +101,7 @@ def test_grouping_preserves_objective_and_family_values():
         grouped = group_by_selector(q, g, fam)
         build = build_lp(CertificationProblem(g=g, family=fam))
         assert lifted_objective_value(q, g, HALF) == ratlp.dot(
-            build.problem.objective, build.vector_from_dist(grouped)
+            build.problem.objective, build.setup.vector_from_dist(grouped)
         )
         for pair in fam.pairs:
             assert family_constraint_value(q, pair, HALF) == family_constraint_value(
@@ -174,7 +177,7 @@ def test_canonical_witness_feasible_with_correct_selectors(secret_bit_e, eve_kno
         fam = deterministic_family(2, 2, cap=3)
         build = build_lp(CertificationProblem(g=g, family=fam))
         grouped = group_by_selector(canonical_witness_q(g), g, fam)
-        x = build.vector_from_dist(grouped)
+        x = build.setup.vector_from_dist(grouped)
         value = ratlp.dot(build.problem.objective, x)
         assert ratlp.violation(build.problem, value, x=x) is None
 
@@ -643,6 +646,138 @@ def test_verify_reports_a_dual_of_the_wrong_length(count):
     data = strip_certificate().to_json_dict()
     data["dual"]["row_multipliers"] = (data["dual"]["row_multipliers"] + ["0/1"])[:count]
     assert verify_trivial(data) == f"dual has {count} multipliers for 8 rows"
+
+
+# -- verify makes only the rows a certificate reads -------------------------------
+
+
+# The secret bit's witness under one deterministic pair (optimum 1/4; rows:
+# family 0, sel-e in blocks 0-3, sel-i in blocks 0-3, norm), and witnesses made
+# from it that fail at each kind of row
+SB_WITNESS = {(0, 0, 0, 0, 0): F(1, 4), (0, 0, 0, 1, 2): F(1, 2), (1, 0, 1, 0, 0): F(1, 4)}
+
+
+@pytest.mark.parametrize(
+    "entries, failure",
+    [
+        ({(0, 0, 0, 0, 0): F(1)}, "witness violates row 0 ('family', 0): 3 vs 0"),
+        ({(0, 0, 0, 0, 2): F(1)}, "witness violates row 3 ('sel-e', 0, 2): 1 vs 0"),
+        # the first entry moved from block 0 to block 1, which it then touches
+        ({(0, 0, 0, 0, 1): F(1, 4), (0, 0, 0, 1, 2): F(1, 2), (1, 0, 1, 0, 0): F(1, 4)},
+         "witness violates row 6 ('sel-i', 0, 1): 1/4 vs 0"),
+        # no entry reads the norm row, whose lhs 0 still fails its rhs 1
+        ({}, "witness violates row 9 ('norm',): 0 vs 1"),
+        ({k: 2 * v for k, v in SB_WITNESS.items()}, "witness violates row 9 ('norm',): 2 vs 1"),
+    ],
+    ids=["family", "sel-e", "sel-i", "empty", "mass-2"],
+)
+def test_verify_names_the_row_a_witness_fails(secret_bit_e, entries, failure):
+    fam = deterministic_family(2, 2, cap=1)
+    cert = certify(secret_bit_e, fam)
+    assert dict(cert.primal.items()) == SB_WITNESS
+    forged = redigest(replace(cert, primal=JointDist(cert.primal.axes, entries)).to_json_dict())
+    assert verify_certificate(secret_bit_e, fam, HALF, forged).failure == failure
+
+
+def test_verify_reads_a_dual_on_the_norm_row_alone():
+    # every column sum is 3, at least each objective coefficient (3 or -1)
+    data = strip_certificate().to_json_dict()
+    data["dual"]["row_multipliers"] = ["0/1"] * 7 + ["3/1"]
+    assert verify_trivial(data) == "dual bound 3 != claimed optimum 0"
+
+
+def product_g(*marginals) -> JointDist:
+    """g(x, y, e) = pA(x) pB(y) pE(e)."""
+    axes = tuple(Axis(party, len(m)) for party, m in zip("ABE", marginals))
+    return JointDist(axes, {
+        idx: marginals[0][idx[0]] * marginals[1][idx[1]] * marginals[2][idx[2]]
+        for idx in itertools.product(*(range(len(m)) for m in marginals))
+    })
+
+
+@pytest.fixture
+def uniform_2x2_biased_eve():
+    return product_g([HALF] * 2, [HALF] * 2, [F(1, 3), F(2, 3)])
+
+
+@pytest.fixture
+def uniform_3x2_biased_eve():
+    return product_g([F(1, 3)] * 3, [HALF] * 2, [F(1, 5), F(4, 5)])
+
+
+def tampered(cert: Certificate, rng: random.Random) -> list[Certificate]:
+    """cert and, re-digested, copies with one entry of its proof perturbed,
+    zeroed, or negated (a dual multiplier) or moved (a witness entry: a
+    distribution cannot hold a negative one)."""
+    out = [cert]
+    if cert.primal is not None:
+        axes, entries = cert.primal.axes, dict(cert.primal.items())
+        for idx, v in entries.items():
+            rest = {k: w for k, w in entries.items() if k != idx}
+            other = tuple(rng.randrange(ax.size) for ax in axes)
+            for changed in ({**rest, idx: v * F(3, 2)}, rest, {**rest, other: rest.get(other, 0) + v}):
+                out.append(replace(cert, primal=JointDist(axes, changed)))
+    else:
+        y = cert.dual
+        for r in [r for r, v in enumerate(y) if v] + [rng.randrange(len(y)) for _ in range(4)]:
+            for v in (y[r] + F(1, 3), F(0), -y[r]):
+                out.append(replace(cert, dual=(*y[:r], v, *y[r + 1:])))
+    return [redigest(c.to_json_dict()) for c in out]
+
+
+@pytest.mark.parametrize(
+    "g_name, family, lambda0",
+    [
+        ("uniform_bits", deterministic_family(2, 2, cap=3), HALF),
+        ("eve_knows_all", deterministic_family(2, 2, cap=3), HALF),
+        ("eve_knows_all", deterministic_family(2, 2, cap=3), F(2, 3)),
+        ("rand_3x2x3", random_filter_family(3, 2, m=2, seed=1, denom_bound=3), HALF),
+        ("uniform_2x2_biased_eve", deterministic_family(2, 2, cap=2), HALF),
+        ("uniform_3x2_biased_eve", deterministic_family(3, 2, cap=2), F(2, 3)),
+    ],
+    ids=["unif-det3", "aka-det3", "aka-det3-two-thirds", "rand3x2x3-rand2",
+         "unif-biased-eve-det2", "unif3x2-biased-eve-det2-two-thirds"],
+)
+def test_verify_matches_the_every_row_oracles(request, monkeypatch, g_name, family, lambda0):
+    g = request.getfixturevalue(g_name)
+    cert = certify(g, family, lambda0)
+    build = build_lp(CertificationProblem(g=g, family=family, lambda0=lambda0))
+    reported = []
+    check = ratlp.violation
+    monkeypatch.setattr(ratlp, "violation", lambda *a, **kw: reported.append(check(*a, **kw)) or reported[-1])
+    kinds = set()
+    for forged in tampered(cert, random.Random(0)):
+        result = verify_certificate(g, family, lambda0, forged)
+        if forged.primal is not None:
+            x = build.setup.vector_from_dist(forged.primal)
+            want = primal_violation(build.problem, forged.optimum, x)
+        else:
+            want = dual_violation(build.problem, forged.optimum, forged.dual)
+        assert reported.pop() == want
+        assert result.ok == (want is None)
+        if want and want[0] in ("row", "multiplier"):
+            assert str(build.row_info[want[1]]) in result.failure
+        kinds.add(want and want[0])
+    assert None in kinds and len(kinds) >= 3
+
+
+@pytest.mark.parametrize("name", ["unif-M5", "aka-M5", "aka-M5-bad-primal"])
+def test_verify_makes_only_the_rows_a_certificate_reads(monkeypatch, name):
+    g = JointDist.loads((STORED / f"g_{name.split('-')[0]}.json").read_text())
+    family = MapFamily.loads((STORED / "family_M5.json").read_text())
+    cert = Certificate.loads((STORED / f"cert_{name}.json").read_text())
+    build = build_lp(CertificationProblem(g=g, family=family))
+    if cert.primal is not None:
+        x = build.setup.vector_from_dist(cert.primal)
+        read = [i for i, row in zip(build.row_info, build.problem.rows)
+                if not row.coeffs.keys().isdisjoint(x)]
+    else:
+        read = [i for i, y in zip(build.row_info, cert.dual) if y]
+    made = []
+    make = certifier._lp_row
+    monkeypatch.setattr(certifier, "_lp_row", lambda row, *a: made.append(row[3]) or make(row, *a))
+    verify_certificate(g, family, HALF, cert)
+    assert made == read and len(read) < len(build.row_info) // 4
 
 
 def test_size_guard_boundary(secret_bit_e):

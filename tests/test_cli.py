@@ -191,6 +191,42 @@ def test_lambda_max_takes_no_pair_budget(workdir, capsys):
     assert err.endswith("error: unrecognized arguments: --max-pairs 1\n")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["lambda-max", "d.json", "--max-pairs", "1"],
+         "nodistill: error: unrecognized arguments: --max-pairs 1"),
+        ([], "nodistill: error: the following arguments are required: command"),
+        (["certify"], "nodistill certify: error: the following arguments are required: g"),
+        (["certify", "g.json", "--gen", "all"],
+         "nodistill certify: error: argument --gen: invalid choice: 'all' "
+         "(choose from 'deterministic', 'random')"),
+        (["verify", "g.json", "f.json", "c.json", "--max-dm", "x"],
+         "nodistill verify: error: argument --max-dm: invalid int value: 'x'"),
+    ],
+    ids=["unknown-flag", "no-command", "missing-argument", "bad-choice", "bad-int"],
+)
+def test_an_argparse_refusal_is_one_stderr_line(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, got = capsys.readouterr()
+    assert (out, got.splitlines()) == ("", [err])
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [(["--help"], "usage: nodistill [-h]"), (["verify", "--help"], "usage: nodistill verify [-h]")],
+    ids=["top", "verify"],
+)
+def test_help_goes_to_stdout(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage) and err == ""
+
+
 def test_lambda_max_p442_pinned(workdir, capsys):
     """A 4x4 input: all 81 x 81 map pairs are searched, and the output is pinned."""
     p = rand_dist(random.Random(44), (4, 4, 2), denom_max=5)
@@ -1273,6 +1309,15 @@ def test_gen_family_writes_every_pair_at_the_full_size(capsys):
     assert (code, err) == (0, "")
     assert out == deterministic_family(1, 1).dumps()
     assert len(MapFamily.loads(out)) == 64
+
+
+def test_gen_family_without_gen_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-family", "--a-copy", "1", "--b-copy", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "nodistill gen-family: error: the following arguments are required: --gen\n"
+    )
 
 
 def test_gen_family_takes_no_family_flag(workdir, capsys):
