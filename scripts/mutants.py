@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Mutation check of the checkers, the rows verify reads, the input decoders,
-build_lp's integer tables and row dedup, the simplex tableau's row scans and
-rhs column, the stage-1 search, the stage-2 refit, the size guards, the CLI's
-generator flags, its argparse refusals and its exit codes: every mutant below
-must fail a test.
+"""Mutation check of the checkers, the rows and objective verify places, the
+input decoders, the rational formatter, build_lp's integer tables and row
+dedup, the simplex tableau's row scans and rhs column, the stage-1 search,
+the stage-2 refit, the size guards, the CLI's generator flags, its argparse
+refusals and its exit codes: every mutant below must fail a test.
 
 A mutant is one exact string replacement in one file, plus the test that
 killed it in the last full sweep: (name, file, old, new, killer).  The runner
@@ -85,19 +85,33 @@ MUTANTS = (
     ("certify-self-check-skipped", CERTIFIER,
      "if not ratlp.check_solution(build.problem, sol):", "if False:",
      "tests/test_cli.py::test_certify_exits_4_when_the_solver_output_fails_its_check"),
-    # the rows verify_certificate reads
-    ("selector-row-never-read", CERTIFIER,
-     "return meets(tables[(block >> shift) & 1], block)", "return False",
-     "tests/test_certifier.py::test_verify_names_the_row_a_witness_fails[sel-e]"),
-    ("family-rows-skipped-for-a-witness", CERTIFIER,
-     "return any(meets(tables[(k >> shift) & 1], k) for k in cells)", "return False",
-     "tests/test_certifier.py::test_verify_names_the_row_a_witness_fails[family]"),
+    # the rows and objective verify_certificate places
+    ("family-row-in-one-witness-block", CERTIFIER,
+     "blocks = support if block is None else", "blocks = list(support)[:1] if block is None else",
+     "tests/test_certifier.py::test_verify_makes_only_the_rows_a_certificate_reads[aka-M5]"),
+    ("selector-row-in-every-witness-block", CERTIFIER,
+     "blocks = support if block is None else (block,) if block in support else ()", "blocks = support",
+     "tests/test_certifier.py::test_verify_makes_only_the_rows_a_certificate_reads[aka-M5]"),
+    ("norm-row-empty-for-a-witness", CERTIFIER,
+     "return ratlp.LpRow(dict.fromkeys(keys, 1), ratlp.SENSE_EQ, 1) if keys else _UNREAD_NORM",
+     "return ratlp.LpRow(dict.fromkeys(keys, 1), ratlp.SENSE_EQ, 1) if support is None else _UNREAD_NORM",
+     "tests/test_certifier.py::test_verify_makes_only_the_rows_a_certificate_reads[aka-M5]"),
+    ("witness-objective-on-no-entries", CERTIFIER,
+     "_placed(obj_tables, 0, None, nk, support)", "_placed(obj_tables, 0, None, nk, support and {})",
+     "tests/test_certifier.py::test_verify_makes_only_the_rows_a_certificate_reads[aka-M5]"),
     ("zero-multiplier-test-inverted", CERTIFIER,
      "read = {r for r, v in enumerate(y) if v != 0}", "read = {r for r, v in enumerate(y) if v == 0}",
      "tests/test_certifier.py::test_verify_reads_a_dual_on_the_norm_row_alone"),
     ("unread-norm-row-rhs-0", CERTIFIER,
      "_UNREAD_NORM = ratlp.LpRow({}, ratlp.SENSE_EQ, 1)", "_UNREAD_NORM = ratlp.LpRow({}, ratlp.SENSE_EQ, 0)",
      "tests/test_certifier.py::test_verify_names_the_row_a_witness_fails[empty]"),
+    # certificate I/O
+    ("multiplier-memo-hit-is-the-first-parsed", CERTIFIER,
+     "return tuple(parsed[t] if", "return tuple(next(iter(parsed.values())) if",
+     "tests/test_certifier.py::test_verify_makes_only_the_rows_a_certificate_reads[unif-M5]"),
+    ("format-fast-path-for-any-value", RAT,
+     "f = x if type(x) is Fraction else ensure_fraction(x)", "f = x",
+     "tests/test_rat.py::test_format_refuses_floats_and_bools[0.5]"),
     # build_lp
     ("row-key-without-block", CERTIFIER,
      "key = ((k, keys[s]),)", "key = (keys[s],)",

@@ -228,15 +228,23 @@ def _pair_tables(pair, lam2: Fraction) -> tuple[list, list]:
     return family, _reduced(da * db, [sel, [(cell, -c) for cell, c in sel]])
 
 
-def _placed(tables, shift: int, mask: int, nk: int) -> dict[int, int | Fraction]:
-    """tables[(k >> shift) & mask] copied into every block k, at cell * nk + k."""
+def _placed(tables, shift: int, block: int | None, nk: int, support: dict | None = None) -> dict:
+    """tables[(k >> shift) % len(tables)] at cell * nk + k, in every block k
+    (block None) or in block alone; with support, {block: cells}, only at its
+    (block, cell) entries."""
+    if support is not None:
+        blocks = support if block is None else (block,) if block in support else ()
+        return {cell * nk + k: c for k in blocks
+                for cell, c in tables[(k >> shift) % len(tables)] if cell in support[k]}
+    if block is not None:
+        return {cell * nk + block: c for cell, c in tables[(block >> shift) % len(tables)]}
     starts = [[(cell * nk, c) for cell, c in t] for t in tables]
-    return {j + k: c for k in range(nk) for j, c in starts[(k >> shift) & mask]}
+    return {j + k: c for k in range(nk) for j, c in starts[(k >> shift) % len(tables)]}
 
 
-def _program(sp: CertificationProblem) -> tuple[dict, list[tuple]]:
+def _program(sp: CertificationProblem) -> tuple[list, list[tuple]]:
     """The certification program for (g, family, lambda0) as per-bit tables:
-    the objective, and the rows in order as (tables, shift, block, row_info).
+    the objective's, and the rows in order as (tables, shift, block, row_info).
 
     Variables are the entries of the grouped activation distribution
     (non-negative, total mass 1).  The objective doubles the lifted advantage
@@ -251,8 +259,9 @@ def _program(sp: CertificationProblem) -> tuple[dict, list[tuple]]:
     computed once per bit value, in a (cell, coefficient) table of ints for
     a row.  A row holds tables[(k >> shift) & 1] in block k, at cell *
     num_selectors + k: a family row (block None) in every block, a selector
-    row in its own block alone.  Empty and repeated rows are left out; the
-    norm row, last, is (None, 0, None, ("norm",)).
+    row in its own block alone, the objective table k mod 2^d in block k.
+    Empty and repeated rows are left out; the norm row, last, is (None, 0,
+    None, ("norm",)).
     """
     lam2 = 2 * sp.lambda0
     d, nk = sp.d, sp.num_selectors
@@ -284,7 +293,6 @@ def _program(sp: CertificationProblem) -> tuple[dict, list[tuple]]:
                     if c:
                         table.append((_cell(sa, sb, a, x, b, y), c))
         obj_tables.append(table)
-    objective = _placed(obj_tables, 0, (1 << d) - 1, nk)
 
     rows: list[tuple] = []
     seen_rows: set[tuple] = set()
@@ -339,28 +347,32 @@ def _program(sp: CertificationProblem) -> tuple[dict, list[tuple]]:
         emit_blocks(tables, d + i, ("sel-i", i))
 
     rows.append((None, 0, None, ("norm",)))
-    return objective, rows
+    return obj_tables, rows
 
 
-def _lp_row(row: tuple, nk: int, num_vars: int) -> ratlp.LpRow:
-    """A `_program` row as an LpRow: "<=" 0, or total mass "=" 1 for the norm row."""
+# a row placed on none of its entries: lhs 0, the row's sense and rhs
+_UNREAD_ROW = ratlp.LpRow({}, ratlp.SENSE_LE, 0)
+_UNREAD_NORM = ratlp.LpRow({}, ratlp.SENSE_EQ, 1)
+
+
+def _lp_row(row: tuple, nk: int, num_vars: int, support: dict | None = None) -> ratlp.LpRow:
+    """A `_program` row as an LpRow: "<=" 0, or total mass "=" 1 for the norm
+    row; placed as `_placed` does, and if that leaves it empty, `_UNREAD_*`."""
     tables, shift, block, _ = row
     if tables is None:
-        return ratlp.LpRow(dict.fromkeys(range(num_vars), 1), ratlp.SENSE_EQ, 1)
-    if block is None:
-        return ratlp.LpRow(_placed(tables, shift, 1, nk), ratlp.SENSE_LE, 0)
-    table = tables[(block >> shift) & 1]
-    return ratlp.LpRow({cell * nk + block: c for cell, c in table}, ratlp.SENSE_LE, 0)
+        keys = (range(num_vars) if support is None
+                else [cell * nk + k for k in support for cell in support[k]])
+        return ratlp.LpRow(dict.fromkeys(keys, 1), ratlp.SENSE_EQ, 1) if keys else _UNREAD_NORM
+    coeffs = _placed(tables, shift, block, nk, support)
+    return ratlp.LpRow(coeffs, ratlp.SENSE_LE, 0) if coeffs else _UNREAD_ROW
 
 
 def build_lp(problem: CertificationProblem) -> CertificationLp:
-    """The certification program of `_program`, every row built.
-
-    `verify_certificate` builds only the rows a certificate reads.
-    """
-    objective, rows = _program(problem)
+    """The certification program of `_program`, every row and the objective in full."""
+    obj_tables, rows = _program(problem)
     nk, n = problem.num_selectors, problem.num_vars
-    lp = ratlp.LpProblem(n, objective, tuple(_lp_row(row, nk, n) for row in rows))
+    rows_made = tuple(_lp_row(row, nk, n) for row in rows)
+    lp = ratlp.LpProblem(n, _placed(obj_tables, 0, None, nk), rows_made)
     return CertificationLp(problem=lp, setup=problem, row_info=tuple(row[3] for row in rows))
 
 
@@ -414,13 +426,21 @@ class Certificate:
             lambda0=parse_rational(data["lambda0"]),
             fingerprint=str(data["fingerprint"]),
             primal=None if data.get("primal") is None else JointDist.from_json_dict(data["primal"]),
-            dual=None if dual is None else tuple(map(parse_rational, dual["row_multipliers"])),
+            dual=None if dual is None else _parse_multipliers(dual["row_multipliers"]),
             digest=str(data.get("digest", "")),
         )
 
     @staticmethod
     def loads(text: str) -> "Certificate":
         return Certificate.from_json_dict(json.loads(text))
+
+
+def _parse_multipliers(texts: list) -> tuple[Fraction, ...]:
+    """parse_rational of each text, each distinct string once (a dual has few
+    distinct multipliers); a non-string is refused before it is hashed."""
+    parsed: dict[str, Fraction] = {}
+    return tuple(parsed[t] if isinstance(t, str) and t in parsed
+                 else parsed.setdefault(t, parse_rational(t)) for t in texts)
 
 
 def _canonical_hash(payload) -> str:
@@ -485,32 +505,6 @@ _FAILURES = {
 }
 
 
-def _rows_read(rows: list[tuple], x: dict, nk: int) -> set[int]:
-    """The indices of the `_program` rows that hold a variable of the point x,
-    tested for a family row in every block x touches, for a selector row in
-    its own block; any other row is 0 at x."""
-    cells: dict[int, set[int]] = {}
-    for j in x:
-        cells.setdefault(j % nk, set()).add(j // nk)
-
-    def meets(table, k: int) -> bool:
-        return k in cells and not cells[k].isdisjoint(cell for cell, _ in table)
-
-    def reads(tables, shift: int, block: int | None, _info) -> bool:
-        if tables is None:  # the norm row holds every variable
-            return bool(x)
-        if block is None:
-            return any(meets(tables[(k >> shift) & 1], k) for k in cells)
-        return meets(tables[(block >> shift) & 1], block)
-
-    return {r for r, row in enumerate(rows) if reads(*row)}
-
-
-# in place of a row a certificate does not read: lhs 0, the row's sense and rhs
-_UNREAD_ROW = ratlp.LpRow({}, ratlp.SENSE_LE, 0)
-_UNREAD_NORM = ratlp.LpRow({}, ratlp.SENSE_EQ, 1)
-
-
 @dataclass(frozen=True)
 class VerificationResult:
     ok: bool
@@ -532,10 +526,11 @@ def verify_certificate(g: JointDist, family: MapFamily, lambda0: Fraction, cert:
     The first violated condition is reported.  Inputs that define no program,
     or one the size guard refuses, raise as `CertificationProblem` does.
 
-    Only the rows the certificate reads are built: for a dual, those with a
-    nonzero multiplier; for a witness, those that hold one of its entries.
-    Any other row goes in empty, with its sense and rhs, so every check and
-    the first failure are those of `build_lp`'s whole program.
+    The work follows the certificate: a dual's rows with a nonzero multiplier
+    are built in full; for a witness, each row and the objective only at its
+    entries, which keeps every lhs and c.x.  A row left empty goes in as
+    `_UNREAD_*`, with its sense and rhs, so every check and the first failure
+    are those of `build_lp`'s whole program.
     """
 
     def fail(reason: str) -> VerificationResult:
@@ -563,19 +558,21 @@ def verify_certificate(g: JointDist, family: MapFamily, lambda0: Fraction, cert:
 
     setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)
     nk, n = setup.num_selectors, setup.num_vars
-    objective, rows = _program(setup)
+    obj_tables, rows = _program(setup)
     if cert.verdict == INCONCLUSIVE:
         if cert.primal.axes != setup.q_axes():
             return fail("witness axes do not match the program's variable layout")
         x, y = setup.vector_from_dist(cert.primal), None
-        read = _rows_read(rows, x, nk)
+        support: dict[int, set[int]] = {}  # {block: cells} of the witness's entries
+        for j in x:
+            support.setdefault(j % nk, set()).add(j // nk)
+        made = [_lp_row(row, nk, n, support) for row in rows]
     else:
-        x, y = None, cert.dual
+        x, y, support = None, cert.dual, None
         read = {r for r, v in enumerate(y) if v != 0}
-    lp = ratlp.LpProblem(n, objective, tuple(
-        _lp_row(row, nk, n) if r in read else _UNREAD_NORM if row[0] is None else _UNREAD_ROW
-        for r, row in enumerate(rows)
-    ))
+        made = [_lp_row(row, nk, n) if r in read else _UNREAD_NORM if row[0] is None else _UNREAD_ROW
+                for r, row in enumerate(rows)]
+    lp = ratlp.LpProblem(n, _placed(obj_tables, 0, None, nk, support), tuple(made))
     bad = ratlp.violation(lp, cert.optimum, x=x, y=y)
     if bad is None:
         return VerificationResult(True)

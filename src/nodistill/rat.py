@@ -32,8 +32,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical "p/q" form, lowest terms, denominator always explicit."""
-    f = Fraction(x)
+    """Canonical "p/q" form, lowest terms, denominator always explicit; a
+    Fraction is read as it is, anything else through `ensure_fraction`."""
+    f = x if type(x) is Fraction else ensure_fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -767,17 +767,32 @@ def test_verify_makes_only_the_rows_a_certificate_reads(monkeypatch, name):
     family = MapFamily.loads((STORED / "family_M5.json").read_text())
     cert = Certificate.loads((STORED / f"cert_{name}.json").read_text())
     build = build_lp(CertificationProblem(g=g, family=family))
-    if cert.primal is not None:
-        x = build.setup.vector_from_dist(cert.primal)
-        read = [i for i, row in zip(build.row_info, build.problem.rows)
-                if not row.coeffs.keys().isdisjoint(x)]
-    else:
-        read = [i for i, y in zip(build.row_info, cert.dual) if y]
-    made = []
-    make = certifier._lp_row
-    monkeypatch.setattr(certifier, "_lp_row", lambda row, *a: made.append(row[3]) or make(row, *a))
+    full = build.problem
+    checked = []
+    check = ratlp.violation
+    monkeypatch.setattr(ratlp, "violation", lambda lp, *a, **kw: checked.append(lp) or check(lp, *a, **kw))
     verify_certificate(g, family, HALF, cert)
-    assert made == read and len(read) < len(build.row_info) // 4
+    (lp,) = checked
+    assert len(lp.rows) == len(full.rows)
+    made = [r for r, row in enumerate(lp.rows) if row.coeffs]
+    for row, whole in zip(lp.rows, full.rows):
+        assert (row.sense, row.rhs) == (whole.sense, whole.rhs)
+        if not row.coeffs:
+            norm = whole.sense == ratlp.SENSE_EQ
+            assert row is (certifier._UNREAD_NORM if norm else certifier._UNREAD_ROW)
+    if cert.primal is not None:
+        # every row and the objective at the witness's entries alone, each as in the full program
+        x = build.setup.vector_from_dist(cert.primal)
+        read = [r for r, row in enumerate(full.rows) if not row.coeffs.keys().isdisjoint(x)]
+        pairs = [(lp.objective, full.objective), *((r.coeffs, w.coeffs) for r, w in zip(lp.rows, full.rows))]
+        for coeffs, whole in pairs:
+            assert coeffs.keys() <= x.keys()
+            assert coeffs == {j: c for j, c in whole.items() if j in x}
+    else:
+        # the rows with a nonzero multiplier, in full
+        read = [r for r, y in enumerate(cert.dual) if y]
+        assert all(lp.rows[r] == full.rows[r] for r in read) and lp.objective == full.objective
+    assert made == read and len(read) < len(full.rows) // 4
 
 
 def test_size_guard_boundary(secret_bit_e):

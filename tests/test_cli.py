@@ -7,8 +7,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from nodistill.certifier import Certificate, _certificate_digest
+from nodistill.certifier import Certificate, _certificate_digest, certify
 from nodistill import families
 from nodistill.cli import main
 from nodistill.families import MapFamily, deterministic_family
@@ -962,6 +964,102 @@ def test_json_number_for_a_rational_exits_2(workdir, capsys, kind, path):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: cannot read {kind} {bad}: rational must be a string, got int\n"
+
+
+@pytest.mark.parametrize("value", [0.5, True, None, ["1/2"], {"num": 1}],
+                         ids=["float", "bool", "null", "list", "dict"])
+def test_a_non_string_multiplier_exits_2(workdir, capsys, value):
+    """A multiplier that is not a string is refused as such, even where earlier
+    strings have been parsed and kept, and even when it cannot be hashed."""
+    doc = undistillable_cert_doc(workdir)
+    capsys.readouterr()
+    multipliers = doc["dual"]["row_multipliers"]
+    multipliers.append(multipliers[0])
+    multipliers.append(value)
+    bad = workdir / "typed.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", workdir / "triv.json", workdir / "fam1.json", bad)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read certificate {bad}: rational must be a string, got {type(value).__name__}\n"
+
+
+# -- certificate fuzzing: one JSON node of a valid certificate changed ----------------
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-2, 2)
+    | st.sampled_from(["", "0/1", "1/2", "-1/4", "1/0", "x", "undistillable", "inconclusive"])
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=4,
+)
+
+
+def json_paths(node, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, (*path, key))
+
+
+@pytest.fixture(scope="module")
+def fuzzed_inputs(tmp_path_factory):
+    """(g path, family path, certificate JSON) of a valid inconclusive and a
+    valid undistillable certificate, with a scratch certificate path."""
+    base = tmp_path_factory.mktemp("fuzz")
+    sb = tensor(secret_bit(), trivial_eve())
+    uniform = JointDist((Axis("A", 2), Axis("B", 2), Axis("E", 1)),
+                        {(a, b, 0): F(1, 4) for a in range(2) for b in range(2)})
+    fam = deterministic_family(2, 2, cap=2)
+    (base / "fam.json").write_text(fam.dumps())
+    inputs = {}
+    for name, g in (("inconclusive", sb), ("undistillable", uniform)):
+        (base / f"{name}.json").write_text(g.dumps())
+        cert = certify(g, fam)
+        assert cert.verdict == name
+        inputs[name] = (base / f"{name}.json", base / "fam.json", cert.to_json_dict())
+    return inputs, base / "fuzzed.json"
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_certificate_with_one_node_changed_is_judged_or_refused(fuzzed_inputs, capsys, data):
+    """verify of a certificate with one JSON node replaced or deleted, and
+    sometimes re-digested, exits 0, 1 with a verdict line or 2 with one
+    stderr line: never a traceback."""
+    inputs, path = fuzzed_inputs
+    g, fam, doc = inputs[data.draw(st.sampled_from(sorted(inputs)))]
+    doc = json.loads(json.dumps(doc))
+    where = data.draw(st.sampled_from(list(json_paths(doc))))
+    if where:
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = data.draw(JSON_VALUES)
+    else:
+        doc = data.draw(JSON_VALUES)
+    if data.draw(st.booleans()):
+        # reach the checks behind the digest
+        try:
+            doc["digest"] = _certificate_digest(Certificate.from_json_dict(doc))
+        except (ValueError, KeyError, TypeError):
+            pass
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out, err = run(capsys, "verify", g, fam, path)
+    assert code in (0, 1, 2), (code, out, err)
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert (out, err) == ("certificate valid\n", "")
+    elif code == 1:
+        assert out.startswith("certificate INVALID: ") and out.count("\n") == 1 and err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def family_with_seed(workdir, seed):

@@ -15,6 +15,13 @@ def test_format_parse_roundtrip(x):
 def test_format_always_writes_denominator():
     assert format_rational(F(3)) == "3/1"
     assert format_rational(F(-2, 4)) == "-1/2"
+    assert format_rational(3) == "3/1"
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_format_refuses_floats_and_bools(bad):
+    with pytest.raises(ValueError):
+        format_rational(bad)
 
 
 @pytest.mark.parametrize("text,expected", [("1/2", F(1, 2)), ("-3/9", F(-1, 3)), ("7", F(7)), ("+2/4", F(1, 2))])
