@@ -42,6 +42,7 @@ CERTIFIER = "src/nodistill/certifier.py"
 RAT = "src/nodistill/rat.py"
 CLI = "src/nodistill/cli.py"
 MEASURES = "src/nodistill/measures.py"
+PROBVEC = "src/nodistill/probvec.py"
 
 MUTANTS = (
     # verify_certificate
@@ -204,6 +205,12 @@ MUTANTS = (
     ("manifest-unknown-keys", CLI,
      '_known_keys(entry, "manifest entry", ("g", "family", "lambda0"))', "pass",
      "tests/test_cli.py::test_batch_refuses_a_loose_entry[unknown-key]"),
+    ("distribution-unknown-keys", PROBVEC,
+     '_known_keys(data, "distribution", ("axes", "entries"))', "pass",
+     "tests/test_cli.py::test_an_unknown_key_in_an_input_file_exits_2[distribution]"),
+    ("certificate-dual-unknown-keys", CERTIFIER,
+     '_known_keys(dual, "certificate dual", ("row_multipliers",))', "pass",
+     "tests/test_cli.py::test_an_unknown_key_in_an_input_file_exits_2[certificate-dual]"),
     ("manifest-g-any-type", CLI,
      "if not isinstance(g_path, str):", "if False:",
      "tests/test_cli.py::test_batch_refuses_a_loose_entry[g-not-string]"),
@@ -271,8 +278,23 @@ MUTANTS = (
      "if best is None or num * best[1] >= best[0] * den:",
      "tests/test_cli.py::test_lambda_max_p442_pinned"),
     ("coin-mass-not-doubled", MEASURES,
-     "mass += mass_a[y] * len(OUTPUTS[action])", "mass += mass_a[y]",
+     "mass = mass_a[s0] + mass_a[s1]", "mass = mass_a[s0 | s1]",
      "tests/test_acceptance.py::test_criterion_10_estimator_sanity"),
+    ("coin-a-mass-not-doubled", MEASURES,
+     "list(map(add, totals[t0], totals[t1]))", "totals[t0 | t1]",
+     "tests/test_acceptance.py::test_criterion_10_estimator_sanity"),
+    ("a-mask-table-from-its-highest-symbol", MEASURES,
+     "for r, s in zip(t, row)]", "for r, s in zip(tables[0], row)]",
+     "tests/test_measures.py::test_stage1_pairs_match_the_fraction_kernel[rand-3x3x2]"),
+    ("b-mask-row-from-its-highest-symbol", MEASURES,
+     "row += [list(map(add, r, cell)) for r in row]", "row += [list(map(add, row[0], cell)) for r in row]",
+     "tests/test_measures.py::test_stage1_pairs_match_the_fraction_kernel[rand-3x3x2]"),
+    ("diagonal-crossed-on-the-b-side", MEASURES,
+     "diag0[s0], diag1[s1]", "diag0[s1], diag1[s0]",
+     "tests/test_measures.py::test_stage1_pairs_match_the_fraction_kernel[rand-3x3x2]"),
+    ("masks-drop-the-last-symbol", MEASURES,
+     "for i, act in enumerate(code) if", "for i, act in enumerate(code[:-1]) if",
+     "tests/test_measures.py::test_stage1_pairs_match_the_fraction_kernel[rand-3x3x2]"),
     ("distillable-at-lambda0", MEASURES,
      "if num * lambda0.denominator > lambda0.numerator * den:",
      "if num * lambda0.denominator >= lambda0.numerator * den:",

@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from . import ratlp
 from .families import MapFamily
-from .probvec import Axis, JointDist
+from .probvec import Axis, JointDist, _known_keys
 from .rat import ensure_fraction, format_rational, parse_rational
 
 UNDISTILLABLE = "undistillable"
@@ -412,6 +412,8 @@ class Certificate:
     def from_json_dict(data: dict) -> "Certificate":
         if not isinstance(data, dict):
             raise ValueError("certificate JSON must be an object")
+        _known_keys(data, "certificate",
+                    ("verdict", "optimum", "lambda0", "fingerprint", "primal", "dual", "digest"))
         dual = data.get("dual")
         if dual is not None and not (
             isinstance(dual, dict) and isinstance(dual.get("row_multipliers"), list)
@@ -420,6 +422,8 @@ class Certificate:
                 "certificate dual must be null or an object with a row_multipliers list, "
                 f"got {json.dumps(dual)}"
             )
+        if dual is not None:
+            _known_keys(dual, "certificate dual", ("row_multipliers",))
         return Certificate(
             verdict=str(data["verdict"]),
             optimum=parse_rational(data["optimum"]),

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import certifier, families, measures, ratlp
-from .probvec import JointDist, _json_int
+from .probvec import JointDist, _json_int, _known_keys
 from .rat import format_rational, parse_rational
 
 EXIT_OK = 0
@@ -157,12 +157,6 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     print(f"certificate INVALID: {result.failure}")
     return EXIT_INVALID
-
-
-def _known_keys(obj: dict, what: str, keys: tuple[str, ...]):
-    for k in obj:
-        if k not in keys:
-            raise ValueError(f"{what} has unknown key {k!r}")
 
 
 def _batch_row(entry: dict, base: Path, max_dm: int):

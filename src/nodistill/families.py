@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .probvec import Axis, LocalMap, _json_int
+from .probvec import Axis, LocalMap, _json_int, _known_keys
 
 # per-symbol action codes: 0 -> bit 0, 1 -> bit 1, DISCARD -> drop, BOTH -> both bits
 DISCARD = 2
@@ -43,6 +43,7 @@ class MapPair:
     def from_json_dict(data: dict) -> "MapPair":
         if not isinstance(data, dict):
             raise ValueError(f"family pair must be an object, got {json.dumps(data)}")
+        _known_keys(data, "family pair", ("map_a", "map_b"))
         return MapPair(
             map_a=LocalMap.from_json_dict(data["map_a"]),
             map_b=LocalMap.from_json_dict(data["map_b"]),
@@ -72,6 +73,7 @@ class MapFamily:
     def from_json_dict(data: dict) -> "MapFamily":
         if not isinstance(data, dict):
             raise ValueError(f"family JSON must be an object, got {json.dumps(data)}")
+        _known_keys(data, "family", ("pairs", "generator", "seed"))
         if not isinstance(data["pairs"], list):
             raise ValueError(f"family pairs must be a list, got {json.dumps(data['pairs'])}")
         seed = data.get("seed")

@@ -24,11 +24,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import ratlp
 from .certifier import SizeGuardError
-from .families import BOTH, DISCARD, OUTPUTS, code_map, deterministic_codes
-from .probvec import Axis, JointDist, LocalMap, apply_local
+from .families import BOTH, OUTPUTS, code_map, deterministic_codes
+from .probvec import Axis, JointDist, LocalMap, apply_local, tensor_power
 from .rat import ensure_fraction, format_rational, parse_rational
 
 MAX_AB = 12  # bound on |A| + |B|: stage 1 ranges over 3^(|A| + |B|) map pairs
@@ -144,47 +145,46 @@ def _entries_by_a(p: JointDist):
     return by_a, len(eve_num)
 
 
-def _side_table(by_a, n_b: int, n_eve: int, code_a: tuple):
-    """(mass, diag0, diag1): p filtered on the A side by code_a, per B symbol y.
+def _subset_tables(by_a, n_eve: int, n_b: int):
+    """(P, W): the weights w of `_entries_by_a` summed over every A mask T and B mask S.
 
-    mass[y] sums w * |outputs of x| over the entries (x, y, e) that code_a
-    keeps; diag_t[y][e] sums w over those that code_a sends to bit t.
+    W[T][S][e] sums w over the entries (x, y, e) with x in T and y in S, and
+    P[T][S] = sum_e W[T][S][e]: 2^(|A| + |B|) * E ints, 4,096 per Eve symbol
+    at MAX_AB, so they are built only past the MAX_AB guard.
     """
-    mass = [0] * n_b
-    diag = ([[0] * n_eve for _ in range(n_b)], [[0] * n_eve for _ in range(n_b)])
-    for entries, action in zip(by_a, code_a):
-        outs = OUTPUTS[action]
+    tables = [[[0] * n_eve] * (1 << n_b)]
+    for entries in by_a:
+        cells = [[0] * n_eve for _ in range(n_b)]
         for y, e, w in entries:
-            mass[y] += w * len(outs)
-            for t in outs:
-                diag[t][y][e] += w
-    return mass, *diag
+            cells[y][e] += w
+        row = [[0] * n_eve]
+        for cell in cells:
+            row += [list(map(add, r, cell)) for r in row]
+        tables += [[list(map(add, r, s)) for r, s in zip(t, row)] for t in tables]
+    return [list(map(sum, t)) for t in tables], tables
 
 
-def _filtered_fraction(side_a, code_b: tuple) -> tuple[int, int] | None:
+def _masks(code: tuple) -> tuple[int, int]:
+    """(S0, S1): the symbols code sends to bit 0 and to bit 1 as bit masks (the coin's in both)."""
+    return tuple(sum(1 << i for i, act in enumerate(code) if t in OUTPUTS[act]) for t in (0, 1))
+
+
+def _filtered_fraction(side_a, masks_b: tuple[int, int]) -> tuple[int, int] | None:
     """(2 * sum_e min_t q(t,t,e), mass of q) in integer weights, or None on zero
-    mass, where q is p filtered by code_a (side_a is its `_side_table`) and code_b.
+    mass, where q is p filtered by code_a and by the B code of masks (S0, S1).
 
-    The quotient is the pair's filtered fraction.  Stage 1 calls this once
-    per map pair it examines.
+    side_a holds the `_subset_tables` rows P[T0] + P[T1], W[T0] and W[T1] of
+    code_a's masks (T0, T1): the mass is sum_ij P[Ti][Sj] and the diagonal at
+    e is W[T0][S0][e], W[T1][S1][e].  Stage 1 calls this once per map pair.
     """
     mass_a, diag0, diag1 = side_a
-    mass = 0
-    rows0 = []
-    rows1 = []
-    for y, action in enumerate(code_b):
-        if action == DISCARD:
-            continue
-        mass += mass_a[y] * len(OUTPUTS[action])
-        if action != 1:
-            rows0.append(diag0[y])
-        if action != 0:
-            rows1.append(diag1[y])
+    s0, s1 = masks_b
+    mass = mass_a[s0] + mass_a[s1]
     if mass == 0:
         return None
-    if not rows0 or not rows1:  # code_b outputs one bit only: no diagonal mass
+    if not s0 or not s1:  # code_b outputs one bit only: no diagonal mass
         return 0, mass
-    return 2 * sum(map(min, map(sum, zip(*rows0)), map(sum, zip(*rows1)))), mass
+    return 2 * sum(map(min, diag0[s0], diag1[s1])), mass
 
 
 def _stage1_pairs(p: JointDist):
@@ -194,9 +194,9 @@ def _stage1_pairs(p: JointDist):
     the deterministic filter codes of the families module in their
     lexicographic order, then the coin code (every symbol to both bits), so
     the order is lexicographic in (code_a, code_b).  p is scaled to integers
-    once, and each A code's `_side_table` is built once for all B codes.
-    |A| + |B| above MAX_AB is refused before anything is built per symbol;
-    at or below it, every pair is examined.
+    and summed into the `_subset_tables` once; each pair is then a few
+    lookups by its codes' `_masks`.  |A| + |B| above MAX_AB is refused before
+    anything is built per symbol; at or below it, every pair is examined.
     """
     n_a, n_b = p.axis("A").size, p.axis("B").size
     if n_a + n_b > MAX_AB:
@@ -204,12 +204,14 @@ def _stage1_pairs(p: JointDist):
             f"|A| + |B| = {n_a} + {n_b} = {n_a + n_b} exceeds the bound {MAX_AB}: the search "
             f"would range over 3^{n_a + n_b} map pairs"
         )
-    by_a, n_eve = _entries_by_a(p)
+    totals, tables = _subset_tables(*_entries_by_a(p), n_b)
     codes_b = [*deterministic_codes(n_b), (BOTH,) * n_b]
+    masks_b = list(map(_masks, codes_b))
     for code_a in itertools.chain(deterministic_codes(n_a), [(BOTH,) * n_a]):
-        side_a = _side_table(by_a, n_b, n_eve, code_a)
-        for code_b in codes_b:
-            value = _filtered_fraction(side_a, code_b)
+        t0, t1 = _masks(code_a)
+        side_a = (list(map(add, totals[t0], totals[t1])), tables[t0], tables[t1])
+        for code_b, masks in zip(codes_b, masks_b):
+            value = _filtered_fraction(side_a, masks)
             if value is not None:
                 yield *value, code_a, code_b
 
@@ -238,18 +240,17 @@ def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> 
     """
     if p.total_mass() == 0:
         raise ValueError("lambda-max search needs positive total mass")
-    best = None
-    best_det = None
+    refine = opts.refine_rounds > 0
+    best = best_det = None
     for entry in _stage1_pairs(p):
         num, den, code_a, code_b = entry
         if best is None or num * best[1] > best[0] * den:
             best = entry
-        if BOTH not in code_a + code_b and (
-            best_det is None or num * best_det[1] > best_det[0] * den
-        ):
-            best_det = entry
+        if refine and BOTH not in (code_a[0], code_b[0]):  # only the coin codes hold BOTH
+            if best_det is None or num * best_det[1] > best_det[0] * den:
+                best_det = entry
     witness = _witness(p, *best)
-    if opts.refine_rounds > 0:
+    if refine:
         seeds = [witness]
         if best_det is not None and best_det != best:
             seeds.append(_witness(p, *best_det))
@@ -270,8 +271,6 @@ def distillability_witness(
     exceeds MAX_AB, reached with no witness found below it, raises
     SizeGuardError.
     """
-    from .probvec import tensor_power
-
     lambda0 = ensure_fraction(lambda0)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")

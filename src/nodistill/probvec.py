@@ -63,6 +63,13 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _known_keys(obj: dict, what: str, keys: tuple[str, ...]):
+    """Refuse a key of a JSON object that its reader does not read."""
+    for k in obj:
+        if k not in keys:
+            raise ValueError(f"{what} has unknown key {k!r}")
+
+
 def _axis_to_json(ax: Axis) -> dict:
     d = {"party": ax.party, "size": ax.size}
     if ax.factors is not None:
@@ -73,6 +80,7 @@ def _axis_to_json(ax: Axis) -> dict:
 def _axis_from_json(d: dict) -> Axis:
     if not isinstance(d, dict):
         raise ValueError(f"axis must be an object, got {json.dumps(d)}")
+    _known_keys(d, "axis", ("party", "size", "factors"))
     party = d["party"]
     if not isinstance(party, str):
         raise ValueError(f"axis party must be a string, got {json.dumps(party)}")
@@ -228,11 +236,13 @@ class JointDist:
     def from_json_dict(data: dict) -> "JointDist":
         if not isinstance(data, dict) or "axes" not in data or "entries" not in data:
             raise ValueError("distribution JSON needs 'axes' and 'entries'")
+        _known_keys(data, "distribution", ("axes", "entries"))
         axes = [_axis_from_json(d) for d in _json_list(data["axes"], "distribution axes")]
         entries = []
         for e in _json_list(data["entries"], "distribution entries"):
             if not isinstance(e, dict):
                 raise ValueError(f"distribution entry must be an object, got {json.dumps(e)}")
+            _known_keys(e, "distribution entry", ("index", "p"))
             idx = tuple(_json_int(i, "entry index") for i in _json_list(e["index"], "entry index"))
             entries.append((idx, parse_rational(e["p"])))
         return JointDist(axes, entries)
@@ -300,6 +310,7 @@ class LocalMap:
     def from_json_dict(data: dict) -> "LocalMap":
         if not isinstance(data, dict):
             raise ValueError(f"map must be an object, got {json.dumps(data)}")
+        _known_keys(data, "map", ("input", "output", "coeffs"))
         input_axis, output_axis = _axis_from_json(data["input"]), _axis_from_json(data["output"])
         coeffs = data["coeffs"]
         if not (isinstance(coeffs, list) and all(isinstance(row, list) for row in coeffs)):

@@ -538,7 +538,7 @@ def stage1_pairs(p: JointDist):
     canonical order: each side's deterministic codes, then its coin code.
 
     Every pair walks all of p in Fractions; the program's search scales p to
-    integers and shares one table per A code.
+    integers and sums it once over every pair of A and B symbol masks.
     """
     pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
     items = list(p.items())

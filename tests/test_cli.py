@@ -241,6 +241,26 @@ def test_lambda_max_p442_pinned(workdir, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, bound, digest",
+    [
+        ((), "96/175", "a2ec9f20a98b05a5bdd0a402f474f595e639ac684c072434eb879acc98730f4a"),
+        (("--refine-rounds", 1), "36600/62401",
+         "f655053a52a8a5a773ae6b185d2e36e96fe665237f5cb322af8967e4f569fc9a"),
+    ],
+    ids=["exhaustive", "refined"],
+)
+def test_lambda_max_p253_pinned(workdir, capsys, flags, bound, digest):
+    """A 2x5 input, so the two sides' tables differ in size: the output is pinned,
+    and with refinement so is the choice of the best fully deterministic seed."""
+    p = rand_dist(random.Random(25), (2, 5, 3))
+    (workdir / "p253.json").write_text(p.dumps())
+    code, out, _ = run(capsys, "lambda-max", workdir / "p253.json", *flags)
+    assert code == 0
+    assert out.partition("\n")[0] == f"lower bound {bound}"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("flags", [(), ("--refine-rounds", 1)], ids=["exhaustive", "refined"])
 def test_lambda_max_refuses_a_huge_a_alphabet_before_building_anything(
     workdir, capsys, monkeypatch, flags
@@ -278,7 +298,7 @@ def test_lambda_max_search_bound(workdir, capsys, size_a, refused):
             "the search would range over 3^13 map pairs\n"
         )
     else:
-        # the whole 3^12 search takes about 2 s: its first pair shows it is not refused
+        # the whole 3^12 search takes about 0.4 s: its first pair shows it is not refused
         assert next(measures._stage1_pairs(g)) == (0, 1, (0,) * 10, (0, 0))
 
 
@@ -932,6 +952,59 @@ def test_non_object_pair_map_or_dual_exits_2(workdir, capsys, kind, doc, reason)
 
 
 @pytest.mark.parametrize(
+    "kind, path, what",
+    [
+        ("distribution", (), "distribution"),
+        ("distribution", ("axes", 0), "axis"),
+        ("distribution", ("entries", 0), "distribution entry"),
+        ("family", (), "family"),
+        ("family", ("pairs", 0), "family pair"),
+        ("family", ("pairs", 0, "map_b"), "map"),
+        ("family", ("pairs", 0, "map_a", "input"), "axis"),
+        ("certificate", (), "certificate"),
+        ("certificate", ("dual",), "certificate dual"),
+    ],
+    ids=["distribution", "distribution-axis", "distribution-entry", "family", "family-pair",
+         "family-map", "family-axis", "certificate", "certificate-dual"],
+)
+def test_an_unknown_key_in_an_input_file_exits_2(workdir, capsys, kind, path, what):
+    """A key no reader reads is refused, as a manifest entry's is, before any
+    verdict or digest is taken."""
+    if kind == "certificate":
+        doc = undistillable_cert_doc(workdir)
+        capsys.readouterr()
+    else:
+        doc = json.loads((workdir / {"distribution": "triv.json", "family": "fam1.json"}[kind]).read_text())
+    node = doc
+    for key in path:
+        node = node[key]
+    node["extra"] = 1
+    bad = workdir / "extra.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "distribution": ("lambda-max", bad),
+        "family": ("certify", workdir / "triv.json", "--family", bad),
+        "certificate": ("verify", workdir / "triv.json", workdir / "fam1.json", bad),
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {kind} {bad}: {what} has unknown key 'extra'\n"
+
+
+def test_a_certificate_primal_with_an_unknown_key_exits_2(workdir, capsys):
+    code, _, _ = run(capsys, "certify", workdir / "sb.json", "--family", workdir / "fam22.json",
+                     "--out", workdir / "cert.json")
+    doc = json.loads((workdir / "cert.json").read_text())
+    assert code == 0 and doc["verdict"] == "inconclusive"
+    doc["primal"]["extra"] = 1
+    bad = workdir / "extra.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", workdir / "sb.json", workdir / "fam22.json", bad)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read certificate {bad}: distribution has unknown key 'extra'\n"
+
+
+@pytest.mark.parametrize(
     "kind, path",
     [
         ("distribution", ("entries", 0, "p")),
@@ -1060,6 +1133,62 @@ def test_a_certificate_with_one_node_changed_is_judged_or_refused(fuzzed_inputs,
         assert out.startswith("certificate INVALID: ") and out.count("\n") == 1 and err == ""
     else:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# -- distribution fuzzing: one JSON node of a valid distribution changed ---------------
+
+# 10^12 as a size reaches the search bound's refusal without a search
+DIST_VALUES = JSON_VALUES | st.just(10**12)
+
+
+@pytest.fixture(scope="module")
+def fuzzed_dists(tmp_path_factory):
+    """The JSON of two valid small distributions, with a scratch path."""
+    base = tmp_path_factory.mktemp("dist-fuzz")
+    bits = JointDist((Axis("A", 2), Axis("B", 2), Axis("E", 2)),
+                     {(0, 0, 0): F(1, 3), (1, 1, 0): F(1, 6), (0, 1, 1): F(1, 4), (1, 1, 1): F(1, 4)})
+    wide = JointDist((Axis("E", 2), Axis("B", 2), Axis("A", 3)),
+                     {(0, 0, 2): F(1, 2), (1, 1, 0): F(1, 4), (0, 1, 1): F(1, 4)})
+    return [bits.to_json_dict(), wide.to_json_dict()], base / "fuzzed.json"
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_distribution_with_one_node_changed_is_judged_or_refused(fuzzed_dists, capsys, data):
+    """lambda and lambda-max of a distribution with one JSON node replaced or
+    deleted, or with an unknown key added, exit 0, 2 with one stderr line, or 3
+    with the search bound's line: never a traceback."""
+    docs, path = fuzzed_dists
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(docs))))
+    where = data.draw(st.sampled_from(list(json_paths(doc))))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    target = node[where[-1]] if where else doc
+    how = data.draw(st.sampled_from(["replace", "delete", "add-key"] if isinstance(target, dict)
+                                    else ["replace", "delete"]))
+    if how == "add-key":
+        target["extra"] = data.draw(DIST_VALUES)
+    elif not where:
+        doc = data.draw(DIST_VALUES)
+    elif how == "delete":
+        del node[where[-1]]
+    else:
+        node[where[-1]] = data.draw(DIST_VALUES)
+    path.write_text(json.dumps(doc))
+    for command in ("lambda", "lambda-max"):
+        capsys.readouterr()
+        code, out, err = run(capsys, command, path)
+        assert code in (0, 2, 3), (command, code, out, err)
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert err == "" and out.endswith("\n")
+        else:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith("refused: |A| + |B| = " if code == 3 else "error: "), err
+    if how == "add-key":
+        what = {"axes": "axis", "entries": "distribution entry"}[where[0]] if where else "distribution"
+        assert (code, err) == (2, f"error: cannot read distribution {path}: {what} has unknown key 'extra'\n")
 
 
 def family_with_seed(workdir, seed):

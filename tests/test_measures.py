@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -107,8 +108,6 @@ small_fraction = st.fractions(min_value=0, max_value=2, max_denominator=16)
 def tripartite(draw):
     size_e = draw(st.integers(1, 3))
     entries = {}
-    import itertools
-
     for idx in itertools.product(range(2), range(2), range(size_e)):
         if draw(st.booleans()):
             entries[idx] = draw(small_fraction)
@@ -331,6 +330,32 @@ def test_stage1_pairs_match_the_fraction_kernel(name):
     if name == "no-eve":
         # 27 A codes x 9 B codes, less the A codes (2, 2, 0) and (2, 2, 1)
         assert len(got) == 27 * 9 - 2 * 9
+
+
+@st.composite
+def stage1_shapes(draw):
+    """A distribution with |A| + |B| <= 5, zero to two Eve axes, its axes in any
+    order, and sometimes one A or B symbol of no mass."""
+    n_a = draw(st.integers(1, 4))
+    n_b = draw(st.integers(1, 5 - n_a))
+    n_eve = draw(st.integers(0, 2))
+    axes = [Axis("A", n_a), Axis("B", n_b), *(Axis(l, draw(st.integers(1, 3))) for l in "EF"[:n_eve])]
+    axes = draw(st.permutations(axes))
+    pos = {ax.party: i for i, ax in enumerate(axes)}
+    empty = draw(st.none() | st.sampled_from([(l, x) for l, n in (("A", n_a), ("B", n_b)) for x in range(n)]))
+    cells = list(itertools.product(*(range(ax.size) for ax in axes)))
+    values = draw(st.lists(small_fraction, min_size=len(cells), max_size=len(cells)))
+    entries = {idx: v for idx, v in zip(cells, values) if empty is None or idx[pos[empty[0]]] != empty[1]}
+    return JointDist(tuple(axes), entries)
+
+
+@given(stage1_shapes())
+@settings(max_examples=80, deadline=None)
+def test_stage1_pairs_match_the_fraction_kernel_on_random_shapes(p):
+    """The subset-table search yields the reference kernel's pairs and values,
+    with |A| != |B|, an alphabet of one symbol, no Eve axis or two, and empty symbols."""
+    got = [(F(num, den), code_a, code_b) for num, den, code_a, code_b in _stage1_pairs(p)]
+    assert got == list(stage1_pairs(p))
 
 
 # -- tensor-power witness search ---------------------------------------------------
