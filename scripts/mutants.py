@@ -2,8 +2,9 @@
 """Mutation check of the checkers, the rows and objective verify places, the
 input decoders, the rational formatter, build_lp's integer tables and row
 dedup, the simplex tableau's row scans and rhs column, the stage-1 search,
-the stage-2 refit, the size guards, the CLI's generator flags, its argparse
-refusals and its exit codes: every mutant below must fail a test.
+the stage-2 refit, the size guards, the inputs measures refuses, the CLI's
+generator flags, its argparse refusals and its exit codes: every mutant below
+must fail a test.
 
 A mutant is one exact string replacement in one file, plus the test that
 killed it in the last full sweep: (name, file, old, new, killer).  The runner
@@ -237,35 +238,42 @@ MUTANTS = (
      "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_INPUT",
      "tests/test_cli.py::test_batch_guard_refusal_is_an_exit_3_row[huge]"),
     ("generated-family-drawn-before-guard", CLI,
-     "    certifier.check_size_guard(*sizes, size, max_dm)\n",
-     '    if kind == "random":\n        certifier.check_size_guard(*sizes, size, max_dm)\n',
+     "    certifier.check_size_guard(*sizes, m, max_dm)\n",
+     '    if kind == "random":\n        certifier.check_size_guard(*sizes, m, max_dm)\n',
      "tests/test_cli.py::test_certify_refuses_a_huge_random_family_before_drawing_it"
      "[deterministic]"),
     ("random-family-drawn-before-guard", CLI,
-     "    certifier.check_size_guard(*sizes, size, max_dm)\n",
-     '    if kind == "deterministic":\n        certifier.check_size_guard(*sizes, size, max_dm)\n',
+     "    certifier.check_size_guard(*sizes, m, max_dm)\n",
+     '    if kind == "deterministic":\n        certifier.check_size_guard(*sizes, m, max_dm)\n',
      "tests/test_cli.py::test_gen_family_refuses_a_size_no_g_can_certify_before_drawing[random]"),
     ("guard-without-copy-sizes", CLI,
-     "check_size_guard(*sizes, size, max_dm)", "check_size_guard(1, 1, sizes[2], size, max_dm)",
+     "check_size_guard(*sizes, m, max_dm)", "check_size_guard(1, 1, sizes[2], m, max_dm)",
      "tests/test_cli.py::test_generators_refuse_a_family_spec_alike"
      "[huge-copy-alphabets-gen-family]"),
     ("deterministic-family-of-no-size-drawn", CLI,
-     "    if size is None:\n"
+     "    if m is None:\n"
      "        raise ValueError(f\"{kind} family generation needs --M\")\n"
-     "    certifier.check_size_guard(*sizes, size, max_dm)\n",
-     "    if size is None and kind == \"random\":\n"
+     "    certifier.check_size_guard(*sizes, m, max_dm)\n",
+     "    if m is None and kind == \"random\":\n"
      "        raise ValueError(f\"{kind} family generation needs --M\")\n"
-     "    certifier.check_size_guard(*sizes, size or 0, max_dm)\n",
+     "    certifier.check_size_guard(*sizes, m or 0, max_dm)\n",
      "tests/test_cli.py::test_gen_family_with_no_size_is_refused"),
     ("family-size-guard-boundary", CLI,
      "sizes = (args.a_copy, args.b_copy, 1)", "sizes = (args.a_copy, args.b_copy, 0)",
      "tests/test_cli.py::test_gen_family_guard_boundary[random-5]"),
-    ("cap-beside-M-accepted", CLI,
-     'raise ValueError("deterministic family generation reads M or cap, not both")', "pass",
-     "tests/test_cli.py::test_generators_refuse_a_family_spec_alike[cap-with-M-certify]"),
     ("guard-counts-always-in-digits", CERTIFIER,
      "if factor.bit_length() + log2 <= 64:", "if True:",
      "tests/test_cli.py::test_certify_guard_refuses_a_huge_adversary_axis"),
+    # the inputs measures refuses
+    ("fraction-of-a-ternary-b", MEASURES,
+     'for party, pos in (("A", pos_a), ("B", pos_b)):', 'for party, pos in (("A", pos_a),):',
+     "tests/test_cli.py::test_lambda_refuses_a_ternary_b_alphabet"),
+    ("binary-check-names-b-first", MEASURES,
+     'for party, pos in (("A", pos_a), ("B", pos_b)):', 'for party, pos in (("B", pos_b), ("A", pos_a)):',
+     "tests/test_cli.py::test_lambda_names_a_before_b_when_neither_is_binary"),
+    ("negative-refine-rounds-accepted", MEASURES,
+     "if refine_rounds < 0:", "if refine_rounds < -1:",
+     "tests/test_cli.py::test_lambda_max_negative_refine_rounds_exits_2"),
     # the stage-1 search
     ("search-bound-off-by-one", MEASURES,
      "if n_a + n_b > MAX_AB:", "if n_a + n_b > MAX_AB + 1:",

@@ -27,7 +27,7 @@ EXIT_GUARD = 3
 EXIT_SOLVER = 4
 _STDERR_PREFIX = {EXIT_GUARD: "refused", EXIT_INPUT: "error", EXIT_SOLVER: "solver failure"}
 GENERATORS = ("deterministic", "random")
-GEN_FIELDS = ("M", "cap", "seed", "denom_bound")
+GEN_FIELDS = ("M", "seed", "denom_bound")
 
 
 def _reason(exc: Exception) -> str:
@@ -78,32 +78,28 @@ def _family_for(args, g: JointDist) -> families.MapFamily:
     if not args.gen:
         raise ValueError("need --family PATH or --gen deterministic|random")
     sizes = certifier.alphabet_sizes(g)
-    return _generate(args.gen, sizes, args.max_dm, args.M, args.cap, args.seed, args.denom_bound)
+    return _generate(args.gen, sizes, args.max_dm, args.M, args.seed, args.denom_bound)
 
 
-def _generate(kind, sizes, max_dm, m, cap, seed, denom_bound) -> families.MapFamily:
+def _generate(kind, sizes, max_dm, m, seed, denom_bound) -> families.MapFamily:
     """A `kind` family on the copy alphabets of sizes = (|A|, |B|, d), drawn only
     after the size guard has passed it.
 
-    Its size is M, or for a deterministic family cap, and one is required; a
-    field the kind does not read, and cap beside M, are refused.
+    Its size M is required; a field the kind does not read is refused.
     """
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator {kind!r}")
-    unread = {"seed": seed, "denom_bound": denom_bound} if kind == "deterministic" else {"cap": cap}
+    unread = {"seed": seed, "denom_bound": denom_bound} if kind == "deterministic" else {}
     for name, value in unread.items():
         if value is not None:
             raise ValueError(f"{kind} family generation does not read {name}")
-    if cap is not None and m is not None:
-        raise ValueError("deterministic family generation reads M or cap, not both")
-    size = m if cap is None else cap
-    if size is None:
+    if m is None:
         raise ValueError(f"{kind} family generation needs --M")
-    certifier.check_size_guard(*sizes, size, max_dm)
+    certifier.check_size_guard(*sizes, m, max_dm)
     if kind == "deterministic":
-        return families.deterministic_family(sizes[0], sizes[1], cap=size)
+        return families.deterministic_family(sizes[0], sizes[1], m)
     return families.random_filter_family(
-        sizes[0], sizes[1], m=size, seed=seed if seed is not None else 0,
+        sizes[0], sizes[1], m=m, seed=seed if seed is not None else 0,
         denom_bound=denom_bound if denom_bound is not None else 4,
     )
 
@@ -118,8 +114,7 @@ def cmd_lambda(args) -> int:
 
 def cmd_lambda_max(args) -> int:
     p = _load_dist(args.dist)
-    opts = measures.SearchOptions(refine_rounds=args.refine_rounds)
-    witness = measures.estimate_lambda_max(p, opts)
+    witness = measures.estimate_lambda_max(p, args.refine_rounds)
     print(f"lower bound {format_rational(witness.value)}")
     print(json.dumps(witness.to_json_dict(), indent=1, sort_keys=True))
     return EXIT_OK
@@ -219,7 +214,7 @@ def cmd_batch(args) -> int:
 def cmd_gen_family(args) -> int:
     # every g has d >= 1: guard at d = 1, so a family no g can be certified with is refused
     sizes = (args.a_copy, args.b_copy, 1)
-    fam = _generate(args.gen, sizes, args.max_dm, args.M, args.cap, args.seed, args.denom_bound)
+    fam = _generate(args.gen, sizes, args.max_dm, args.M, args.seed, args.denom_bound)
     text = fam.dumps()
     if args.out:
         Path(args.out).write_text(text)
@@ -234,7 +229,6 @@ def cmd_gen_family(args) -> int:
 def _add_family_flags(sp, gen_required: bool):
     sp.add_argument("--gen", choices=GENERATORS, required=gen_required, help="generate the family")
     sp.add_argument("--M", type=int, default=None, help="family size for generation")
-    sp.add_argument("--cap", type=int, default=None, help="cap for deterministic generation")
     sp.add_argument("--seed", type=int, default=None, help="seed for random generation")
     sp.add_argument("--denom-bound", type=int, default=None, dest="denom_bound",
                     help="coefficient grid 0, 1/b, ..., 1 for random generation")
@@ -300,8 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, RuntimeError) as exc:

@@ -15,7 +15,8 @@ returns a witness pair of maps whose exact filtered fraction is the certified
 lower bound.  The searched class is every deterministic filter map (each
 input symbol sent to bit 0, bit 1, or discarded) plus the "coin" map that
 sends every symbol to both bits with weight 1; the coin achieves exactly 1/2
-on any input, matching the lower end of the measure's range.
+on any input, matching the lower end of the measure's range.  The search is
+exhaustive, within MAX_AB; refine_rounds > 0 then refines its best witnesses.
 """
 
 from __future__ import annotations
@@ -33,22 +34,6 @@ from .probvec import Axis, JointDist, LocalMap, apply_local, tensor_power
 from .rat import ensure_fraction, format_rational, parse_rational
 
 MAX_AB = 12  # bound on |A| + |B|: stage 1 ranges over 3^(|A| + |B|) map pairs
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Knobs for the witness search.
-
-    Stage 1 is always exhaustive (MAX_AB bounds its size); refine_rounds > 0
-    enables alternating linear-fractional refinement of the best stage-1
-    witness.
-    """
-
-    refine_rounds: int = 0
-
-    def __post_init__(self):
-        if self.refine_rounds < 0:
-            raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
 
 
 @dataclass(frozen=True)
@@ -83,22 +68,20 @@ class LambdaWitness:
 # -- the fraction itself ------------------------------------------------------
 
 
-def _ab_eve_split(p: JointDist, require_bits: bool = True):
+def _ab_eve_split(p: JointDist):
     """Positions of the A and B axes plus the remaining (Eve) positions."""
     pos_a = p.axis_pos("A")
     pos_b = p.axis_pos("B")
-    if require_bits:
-        if p.axes[pos_a].size != 2:
-            raise ValueError(f"A alphabet must be binary, got size {p.axes[pos_a].size}")
-        if p.axes[pos_b].size != 2:
-            raise ValueError(f"B alphabet must be binary, got size {p.axes[pos_b].size}")
     eve = tuple(i for i in range(len(p.axes)) if i not in (pos_a, pos_b))
     return pos_a, pos_b, eve
 
 
 def _diagonal_mins_and_mass(p: JointDist) -> tuple[Fraction, Fraction]:
-    """sum_e min_a p(a,a,e) and the total mass of p."""
+    """sum_e min_a p(a,a,e) and the total mass of p; A and B must be bits."""
     pos_a, pos_b, eve = _ab_eve_split(p)
+    for party, pos in (("A", pos_a), ("B", pos_b)):
+        if p.axes[pos].size != 2:
+            raise ValueError(f"{party} alphabet must be binary, got size {p.axes[pos].size}")
     diag: dict[tuple, list[Fraction]] = {}
     mass = Fraction(0)
     for idx, v in p.items():
@@ -134,7 +117,7 @@ def _entries_by_a(p: JointDist):
     symbol, e numbers its Eve symbol in 0..E-1, and w is the entry times
     the lcm of p's denominators.
     """
-    pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
+    pos_a, pos_b, eve = _ab_eve_split(p)
     items = list(p.items())
     scale = math.lcm(*(v.denominator for _, v in items))
     eve_num: dict[tuple, int] = {}
@@ -218,7 +201,7 @@ def _stage1_pairs(p: JointDist):
 
 def _witness(p: JointDist, num: int, den: int, code_a: tuple, code_b: tuple) -> LambdaWitness:
     """The stage-1 pair (code_a, code_b) of filtered fraction num/den, as maps on p."""
-    pos_a, pos_b, _ = _ab_eve_split(p, require_bits=False)
+    pos_a, pos_b, _ = _ab_eve_split(p)
     return LambdaWitness(
         value=Fraction(num, den),
         map_a=code_map(p.axes[pos_a], code_a),
@@ -226,21 +209,23 @@ def _witness(p: JointDist, num: int, den: int, code_a: tuple, code_b: tuple) -> 
     )
 
 
-def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> LambdaWitness:
+def estimate_lambda_max(p: JointDist, refine_rounds: int = 0) -> LambdaWitness:
     """Best witnessed lower bound on the extractable secret bit fraction.
 
     Stage 1 enumerates the deterministic-plus-coin class exhaustively (ties
-    resolved toward the first pair in canonical order); optional
-    refinement rounds alternately re-optimize one side's map coefficients by
+    resolved toward the first pair in canonical order); then up to
+    refine_rounds (>= 0) rounds alternately re-optimize one side's map by
     exact linear-fractional programming, seeded from both the best pair and
     the best fully deterministic pair (the coin is a stationary point of the
     alternating scheme, so it makes a poor seed on its own).  The result is a
     lower bound only: the witness recheck is exact, no claim of optimality is
     made.
     """
+    if refine_rounds < 0:
+        raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
     if p.total_mass() == 0:
         raise ValueError("lambda-max search needs positive total mass")
-    refine = opts.refine_rounds > 0
+    refine = refine_rounds > 0
     best = best_det = None
     for entry in _stage1_pairs(p):
         num, den, code_a, code_b = entry
@@ -255,7 +240,7 @@ def estimate_lambda_max(p: JointDist, opts: SearchOptions = SearchOptions()) -> 
         if best_det is not None and best_det != best:
             seeds.append(_witness(p, *best_det))
         for seed in seeds:
-            refined = _refine(p, seed, opts.refine_rounds)
+            refined = _refine(p, seed, refine_rounds)
             if refined.value > witness.value:
                 witness = refined
     return witness
@@ -312,7 +297,7 @@ def _refit_side(p: JointDist, witness: LambdaWitness, side: str) -> LambdaWitnes
     map, rescaled) and bounded (t_e <= mass = 1), so any other status is a
     solver fault.
     """
-    pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
+    pos_a, pos_b, eve = _ab_eve_split(p)
     if side == "A":
         fixed_map, free_pos, other_pos = witness.map_b, pos_a, pos_b
     else:

@@ -472,6 +472,8 @@ def secret_bit_fraction_by_decomposition(p: JointDist) -> Fraction:
     both diagonal entries.  Requires p normalized to total mass 1.
     """
     pos_a, pos_b, eve = _ab_eve_split(p)
+    if (p.axes[pos_a].size, p.axes[pos_b].size) != (2, 2):
+        raise ValueError("decomposition oracle requires binary A and B alphabets")
     if p.total_mass() != 1:
         raise ValueError("decomposition oracle requires total mass exactly 1")
     diag: dict[tuple, list[Fraction]] = {}
@@ -540,7 +542,7 @@ def stage1_pairs(p: JointDist):
     Every pair walks all of p in Fractions; the program's search scales p to
     integers and sums it once over every pair of A and B symbol masks.
     """
-    pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
+    pos_a, pos_b, eve = _ab_eve_split(p)
     items = list(p.items())
     codes_a = [*deterministic_codes(p.axes[pos_a].size), (BOTH,) * p.axes[pos_a].size]
     codes_b = [*deterministic_codes(p.axes[pos_b].size), (BOTH,) * p.axes[pos_b].size]
@@ -561,7 +563,7 @@ def refit_side_by_branches(p: JointDist, witness: LambdaWitness, side: str) -> L
     turns the fraction into a linear objective over the normalized cone of
     map coefficients (denominator pinned to 1), one LP per branch.
     """
-    pos_a, pos_b, eve = _ab_eve_split(p, require_bits=False)
+    pos_a, pos_b, eve = _ab_eve_split(p)
     if side == "A":
         fixed_map, free_pos, other_pos = witness.map_b, pos_a, pos_b
     else:

@@ -25,7 +25,6 @@ from nodistill.certifier import (
 )
 from nodistill.families import MapFamily, deterministic_family, random_filter_family
 from nodistill.measures import (
-    SearchOptions,
     estimate_lambda_max,
     secret_bit_fraction,
 )
@@ -284,5 +283,5 @@ def test_criterion_10_estimator_sanity():
             assert w.recheck(prod) == HALF
         for _ in range(5):
             p = rand_dist(rng, (2, 2, 2))
-            w = estimate_lambda_max(p, SearchOptions(refine_rounds=1))
+            w = estimate_lambda_max(p, 1)
             assert w.recheck(p) == w.value

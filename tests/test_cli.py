@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -92,6 +95,13 @@ def test_lambda_refuses_a_ternary_b_alphabet(workdir, capsys):
     (workdir / "b3.json").write_text(g.dumps())
     code, out, err = run(capsys, "lambda", workdir / "b3.json")
     assert (code, out, err) == (2, "", "error: B alphabet must be binary, got size 3\n")
+
+
+def test_lambda_names_a_before_b_when_neither_is_binary(workdir, capsys):
+    g = JointDist((Axis("A", 3), Axis("B", 4), Axis("E", 1)), {(2, 2, 0): F(1)})
+    (workdir / "a3b4.json").write_text(g.dumps())
+    code, out, err = run(capsys, "lambda", workdir / "a3b4.json")
+    assert (code, out, err) == (2, "", "error: A alphabet must be binary, got size 3\n")
 
 
 # -- lambda-max ---------------------------------------------------------------------
@@ -331,7 +341,7 @@ def test_certify_secret_bit_inconclusive(workdir, capsys):
 
 def test_certify_gen_flags(workdir, capsys):
     code, out, _ = run(
-        capsys, "certify", workdir / "sb.json", "--gen", "deterministic", "--cap", 2
+        capsys, "certify", workdir / "sb.json", "--gen", "deterministic", "--M", 2
     )
     assert code == 0 and out.startswith("INCONCLUSIVE")
 
@@ -363,7 +373,7 @@ def test_certify_dump_lp_builds_the_program_once(workdir, capsys, monkeypatch):
 
 def test_certify_guard_refusal_exits_3(workdir, capsys):
     code, _, err = run(
-        capsys, "certify", workdir / "eka.json", "--gen", "deterministic", "--cap", 20,
+        capsys, "certify", workdir / "eka.json", "--gen", "deterministic", "--M", 20,
         "--max-dm", 8,
     )
     assert code == 3 and "exceeds" in err
@@ -524,9 +534,9 @@ def test_batch_refuses_a_huge_random_family_before_drawing_it(workdir, capsys, g
 
 @pytest.mark.parametrize(
     "flags, flag",
-    [(("--gen", "random", "--M", 1), "--gen"), (("--M", 1), "--M"), (("--cap", 1), "--cap"),
+    [(("--gen", "random", "--M", 1), "--gen"), (("--M", 1), "--M"),
      (("--seed", 1), "--seed"), (("--denom-bound", 2), "--denom-bound")],
-    ids=["gen", "M", "cap", "seed", "denom-bound"],
+    ids=["gen", "M", "seed", "denom-bound"],
 )
 def test_certify_refuses_generator_flags_beside_a_family_file(workdir, capsys, flags, flag):
     code, out, err = run(capsys, "certify", workdir / "triv.json", "--family", workdir / "fam1.json",
@@ -602,11 +612,10 @@ def test_certify_refuses_a_family_for_other_alphabets(workdir, capsys, sizes, re
          "deterministic family generation does not read seed"),
         (("--gen", "deterministic", "--M", 2, "--denom-bound", 3),
          "deterministic family generation does not read denom_bound"),
-        (("--gen", "random", "--M", 2, "--cap", 40), "random family generation does not read cap"),
         (("--gen", "random", "--M", -1), "family size must be >= 0, got -1"),
     ],
     ids=["no-family", "random-without-M", "deterministic-without-M", "deterministic-seed",
-         "deterministic-denom-bound", "random-cap", "negative-M"],
+         "deterministic-denom-bound", "negative-M"],
 )
 def test_certify_refuses_missing_family_flags(workdir, capsys, flags, reason):
     code, out, err = run(capsys, "certify", workdir / "triv.json", *flags)
@@ -1141,6 +1150,28 @@ def test_a_certificate_with_one_node_changed_is_judged_or_refused(fuzzed_inputs,
 DIST_VALUES = JSON_VALUES | st.just(10**12)
 
 
+def change_one_node(data, doc):
+    """A copy of doc with one JSON node replaced or deleted, or an "extra" key
+    added to an object node: (the copy, the node's path, how)."""
+    doc = json.loads(json.dumps(doc))
+    where = data.draw(st.sampled_from(list(json_paths(doc))))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    target = node[where[-1]] if where else doc
+    how = data.draw(st.sampled_from(["replace", "delete", "add-key"] if isinstance(target, dict)
+                                    else ["replace", "delete"]))
+    if how == "add-key":
+        target["extra"] = data.draw(DIST_VALUES)
+    elif not where:
+        doc = data.draw(DIST_VALUES)
+    elif how == "delete":
+        del node[where[-1]]
+    else:
+        node[where[-1]] = data.draw(DIST_VALUES)
+    return doc, where, how
+
+
 @pytest.fixture(scope="module")
 def fuzzed_dists(tmp_path_factory):
     """The JSON of two valid small distributions, with a scratch path."""
@@ -1159,22 +1190,7 @@ def test_a_distribution_with_one_node_changed_is_judged_or_refused(fuzzed_dists,
     deleted, or with an unknown key added, exit 0, 2 with one stderr line, or 3
     with the search bound's line: never a traceback."""
     docs, path = fuzzed_dists
-    doc = json.loads(json.dumps(data.draw(st.sampled_from(docs))))
-    where = data.draw(st.sampled_from(list(json_paths(doc))))
-    node = doc
-    for key in where[:-1]:
-        node = node[key]
-    target = node[where[-1]] if where else doc
-    how = data.draw(st.sampled_from(["replace", "delete", "add-key"] if isinstance(target, dict)
-                                    else ["replace", "delete"]))
-    if how == "add-key":
-        target["extra"] = data.draw(DIST_VALUES)
-    elif not where:
-        doc = data.draw(DIST_VALUES)
-    elif how == "delete":
-        del node[where[-1]]
-    else:
-        node[where[-1]] = data.draw(DIST_VALUES)
+    doc, where, how = change_one_node(data, data.draw(st.sampled_from(docs)))
     path.write_text(json.dumps(doc))
     for command in ("lambda", "lambda-max"):
         capsys.readouterr()
@@ -1189,6 +1205,70 @@ def test_a_distribution_with_one_node_changed_is_judged_or_refused(fuzzed_dists,
     if how == "add-key":
         what = {"axes": "axis", "entries": "distribution entry"}[where[0]] if where else "distribution"
         assert (code, err) == (2, f"error: cannot read distribution {path}: {what} has unknown key 'extra'\n")
+
+
+# -- family-file and manifest fuzzing: one JSON node of a valid input changed ----------
+
+
+@pytest.fixture(scope="module")
+def fuzzed_runs(tmp_path_factory):
+    """A directory holding a g, a one-pair family file and their certificate,
+    with the JSON of that family and of a manifest of one file family and
+    one family of each generator."""
+    base = tmp_path_factory.mktemp("run-fuzz")
+    sb = tensor(secret_bit(), trivial_eve())
+    fam = deterministic_family(2, 2, cap=1)
+    (base / "sb.json").write_text(sb.dumps())
+    (base / "fam.json").write_text(fam.dumps())
+    (base / "cert.json").write_text(certify(sb, fam).dumps())
+    manifest = [
+        {"g": "sb.json", "family": "fam.json", "lambda0": "1/2"},
+        {"g": "sb.json", "family": {"gen": "deterministic", "M": 1}},
+        {"g": "sb.json", "family": {"gen": "random", "M": 1, "seed": 3, "denom_bound": 2}},
+    ]
+    return base, {"family": fam.to_json_dict(), "manifest": manifest}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_family_file_or_manifest_with_one_node_changed_is_judged_or_refused(fuzzed_runs, capsys,
+                                                                               data):
+    """certify --family and verify of a family file, and batch of a manifest,
+    with one JSON node replaced or deleted, or with an unknown key added, exit
+    0 or 2 (1 only from verify, 3 only with a size-guard refusal): never a
+    traceback.  certify and verify refuse in one stderr line; batch refuses an
+    entry in an ERROR row and an unreadable manifest in one stderr line."""
+    base, docs = fuzzed_runs
+    kind = data.draw(st.sampled_from(sorted(docs)))
+    doc, _, _ = change_one_node(data, docs[kind])
+    path = base / f"fuzzed_{kind}.json"
+    path.write_text(json.dumps(doc))
+    if kind == "family":
+        runs = [("certify", base / "sb.json", "--family", path),
+                ("verify", base / "sb.json", path, base / "cert.json")]
+    else:
+        runs = [("batch", path)]
+    for argv in runs:
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert code in ((0, 1, 2, 3) if argv[0] == "verify" else (0, 2, 3)), (argv, code, out, err)
+        assert "Traceback" not in out + err
+        if argv[0] == "batch" and out:
+            rows = [line.split("\t") for line in out.splitlines()[1:]]
+            assert out.startswith("g\tfamily\tlambda0\tverdict\toptimum\n")
+            assert all(len(row) == 5 for row in rows) and len(rows) == len(doc), out
+            errors = [row[4] for row in rows if row[3] == "ERROR"]
+            assert (code == 0) == (not errors)
+            assert (code == 3) == any("raise max_dm to override" in e for e in errors), out
+            assert all(line.startswith("timing\t") for line in err.splitlines())
+        elif code == 0:
+            assert out in ("certificate valid\n", "UNDISTILLABLE\n") or out.startswith(
+                "INCONCLUSIVE optimum="), out
+        elif code == 1:
+            assert out.startswith("certificate INVALID: ") and out.count("\n") == 1 and err == ""
+        else:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith("refused: " if code == 3 else "error: "), err
 
 
 def family_with_seed(workdir, seed):
@@ -1245,8 +1325,8 @@ def test_certify_rejects_out_of_range_lambda0(workdir, capsys):
 
 def manifest_rows(workdir):
     return [
-        {"g": "triv.json", "family": {"gen": "deterministic", "cap": 1}},
-        {"g": "sb.json", "family": {"gen": "deterministic", "cap": 2}},
+        {"g": "triv.json", "family": {"gen": "deterministic", "M": 1}},
+        {"g": "sb.json", "family": {"gen": "deterministic", "M": 2}},
     ]
 
 
@@ -1279,7 +1359,7 @@ def test_batch_duplicates_deterministic(workdir, capsys):
 
 
 def test_batch_reports_row_failures(workdir, capsys):
-    rows = [{"g": "bad.json", "family": {"gen": "deterministic", "cap": 1}}]
+    rows = [{"g": "bad.json", "family": {"gen": "deterministic", "M": 1}}]
     path = workdir / "manifest3.json"
     path.write_text(json.dumps(rows))
     code, out, _ = run(capsys, "batch", path)
@@ -1290,7 +1370,7 @@ def test_batch_non_object_entry_is_an_error_row(workdir, capsys):
     rows = [
         5,
         {"g": "triv.json", "family": 7},
-        {"g": "triv.json", "family": {"gen": "deterministic", "cap": 1}},
+        {"g": "triv.json", "family": {"gen": "deterministic", "M": 1}},
     ]
     path = workdir / "manifest4.json"
     path.write_text(json.dumps(rows))
@@ -1300,7 +1380,7 @@ def test_batch_non_object_entry_is_an_error_row(workdir, capsys):
     assert lines[1:] == [
         "?\t?\t?\tERROR\tmanifest entry must be an object, got 5",
         "triv.json\t?\t?\tERROR\tfamily must be a path or an object, got 7",
-        'triv.json\t{"cap":1,"gen":"deterministic"}\t1/2\tundistillable\t0/1',
+        'triv.json\t{"M":1,"gen":"deterministic"}\t1/2\tundistillable\t0/1',
     ]
 
 
@@ -1311,9 +1391,8 @@ def test_batch_non_object_entry_is_an_error_row(workdir, capsys):
         ({"gen": "random", "M": 2, "denom_bound": 2.0}, "denom_bound"),
         ({"gen": "random", "M": 2, "seed": 1.5}, "seed"),
         ({"gen": "random", "M": True}, "M"),
-        ({"gen": "deterministic", "cap": True}, "cap"),
     ],
-    ids=["string-M", "float-denom-bound", "float-seed", "bool-M", "bool-cap"],
+    ids=["string-M", "float-denom-bound", "float-seed", "bool-M"],
 )
 def test_batch_non_integer_generator_field_is_an_error_row(workdir, capsys, spec, field):
     path = workdir / "manifest5.json"
@@ -1334,7 +1413,7 @@ DEEP_LIST = json.loads("[" * 900 + "]" * 900)
     [
         ({"g": "triv.json", "family": "fam1.json", "extra": 1},
          "manifest entry has unknown key 'extra'"),
-        ({"g": "triv.json", "family": {"gen": "deterministic", "cap": 1, "m": 2}},
+        ({"g": "triv.json", "family": {"gen": "deterministic", "M": 1, "m": 2}},
          "family has unknown key 'm'"),
         ({"g": 5, "family": "fam1.json"}, "manifest g must be a path string, got 5"),
         ({"g": {"a": 1}, "family": "fam1.json"},
@@ -1345,8 +1424,8 @@ DEEP_LIST = json.loads("[" * 900 + "]" * 900)
          "rational must be a string, got int"),
         ({"family": "fam1.json"}, "missing key 'g'"),
         ({"g": "triv.json"}, "missing key 'family'"),
-        ({"g": "triv.json", "family": {"cap": 1}}, "missing key 'gen'"),
-        ({"g": "triv.json", "family": {"gen": None, "cap": 1}}, "family gen must be a string"),
+        ({"g": "triv.json", "family": {"M": 1}}, "missing key 'gen'"),
+        ({"g": "triv.json", "family": {"gen": None, "M": 1}}, "family gen must be a string"),
         ({"g": "triv.json", "family": {"gen": {"a": 1}}}, "family gen must be a string"),
         ({"g": "triv.json", "family": {"gen": DEEP_LIST}}, "family gen must be a string"),
         ({"g": "triv.json", "family": {"gen": "cover"}}, "unknown generator 'cover'"),
@@ -1355,15 +1434,13 @@ DEEP_LIST = json.loads("[" * 900 + "]" * 900)
          "deterministic family generation needs --M"),
         ({"g": "triv.json", "family": {"gen": "deterministic", "M": 1, "seed": 7}},
          "deterministic family generation does not read seed"),
-        ({"g": "triv.json", "family": {"gen": "deterministic", "cap": 1, "denom_bound": 3}},
+        ({"g": "triv.json", "family": {"gen": "deterministic", "M": 1, "denom_bound": 3}},
          "deterministic family generation does not read denom_bound"),
-        ({"g": "triv.json", "family": {"gen": "random", "M": 1, "cap": 40}},
-         "random family generation does not read cap"),
     ],
     ids=["unknown-key", "unknown-family-key", "g-not-string", "g-object", "lambda0-float",
          "lambda0-int", "no-g", "no-family", "no-gen", "gen-null", "gen-object", "gen-deep-list",
          "gen-unknown", "gen-unknown-with-M", "deterministic-without-size",
-         "deterministic-seed", "deterministic-denom-bound", "random-cap"],
+         "deterministic-seed", "deterministic-denom-bound"],
 )
 def test_batch_refuses_a_loose_entry(workdir, capsys, entry, reason):
     path = workdir / "manifest6.json"
@@ -1418,7 +1495,7 @@ def test_gen_family_writes_deterministic_file(workdir, capsys):
     out_path = workdir / "fam_gen.json"
     code, _, _ = run(
         capsys, "gen-family", "--a-copy", 2, "--b-copy", 2, "--gen", "deterministic",
-        "--cap", 3, "--out", out_path,
+        "--M", 3, "--out", out_path,
     )
     assert code == 0
     fam = deterministic_family(2, 2, cap=3)
@@ -1440,11 +1517,11 @@ def test_gen_family_random_seeded(workdir, capsys):
 @pytest.mark.parametrize(
     "flags, reason",
     [
-        (("--gen", "deterministic", "--cap", -1), "family size must be >= 0, got -1"),
+        (("--gen", "deterministic", "--M", -1), "family size must be >= 0, got -1"),
         (("--gen", "random", "--M", 0), "family size m must be >= 1"),
         (("--gen", "random", "--M", 1, "--denom-bound", 0), "denom_bound must be >= 1"),
     ],
-    ids=["cap", "M", "denom-bound"],
+    ids=["negative-M", "M", "denom-bound"],
 )
 def test_gen_family_refuses_out_of_range_sizes(capsys, flags, reason):
     code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags)
@@ -1459,9 +1536,8 @@ def test_gen_family_refuses_out_of_range_sizes(capsys, flags, reason):
          "deterministic family generation does not read seed"),
         (("--gen", "deterministic", "--denom-bound", 3),
          "deterministic family generation does not read denom_bound"),
-        (("--gen", "random", "--M", 1, "--cap", 40), "random family generation does not read cap"),
     ],
-    ids=["deterministic-seed", "deterministic-denom-bound", "random-cap"],
+    ids=["deterministic-seed", "deterministic-denom-bound"],
 )
 def test_gen_family_refuses_a_flag_its_generator_does_not_read(capsys, flags, reason):
     code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags)
@@ -1479,16 +1555,11 @@ def no_family_drawn(monkeypatch):
     monkeypatch.setattr(families, "random_filter_family", drawn)
 
 
-@pytest.mark.parametrize(
-    "gen, size",
-    [("random", "--M"), ("deterministic", "--M"), ("deterministic", "--cap")],
-    ids=["random", "deterministic-M", "deterministic-cap"],
-)
-def test_gen_family_refuses_a_size_no_g_can_certify_before_drawing(no_family_drawn, capsys,
-                                                                   gen, size):
+@pytest.mark.parametrize("gen", ["random", "deterministic"], ids=["random", "deterministic-M"])
+def test_gen_family_refuses_a_size_no_g_can_certify_before_drawing(no_family_drawn, capsys, gen):
     t0 = time.perf_counter()
     code, out, err = run(
-        capsys, "gen-family", "--a-copy", 2, "--b-copy", 2, "--gen", gen, size, 100_000_000
+        capsys, "gen-family", "--a-copy", 2, "--b-copy", 2, "--gen", gen, "--M", 100_000_000
     )
     assert time.perf_counter() - t0 < 2
     assert (code, out) == (3, "")
@@ -1503,7 +1574,7 @@ def test_gen_family_refuses_a_size_no_g_can_certify_before_drawing(no_family_dra
 @pytest.mark.parametrize(
     "flags, refused",
     [(("--gen", "random", "--M", 4), False), (("--gen", "random", "--M", 5), True),
-     (("--gen", "deterministic", "--cap", 4), False), (("--gen", "deterministic", "--cap", 5), True)],
+     (("--gen", "deterministic", "--M", 4), False), (("--gen", "deterministic", "--M", 5), True)],
     ids=["random-4", "random-5", "deterministic-4", "deterministic-5"],
 )
 def test_gen_family_guard_boundary(capsys, flags, refused):
@@ -1532,7 +1603,7 @@ def test_gen_family_with_no_size_is_refused(no_family_drawn, capsys):
 
 def test_gen_family_writes_every_pair_at_the_full_size(capsys):
     code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, "--gen",
-                         "deterministic", "--cap", 64, "--max-dm", 65)
+                         "deterministic", "--M", 64, "--max-dm", 65)
     assert (code, err) == (0, "")
     assert out == deterministic_family(1, 1).dumps()
     assert len(MapFamily.loads(out)) == 64
@@ -1583,11 +1654,8 @@ SHARED_REFUSALS = {
     "unread-field": (
         (1, 1, 1), {"gen": "deterministic", "M": 1, "seed": 7}, ("certify", "batch", "gen-family"),
         2, "deterministic family generation does not read seed"),
-    "cap-with-M": (
-        (1, 1, 1), {"gen": "deterministic", "M": 3, "cap": 1}, ("certify", "batch", "gen-family"),
-        2, "deterministic family generation reads M or cap, not both"),
     "negative-size": (
-        (1, 1, 1), {"gen": "deterministic", "cap": -1}, ("certify", "batch", "gen-family"), 2,
+        (1, 1, 1), {"gen": "deterministic", "M": -1}, ("certify", "batch", "gen-family"), 2,
         "family size must be >= 0, got -1"),
     "M-over-the-bound": (
         (1, 1, 1), {"gen": "random", "M": 16}, ("certify", "batch", "gen-family"), 3,
@@ -1623,3 +1691,36 @@ def test_generators_refuse_a_family_spec_alike(no_family_drawn, workdir, capsys,
         assert (out, err) == ("", f"{prefix}: {reason}\n")
     assert time.perf_counter() - t0 < 2
     assert code == want_code
+
+
+@pytest.mark.parametrize("command", ["certify", "gen-family"])
+def test_the_cap_flag_is_refused_by_the_parser(no_family_drawn, workdir, capsys, command):
+    argv = ["certify", workdir / "triv.json"] if command == "certify" else [
+        "gen-family", "--a-copy", 1, "--b-copy", 1]
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv, "--gen", "deterministic", "--cap", 3)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "nodistill: error: unrecognized arguments: --cap 3\n")
+    # a manifest family spells its size M alone too
+    path = workdir / "manifest_cap.json"
+    path.write_text(json.dumps([{"g": "triv.json", "family": {"gen": "deterministic", "cap": 1}}]))
+    code, out, _ = run(capsys, "batch", path)
+    assert (code, out.splitlines()[1:]) == (2, ["triv.json\t?\t?\tERROR\tfamily has unknown key 'cap'"])
+
+
+def test_one_parser_serves_every_command_of_a_process(workdir, capsys):
+    """A refusal by the parser leaves nothing behind: a command run after it,
+    and run again, prints what it prints in a fresh process."""
+    argv = [str(a) for a in ("certify", workdir / "sb.json", "--gen", "deterministic", "--M", 2)]
+    with pytest.raises(SystemExit):
+        main(["certify", str(workdir / "sb.json"), "--gen", "deterministic", "--cap", "2"])
+    capsys.readouterr()
+    runs = [run(capsys, *argv)[:2] for _ in range(2)]
+    src = Path(families.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from nodistill.cli import main; sys.exit(main())", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert runs == [(fresh.returncode, fresh.stdout)] * 2
+    assert runs[0] == (0, "INCONCLUSIVE optimum=1/4\n")

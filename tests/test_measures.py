@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nodistill.certifier import SizeGuardError
 from nodistill.measures import (
     LambdaWitness,
-    SearchOptions,
     _refit_side,
     _stage1_pairs,
     distillability_witness,
@@ -231,13 +230,13 @@ def test_refinement_never_loses_and_rechecks():
     for _ in range(5):
         p = rand_dist(rng, (2, 2, 2))
         w0 = estimate_lambda_max(p)
-        w1 = estimate_lambda_max(p, SearchOptions(refine_rounds=2))
+        w1 = estimate_lambda_max(p, 2)
         assert w1.value >= w0.value
         assert w1.recheck(p) == w1.value
 
 
 def test_refinement_keeps_perfect_value(secret_bit_e):
-    w = estimate_lambda_max(secret_bit_e, SearchOptions(refine_rounds=1))
+    w = estimate_lambda_max(secret_bit_e, 1)
     assert w.value == 1
 
 
@@ -262,7 +261,7 @@ def test_stage1_witness_pinned(request, name, refine_rounds, value, digest):
         p = rand_dist(random.Random(183), (3, 3, 2))
     else:
         p = request.getfixturevalue(name)
-    w = estimate_lambda_max(p, SearchOptions(refine_rounds=refine_rounds))
+    w = estimate_lambda_max(p, refine_rounds)
     assert w.value == value
     blob = json.dumps(w.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
@@ -291,7 +290,7 @@ def test_refined_witnesses_pinned():
     h = hashlib.sha256()
     for p in refit_sample():
         for rounds in (1, 2, 3):
-            w = estimate_lambda_max(p, SearchOptions(refine_rounds=rounds))
+            w = estimate_lambda_max(p, rounds)
             h.update(json.dumps(w.to_json_dict(), sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == "4ab306420eebf59639a0714a88e40f97c1cd84580970a272dea1f098d32c2fc0"
 
