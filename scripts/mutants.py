@@ -69,21 +69,21 @@ MUTANTS = (
      "if cert.digest != _certificate_digest(cert):", "if False:",
      "tests/test_acceptance.py::test_criterion_8_certificate_integrity"),
     ("size-guard-boundary", CERTIFIER,
-     "if dm > max_dm:", "if dm > max_dm + 1:",
+     "if dm > MAX_DM:", "if dm > MAX_DM + 1:",
      "tests/test_certifier.py::test_size_guard_boundary"),
     ("guard-skips-variable-count", CERTIFIER,
-     "if (factor - 1).bit_length() + dm > max_dm + 4:", "if False:",
+     "if (factor - 1).bit_length() + dm > MAX_DM + 4:", "if False:",
      "tests/test_certifier.py::test_size_guard_boundary"),
     ("problem-skips-guard", CERTIFIER,
-     "check_size_guard(*alphabet_sizes(self.g), self.m, self.max_dm)", "pass",
+     "check_size_guard(*alphabet_sizes(self.g), self.m)", "pass",
      "tests/test_certifier.py::test_size_guard_boundary"),
     ("verify-guard-refusal-as-invalid", CERTIFIER,
-     "    setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)\n",
+     "    setup = CertificationProblem(g=g, family=family, lambda0=lambda0)\n",
      "    try:\n"
-     "        setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)\n"
+     "        setup = CertificationProblem(g=g, family=family, lambda0=lambda0)\n"
      "    except SizeGuardError as exc:\n"
      '        return fail(f"cannot rebuild program: {exc}")\n',
-     "tests/test_cli.py::test_verify_refuses_the_stored_aka_m5_program_as_certify_does"),
+     "tests/test_cli.py::test_verify_refuses_a_program_over_the_bound_as_certify_does"),
     ("certify-self-check-skipped", CERTIFIER,
      "if not ratlp.check_solution(build.problem, sol):", "if False:",
      "tests/test_cli.py::test_certify_exits_4_when_the_solver_output_fails_its_check"),
@@ -238,26 +238,32 @@ MUTANTS = (
      "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_INPUT",
      "tests/test_cli.py::test_batch_guard_refusal_is_an_exit_3_row[huge]"),
     ("generated-family-drawn-before-guard", CLI,
-     "    certifier.check_size_guard(*sizes, m, max_dm)\n",
-     '    if kind == "random":\n        certifier.check_size_guard(*sizes, m, max_dm)\n',
+     "    certifier.check_size_guard(*sizes, m)\n",
+     '    if kind == "random":\n        certifier.check_size_guard(*sizes, m)\n',
      "tests/test_cli.py::test_certify_refuses_a_huge_random_family_before_drawing_it"
      "[deterministic]"),
     ("random-family-drawn-before-guard", CLI,
-     "    certifier.check_size_guard(*sizes, m, max_dm)\n",
-     '    if kind == "deterministic":\n        certifier.check_size_guard(*sizes, m, max_dm)\n',
+     "    certifier.check_size_guard(*sizes, m)\n",
+     '    if kind == "deterministic":\n        certifier.check_size_guard(*sizes, m)\n',
      "tests/test_cli.py::test_gen_family_refuses_a_size_no_g_can_certify_before_drawing[random]"),
     ("guard-without-copy-sizes", CLI,
-     "check_size_guard(*sizes, m, max_dm)", "check_size_guard(1, 1, sizes[2], m, max_dm)",
+     "check_size_guard(*sizes, m)", "check_size_guard(1, 1, sizes[2], m)",
      "tests/test_cli.py::test_generators_refuse_a_family_spec_alike"
      "[huge-copy-alphabets-gen-family]"),
     ("deterministic-family-of-no-size-drawn", CLI,
      "    if m is None:\n"
      "        raise ValueError(f\"{kind} family generation needs --M\")\n"
-     "    certifier.check_size_guard(*sizes, m, max_dm)\n",
+     "    certifier.check_size_guard(*sizes, m)\n",
      "    if m is None and kind == \"random\":\n"
      "        raise ValueError(f\"{kind} family generation needs --M\")\n"
-     "    certifier.check_size_guard(*sizes, m or 0, max_dm)\n",
+     "    certifier.check_size_guard(*sizes, m or 0)\n",
      "tests/test_cli.py::test_gen_family_with_no_size_is_refused"),
+    ("copy-size-zero-accepted", CLI,
+     "if size < 1:", "if size < 0:",
+     "tests/test_cli.py::test_gen_family_refuses_out_of_range_sizes[a-copy]"),
+    ("write-failure-escapes-as-a-traceback", CLI,
+     "    except OSError as exc:\n", "    except FileNotFoundError as exc:\n",
+     "tests/test_cli.py::test_an_unwritable_output_path_is_an_input_error[certify-out-a-directory]"),
     ("family-size-guard-boundary", CLI,
      "sizes = (args.a_copy, args.b_copy, 1)", "sizes = (args.a_copy, args.b_copy, 0)",
      "tests/test_cli.py::test_gen_family_guard_boundary[random-5]"),

@@ -31,7 +31,7 @@ from .rat import ensure_fraction, format_rational, parse_rational
 
 UNDISTILLABLE = "undistillable"
 INCONCLUSIVE = "inconclusive"
-MAX_DM = 16  # default bound on d + M; the 4*|A|*|B|*2^(d+M) variables stay <= 2^(MAX_DM+4)
+MAX_DM = 16  # bound on d + M; the 4*|A|*|B|*2^(d+M) variables stay <= 2^(MAX_DM+4)
 
 
 class SizeGuardError(ValueError):
@@ -61,26 +61,25 @@ def alphabet_sizes(g: JointDist) -> tuple[int, int, int]:
     return g.axes[0].size, g.axes[1].size, g.axes[2].size
 
 
-def check_size_guard(size_a: int, size_b: int, d: int, m: int, max_dm: int):
-    """Refuse d + M above max_dm, and a program of more variables than d + M =
-    max_dm gives at |A| = |B| = 2, without building the counts it reports.  It
+def check_size_guard(size_a: int, size_b: int, d: int, m: int):
+    """Refuse d + M above MAX_DM, and a program of more variables than d + M =
+    MAX_DM gives at |A| = |B| = 2, without building the counts it reports.  It
     reads alphabet sizes only, so a family can be checked before it is drawn."""
     if m < 0:
         raise ValueError(f"family size must be >= 0, got {m}")
     dm = d + m
     factor = 4 * size_a * size_b
-    if dm > max_dm:
+    if dm > MAX_DM:
         raise SizeGuardError(
-            f"d + M = {d} + {m} = {dm} exceeds the bound {max_dm}: the program would have "
-            f"{_count(factor, dm)} variables and about "
-            f"{_count(dm, dm)} selector rows; raise max_dm to override"
+            f"d + M = {d} + {m} = {dm} exceeds the bound {MAX_DM}: the program would have "
+            f"{_count(factor, dm)} variables and about {_count(dm, dm)} selector rows"
         )
-    # factor * 2^dm > 2^(max_dm + 4), compared by bit length; dm <= max_dm here
-    if (factor - 1).bit_length() + dm > max_dm + 4:
+    # factor * 2^dm > 2^(MAX_DM + 4), compared by bit length; dm <= MAX_DM here
+    if (factor - 1).bit_length() + dm > MAX_DM + 4:
         raise SizeGuardError(
             f"|A| = {size_a} and |B| = {size_b} at d + M = {dm}: the program "
-            f"would have {_count(factor, dm)} variables, more than the {_count(16, max_dm)} "
-            f"the bound {max_dm} allows; raise max_dm to override"
+            f"would have {_count(factor, dm)} variables, more than the {_count(16, MAX_DM)} "
+            f"the bound {MAX_DM} allows"
         )
 
 
@@ -89,13 +88,12 @@ class CertificationProblem:
     g: JointDist
     family: MapFamily
     lambda0: Fraction = Fraction(1, 2)
-    max_dm: int = MAX_DM
 
     def __post_init__(self):
         object.__setattr__(self, "lambda0", ensure_fraction(self.lambda0))
         if not (Fraction(1, 2) <= self.lambda0 < 1):
             raise ValueError(f"lambda0 must lie in [1/2, 1), got {self.lambda0}")
-        check_size_guard(*alphabet_sizes(self.g), self.m, self.max_dm)
+        check_size_guard(*alphabet_sizes(self.g), self.m)
         for i, pair in enumerate(self.family.pairs):
             for side, m, size in (("a", pair.map_a, self.size_a), ("b", pair.map_b, self.size_b)):
                 if m.input_axis.size != 2 * size:
@@ -461,8 +459,7 @@ def _certificate_digest(cert: Certificate) -> str:
     return _canonical_hash(cert.body_json_dict())
 
 
-def certify(g: JointDist, family: MapFamily, lambda0: Fraction = Fraction(1, 2),
-            max_dm: int = MAX_DM) -> Certificate:
+def certify(g: JointDist, family: MapFamily, lambda0: Fraction = Fraction(1, 2)) -> Certificate:
     """Solve the certification program exactly and package the result.
 
     The maximum is never negative at lambda0 = 1/2 (the independent-sides
@@ -471,7 +468,7 @@ def certify(g: JointDist, family: MapFamily, lambda0: Fraction = Fraction(1, 2),
     one yields "inconclusive" with the maximizing distribution attached.
     Output is deterministic for fixed input.
     """
-    return certify_lp(build_lp(CertificationProblem(g, family, lambda0, max_dm)))
+    return certify_lp(build_lp(CertificationProblem(g, family, lambda0)))
 
 
 def certify_lp(build: CertificationLp) -> Certificate:
@@ -518,8 +515,8 @@ class VerificationResult:
         return self.ok
 
 
-def verify_certificate(g: JointDist, family: MapFamily, lambda0: Fraction, cert: Certificate,
-                       max_dm: int = MAX_DM) -> VerificationResult:
+def verify_certificate(g: JointDist, family: MapFamily, lambda0: Fraction,
+                       cert: Certificate) -> VerificationResult:
     """Recheck a certificate exactly, independently of the solver.
 
     The problem fingerprint and the certificate's own content digest must
@@ -560,7 +557,7 @@ def verify_certificate(g: JointDist, family: MapFamily, lambda0: Fraction, cert:
     else:
         return fail(f"unknown verdict {cert.verdict!r}")
 
-    setup = CertificationProblem(g=g, family=family, lambda0=lambda0, max_dm=max_dm)
+    setup = CertificationProblem(g=g, family=family, lambda0=lambda0)
     nk, n = setup.num_selectors, setup.num_vars
     obj_tables, rows = _program(setup)
     if cert.verdict == INCONCLUSIVE:

@@ -53,6 +53,14 @@ def _read(kind: str, path: str, loads):
         raise ValueError(f"cannot read {kind} {path}: {_reason(exc)}") from exc
 
 
+def _write(kind: str, path: str, text: str):
+    """Write text to path; a failure becomes one line naming the file and why."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {kind} {path}: {exc}") from exc
+
+
 def _load_dist(path: str) -> JointDist:
     return _read("distribution", path, JointDist.loads)
 
@@ -78,10 +86,10 @@ def _family_for(args, g: JointDist) -> families.MapFamily:
     if not args.gen:
         raise ValueError("need --family PATH or --gen deterministic|random")
     sizes = certifier.alphabet_sizes(g)
-    return _generate(args.gen, sizes, args.max_dm, args.M, args.seed, args.denom_bound)
+    return _generate(args.gen, sizes, args.M, args.seed, args.denom_bound)
 
 
-def _generate(kind, sizes, max_dm, m, seed, denom_bound) -> families.MapFamily:
+def _generate(kind, sizes, m, seed, denom_bound) -> families.MapFamily:
     """A `kind` family on the copy alphabets of sizes = (|A|, |B|, d), drawn only
     after the size guard has passed it.
 
@@ -95,7 +103,7 @@ def _generate(kind, sizes, max_dm, m, seed, denom_bound) -> families.MapFamily:
             raise ValueError(f"{kind} family generation does not read {name}")
     if m is None:
         raise ValueError(f"{kind} family generation needs --M")
-    certifier.check_size_guard(*sizes, m, max_dm)
+    certifier.check_size_guard(*sizes, m)
     if kind == "deterministic":
         return families.deterministic_family(sizes[0], sizes[1], m)
     return families.random_filter_family(
@@ -126,14 +134,14 @@ def cmd_certify(args) -> int:
     lambda0 = _parse_lambda0(args.lambda0)
     t0 = time.perf_counter()
     if args.dump_lp:
-        build = certifier.build_lp(certifier.CertificationProblem(g, family, lambda0, args.max_dm))
-        Path(args.dump_lp).write_text(ratlp.dump_lp(build.problem))
+        build = certifier.build_lp(certifier.CertificationProblem(g, family, lambda0))
+        _write("program", args.dump_lp, ratlp.dump_lp(build.problem))
         cert = certifier.certify_lp(build)
     else:
-        cert = certifier.certify(g, family, lambda0=lambda0, max_dm=args.max_dm)
-    print(f"solved in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+        cert = certifier.certify(g, family, lambda0=lambda0)
     if args.out:
-        Path(args.out).write_text(cert.dumps())
+        _write("certificate", args.out, cert.dumps())
+    print(f"solved in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     if cert.verdict == certifier.UNDISTILLABLE:
         print("UNDISTILLABLE")
     else:
@@ -146,7 +154,7 @@ def cmd_verify(args) -> int:
     family = _load_family(args.family)
     cert = _read("certificate", args.cert, certifier.Certificate.loads)
     lambda0 = _parse_lambda0(args.lambda0) if args.lambda0 else cert.lambda0
-    result = certifier.verify_certificate(g, family, lambda0, cert, max_dm=args.max_dm)
+    result = certifier.verify_certificate(g, family, lambda0, cert)
     if result:
         print("certificate valid")
         return EXIT_OK
@@ -154,7 +162,7 @@ def cmd_verify(args) -> int:
     return EXIT_INVALID
 
 
-def _batch_row(entry: dict, base: Path, max_dm: int):
+def _batch_row(entry: dict, base: Path):
     if not isinstance(entry, dict):
         raise ValueError(f"manifest entry must be an object, got {json.dumps(entry)}")
     _known_keys(entry, "manifest entry", ("g", "family", "lambda0"))
@@ -177,10 +185,10 @@ def _batch_row(entry: dict, base: Path, max_dm: int):
             None if fam_spec.get(k) is None else _json_int(fam_spec[k], f"family {k}")
             for k in GEN_FIELDS
         ]
-        family = _generate(gen, certifier.alphabet_sizes(g), max_dm, *ints)
+        family = _generate(gen, certifier.alphabet_sizes(g), *ints)
         fam_desc = json.dumps(fam_spec, sort_keys=True, separators=(",", ":"))
     lambda0 = _parse_lambda0(entry.get("lambda0", "1/2"))
-    cert = certifier.certify(g, family, lambda0=lambda0, max_dm=max_dm)
+    cert = certifier.certify(g, family, lambda0=lambda0)
     return (g_path, fam_desc, format_rational(lambda0), cert.verdict, format_rational(cert.optimum))
 
 
@@ -196,7 +204,7 @@ def cmd_batch(args) -> int:
         g = entry.get("g") if isinstance(entry, dict) else None
         label = g if isinstance(g, str) else "?"
         try:
-            row, code = _batch_row(entry, base, args.max_dm), EXIT_OK
+            row, code = _batch_row(entry, base), EXIT_OK
         except Exception as exc:
             row, code = (label, "?", "?", "ERROR", _reason(exc)), _exit_code(exc)
         results.append((row, code, time.perf_counter() - t0))
@@ -212,12 +220,15 @@ def cmd_batch(args) -> int:
 
 
 def cmd_gen_family(args) -> int:
+    for flag, size in (("--a-copy", args.a_copy), ("--b-copy", args.b_copy)):
+        if size < 1:
+            raise ValueError(f"{flag} must be >= 1, got {size}")
     # every g has d >= 1: guard at d = 1, so a family no g can be certified with is refused
     sizes = (args.a_copy, args.b_copy, 1)
-    fam = _generate(args.gen, sizes, args.max_dm, args.M, args.seed, args.denom_bound)
+    fam = _generate(args.gen, sizes, args.M, args.seed, args.denom_bound)
     text = fam.dumps()
     if args.out:
-        Path(args.out).write_text(text)
+        _write("family", args.out, text)
     else:
         print(text, end="")
     return EXIT_OK
@@ -262,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", help="path to a family JSON file")
     _add_family_flags(sp, gen_required=False)
     sp.add_argument("--lambda0", default="1/2")
-    sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm",
-                    help="refuse problems with d + M beyond this bound")
     sp.add_argument("--out", help="write the certificate JSON here")
     sp.add_argument("--dump-lp", dest="dump_lp",
                     help="also write the assembled program in text form")
@@ -274,20 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("family")
     sp.add_argument("cert")
     sp.add_argument("--lambda0", default=None)
-    sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("batch", help="run a manifest of certifications")
     sp.add_argument("manifest")
-    sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm")
     sp.set_defaults(func=cmd_batch)
 
     sp = sub.add_parser("gen-family", help="generate and save a map family")
     sp.add_argument("--a-copy", type=int, required=True, dest="a_copy")
     sp.add_argument("--b-copy", type=int, required=True, dest="b_copy")
     _add_family_flags(sp, gen_required=True)
-    sp.add_argument("--max-dm", type=int, default=certifier.MAX_DM, dest="max_dm",
-                    help="refuse a family size that no g can be certified with under this bound")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_gen_family)
 

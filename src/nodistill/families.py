@@ -144,23 +144,20 @@ def _det_pairs(a_copy_size: int, b_copy_size: int):
                 yield code_a, code_b
 
 
-def deterministic_family(a_copy_size: int, b_copy_size: int, cap: int | None = None) -> MapFamily:
+def deterministic_family(a_copy_size: int, b_copy_size: int, cap: int) -> MapFamily:
     """The canonical deterministic family, truncated at cap pairs.
 
     The order is total and stable, so deterministic_family(c) is a prefix of
     deterministic_family(c') whenever c <= c'.
     """
-    gen = _det_pairs(a_copy_size, b_copy_size)
-    if cap is not None:
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        gen = itertools.islice(gen, cap)
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     pairs = tuple(
         MapPair(
             map_a=_map_from_code("A", a_copy_size, code_a),
             map_b=_map_from_code("B", b_copy_size, code_b),
         )
-        for code_a, code_b in gen
+        for code_a, code_b in itertools.islice(_det_pairs(a_copy_size, b_copy_size), cap)
     )
     return MapFamily(pairs=pairs, generator="deterministic")
 

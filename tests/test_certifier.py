@@ -145,9 +145,10 @@ def test_dimensions_match_for_2x2x2_empty_family():
 
 
 def test_size_guard_refuses_with_estimate(eve_knows_all):
-    fam = deterministic_family(2, 2, cap=10)
+    # d + M = 2 + 15 = 17
+    fam = deterministic_family(2, 2, cap=15)
     with pytest.raises(SizeGuardError, match="variables"):
-        certify(eve_knows_all, fam, max_dm=8)
+        certify(eve_knows_all, fam)
 
 
 def test_a_problem_over_the_bound_cannot_be_made(eve_knows_all):
@@ -796,25 +797,34 @@ def test_verify_makes_only_the_rows_a_certificate_reads(monkeypatch, name):
 
 
 def test_size_guard_boundary(secret_bit_e):
-    # d + M = 1 + 2 = 3
-    fam = deterministic_family(2, 2, cap=2)
-    cert = certify(secret_bit_e, fam, max_dm=3)
-    assert verify_certificate(secret_bit_e, fam, HALF, cert, max_dm=3)
-    with pytest.raises(SizeGuardError, match="d \\+ M = 1 \\+ 2 = 3 exceeds the bound 2"):
-        certify(secret_bit_e, fam, max_dm=2)
+    # the guard reads sizes only: a problem on either side of the bound builds no program
+    assert CertificationProblem(secret_bit_e, deterministic_family(2, 2, cap=15)).m == 15
+    # d + M = 1 + 16 = 17
+    over = deterministic_family(2, 2, cap=16)
+    refusal = (
+        "^d \\+ M = 1 \\+ 16 = 17 exceeds the bound 16: the program would have 2097152 "
+        "variables and about 2228224 selector rows$"
+    )
+    # defining the problem fails first, so a missing guard fails here and builds nothing
+    with pytest.raises(SizeGuardError, match=refusal):
+        CertificationProblem(secret_bit_e, over)
+    with pytest.raises(SizeGuardError, match=refusal):
+        certify(secret_bit_e, over)
     # verify refuses the program as certify does, instead of judging the certificate
-    with pytest.raises(SizeGuardError, match="^d \\+ M = 1 \\+ 2 = 3 exceeds the bound 2"):
-        verify_certificate(secret_bit_e, fam, HALF, cert, max_dm=2)
-    # the variable count 4 * |A| * |B| * 2^(d + M) may reach what d + M = max_dm gives at
-    # |A| = |B| = 2, 2^(max_dm + 4); at |A| = 4, |B| = 2 that is d + M = max_dm - 1
+    from nodistill.certifier import _certificate_digest
+
+    cert = Certificate(UNDISTILLABLE, F(0), HALF, problem_fingerprint(secret_bit_e, over, HALF), dual=())
+    with pytest.raises(SizeGuardError, match=refusal):
+        verify_certificate(secret_bit_e, over, HALF, replace(cert, digest=_certificate_digest(cert)))
+    # the variable count 4 * |A| * |B| * 2^(d + M) may reach what d + M = 16 gives at
+    # |A| = |B| = 2, 2^20; at |A| = 4, |B| = 2 that is d + M = 15
     wide = JointDist((Axis("A", 4), Axis("B", 2), Axis("E", 1)), {(0, 0, 0): F(1)})
-    wide_fam = deterministic_family(4, 2, cap=2)
-    assert CertificationProblem(wide, wide_fam, max_dm=4).m == 2
+    assert CertificationProblem(wide, deterministic_family(4, 2, cap=14)).m == 14
     with pytest.raises(SizeGuardError, match=(
-        "^\\|A\\| = 4 and \\|B\\| = 2 at d \\+ M = 3: the program would have 256 variables, "
-        "more than the 128 the bound 3 allows; raise max_dm to override$"
+        "^\\|A\\| = 4 and \\|B\\| = 2 at d \\+ M = 16: the program would have 2097152 variables, "
+        "more than the 1048576 the bound 16 allows$"
     )):
-        CertificationProblem(wide, wide_fam, max_dm=3)
+        CertificationProblem(wide, deterministic_family(4, 2, cap=15))
 
 
 def test_two_copy_projection_pairs_certify_aka(eve_knows_all):

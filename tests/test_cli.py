@@ -213,8 +213,8 @@ def test_lambda_max_takes_no_pair_budget(workdir, capsys):
         (["certify", "g.json", "--gen", "all"],
          "nodistill certify: error: argument --gen: invalid choice: 'all' "
          "(choose from 'deterministic', 'random')"),
-        (["verify", "g.json", "f.json", "c.json", "--max-dm", "x"],
-         "nodistill verify: error: argument --max-dm: invalid int value: 'x'"),
+        (["lambda-max", "d.json", "--refine-rounds", "x"],
+         "nodistill lambda-max: error: argument --refine-rounds: invalid int value: 'x'"),
     ],
     ids=["unknown-flag", "no-command", "missing-argument", "bad-choice", "bad-int"],
 )
@@ -371,31 +371,42 @@ def test_certify_dump_lp_builds_the_program_once(workdir, capsys, monkeypatch):
     ]
 
 
+WRITES = ("certify-out", "certify-dump-lp", "gen-family-out")
+UNWRITABLE = {"missing-directory": "No such file or directory", "a-directory": "Is a directory"}
+
+
+@pytest.mark.parametrize(
+    "write, target", [(write, target) for write in WRITES for target in UNWRITABLE],
+    ids=[f"{write}-{target}" for write in WRITES for target in UNWRITABLE],
+)
+def test_an_unwritable_output_path_is_an_input_error(workdir, capsys, write, target):
+    certify = ("certify", workdir / "triv.json", "--family", workdir / "fam1.json")
+    # what the file holds, and the command with its flag up to the path
+    kind, argv = {
+        "certify-out": ("certificate", (*certify, "--out")),
+        "certify-dump-lp": ("program", (*certify, "--dump-lp")),
+        "gen-family-out": ("family", ("gen-family", "--a-copy", 1, "--b-copy", 1, "--gen",
+                                      "deterministic", "--M", 1, "--out")),
+    }[write]
+    path = workdir / "missing" / "out.json" if target == "missing-directory" else workdir
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {kind} {path}: ") and UNWRITABLE[target] in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_certify_guard_refusal_exits_3(workdir, capsys):
-    code, _, err = run(
-        capsys, "certify", workdir / "eka.json", "--gen", "deterministic", "--M", 20,
-        "--max-dm", 8,
-    )
+    code, _, err = run(capsys, "certify", workdir / "eka.json", "--gen", "deterministic", "--M", 20)
     assert code == 3 and "exceeds" in err
 
 
-@pytest.mark.parametrize("max_dm, code", [(2, 0), (1, 3)])
-def test_certify_guard_boundary(workdir, capsys, max_dm, code):
-    # d + M = 1 + 1: refused only when the bound is below it
-    got, _, err = run(
-        capsys, "certify", workdir / "triv.json", "--family", workdir / "fam1.json",
-        "--max-dm", max_dm,
-    )
-    assert got == code
-    assert ("refused: d + M = 1 + 1 = 2 exceeds the bound 1" in err) == (code == 3)
-
-
+# the first words of the size guard's two refusals
+GUARD_REFUSALS = ("d + M = ", "|A| = ")
 HUGE = 10**30
 # 4 * |A| * |B| * 2^(d + M) variables and (d + M) * 2^(d + M) selector rows, as powers of two
 HUGE_REFUSAL = (
     f"d + M = {HUGE} + 1 = {HUGE + 1} exceeds the bound 16: the program would have "
-    f"2^{HUGE + 3} or more variables and about 2^{HUGE + 100} or more selector rows; "
-    "raise max_dm to override"
+    f"2^{HUGE + 3} or more variables and about 2^{HUGE + 100} or more selector rows"
 )
 
 
@@ -430,7 +441,7 @@ WIDE = 10**12
 # 4 * 10^12 * 1 * 2^(1 + 1) variables, though d + M = 2 is well inside the bound
 WIDE_REFUSAL = (
     f"|A| = {WIDE} and |B| = 1 at d + M = 2: the program would have 16000000000000 variables, "
-    "more than the 1048576 the bound 16 allows; raise max_dm to override"
+    "more than the 1048576 the bound 16 allows"
 )
 
 
@@ -470,31 +481,29 @@ def test_verify_refuses_to_rebuild_a_program_of_too_many_variables(wide_a, workd
 
 
 @pytest.mark.parametrize(
-    "entry, max_dm, reason",
+    "entry, reason",
     [
-        ({"g": "huge.json", "family": {"gen": "deterministic", "M": 1}}, 16, HUGE_REFUSAL),
-        ({"g": "triv.json", "family": "fam1.json"}, 1,
-         "d + M = 1 + 1 = 2 exceeds the bound 1: the program would have 16 variables "
-         "and about 8 selector rows; raise max_dm to override"),
-        ({"g": "wide.json", "family": {"gen": "deterministic", "M": 1}}, 16, WIDE_REFUSAL),
-        ({"g": "wide.json", "family": {"gen": "random", "M": 1}}, 16, WIDE_REFUSAL),
+        ({"g": "huge.json", "family": {"gen": "deterministic", "M": 1}}, HUGE_REFUSAL),
+        ({"g": "triv.json", "family": "fam16.json"},
+         "d + M = 1 + 16 = 17 exceeds the bound 16: the program would have 524288 variables "
+         "and about 2228224 selector rows"),
+        ({"g": "wide.json", "family": {"gen": "deterministic", "M": 1}}, WIDE_REFUSAL),
+        ({"g": "wide.json", "family": {"gen": "random", "M": 1}}, WIDE_REFUSAL),
     ],
     ids=["huge", "small", "wide-deterministic", "wide-random"],
 )
-def test_batch_guard_refusal_is_an_exit_3_row(
-    huge_eve, wide_a, workdir, capsys, entry, max_dm, reason
-):
+def test_batch_guard_refusal_is_an_exit_3_row(huge_eve, wide_a, workdir, capsys, entry, reason):
+    (workdir / "fam16.json").write_text(deterministic_family(1, 1, cap=16).dumps())
     path = workdir / "manifest_guard.json"
     path.write_text(json.dumps([entry]))
-    code, out, _ = run(capsys, "batch", path, "--max-dm", max_dm)
+    code, out, _ = run(capsys, "batch", path)
     assert code == 3
     assert out.splitlines()[1:] == [f"{entry['g']}\t?\t?\tERROR\t{reason}"]
 
 
 HUGE_M_REFUSAL = (
     "d + M = 2 + 100000000 = 100000002 exceeds the bound 16: the program would have "
-    "2^100000006 or more variables and about 2^100000028 or more selector rows; "
-    "raise max_dm to override"
+    "2^100000006 or more variables and about 2^100000028 or more selector rows"
 )
 
 
@@ -694,18 +703,23 @@ def test_verify_binds_the_certificate_lambda0(workdir, capsys):
     )
 
 
-def test_verify_refuses_the_stored_aka_m5_program_as_certify_does(capsys):
+def test_verify_refuses_a_program_over_the_bound_as_certify_does(workdir, capsys):
+    from nodistill.certifier import UNDISTILLABLE, problem_fingerprint
+
+    # 15 pairs on d = 2: d + M = 17; the certificate matches the inputs, so only the guard can fail
+    fam_path = workdir / "fam15.json"
+    fam_path.write_text(deterministic_family(2, 2, cap=15).dumps())
+    g, fam = JointDist.loads((workdir / "eka.json").read_text()), MapFamily.loads(fam_path.read_text())
+    cert = Certificate(UNDISTILLABLE, F(0), F(1, 2), problem_fingerprint(g, fam, F(1, 2)), dual=())
+    (workdir / "forged.json").write_text(redigested(cert))
     t0 = time.perf_counter()
-    code, out, err = run(
-        capsys, "verify", STORED / "g_aka.json", STORED / "family_M5.json",
-        STORED / "cert_aka-M5.json", "--max-dm", 3,
-    )
+    runs = [run(capsys, "verify", workdir / "eka.json", fam_path, workdir / "forged.json"),
+            run(capsys, "certify", workdir / "eka.json", "--family", fam_path)]
     assert time.perf_counter() - t0 < 2
-    assert (code, out) == (3, "")
-    assert err == (
-        "refused: d + M = 2 + 5 = 7 exceeds the bound 3: the program would have 2048 variables "
-        "and about 896 selector rows; raise max_dm to override\n"
-    )
+    assert runs == [(3, "", (
+        "refused: d + M = 2 + 15 = 17 exceeds the bound 16: the program would have 2097152 "
+        "variables and about 2228224 selector rows\n"
+    ))] * 2
 
 
 @pytest.mark.parametrize(
@@ -1259,7 +1273,7 @@ def test_a_family_file_or_manifest_with_one_node_changed_is_judged_or_refused(fu
             assert all(len(row) == 5 for row in rows) and len(rows) == len(doc), out
             errors = [row[4] for row in rows if row[3] == "ERROR"]
             assert (code == 0) == (not errors)
-            assert (code == 3) == any("raise max_dm to override" in e for e in errors), out
+            assert (code == 3) == any(e.startswith(GUARD_REFUSALS) for e in errors), out
             assert all(line.startswith("timing\t") for line in err.splitlines())
         elif code == 0:
             assert out in ("certificate valid\n", "UNDISTILLABLE\n") or out.startswith(
@@ -1520,8 +1534,11 @@ def test_gen_family_random_seeded(workdir, capsys):
         (("--gen", "deterministic", "--M", -1), "family size must be >= 0, got -1"),
         (("--gen", "random", "--M", 0), "family size m must be >= 1"),
         (("--gen", "random", "--M", 1, "--denom-bound", 0), "denom_bound must be >= 1"),
+        (("--gen", "deterministic", "--M", 1, "--a-copy", 0), "--a-copy must be >= 1, got 0"),
+        (("--gen", "random", "--M", 1, "--b-copy", -1), "--b-copy must be >= 1, got -1"),
+        (("--gen", "random", "--M", 10**8, "--a-copy", -1), "--a-copy must be >= 1, got -1"),
     ],
-    ids=["negative-M", "M", "denom-bound"],
+    ids=["negative-M", "M", "denom-bound", "a-copy", "b-copy", "copy-size-before-the-guard"],
 )
 def test_gen_family_refuses_out_of_range_sizes(capsys, flags, reason):
     code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags)
@@ -1566,29 +1583,39 @@ def test_gen_family_refuses_a_size_no_g_can_certify_before_drawing(no_family_dra
     # guarded at d = 1, the least d any g has, with the copy sizes 2 and 2
     assert err == (
         "refused: d + M = 1 + 100000000 = 100000001 exceeds the bound 16: the program would "
-        "have 2^100000005 or more variables and about 2^100000027 or more selector rows; "
-        "raise max_dm to override\n"
+        "have 2^100000005 or more variables and about 2^100000027 or more selector rows\n"
     )
 
 
-@pytest.mark.parametrize(
-    "flags, refused",
-    [(("--gen", "random", "--M", 4), False), (("--gen", "random", "--M", 5), True),
-     (("--gen", "deterministic", "--M", 4), False), (("--gen", "deterministic", "--M", 5), True)],
-    ids=["random-4", "random-5", "deterministic-4", "deterministic-5"],
+DM_17_REFUSAL = (
+    "d + M = 1 + 16 = 17 exceeds the bound 16: the program would have 524288 variables "
+    "and about 2228224 selector rows"
 )
-def test_gen_family_guard_boundary(capsys, flags, refused):
-    # d >= 1, so under --max-dm 5 a family of 4 pairs can still be certified
-    code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, *flags, "--max-dm", 5)
-    if refused:
-        assert (code, out) == (3, "")
-        assert err == (
-            "refused: d + M = 1 + 5 = 6 exceeds the bound 5: the program would have 256 "
-            "variables and about 384 selector rows; raise max_dm to override\n"
-        )
+WIDE_COPIES_REFUSAL = (
+    "|A| = 64 and |B| = 128 at d + M = 6: the program would have 2097152 variables, "
+    "more than the 1048576 the bound 16 allows"
+)
+
+
+@pytest.mark.parametrize(
+    "copies, gen, m, refusal",
+    [((1, 1), "random", 15, None), ((1, 1), "random", 16, DM_17_REFUSAL),
+     ((1, 1), "deterministic", 15, None), ((1, 1), "deterministic", 16, DM_17_REFUSAL),
+     ((64, 128), "random", 4, None), ((64, 128), "random", 5, WIDE_COPIES_REFUSAL),
+     ((64, 128), "deterministic", 4, None), ((64, 128), "deterministic", 5, WIDE_COPIES_REFUSAL)],
+    ids=["random-15", "random-16", "deterministic-15", "deterministic-16",
+         "random-4", "random-5", "deterministic-4", "deterministic-5"],
+)
+def test_gen_family_guard_boundary(capsys, copies, gen, m, refusal):
+    # guarded at d = 1, the least d any g has: at 1x1 copies d + M may reach 16; at 64x128
+    # copies the 4 * 64 * 128 * 2^(1 + M) variables reach the 2^20 the bound allows at M = 4
+    code, out, err = run(capsys, "gen-family", "--a-copy", copies[0], "--b-copy", copies[1],
+                         "--gen", gen, "--M", m)
+    if refusal:
+        assert (code, out, err) == (3, "", f"refused: {refusal}\n")
     else:
         assert (code, err) == (0, "")
-        assert len(MapFamily.loads(out)) == 4
+        assert len(MapFamily.loads(out)) == m
 
 
 def test_gen_family_with_no_size_is_refused(no_family_drawn, capsys):
@@ -1599,14 +1626,6 @@ def test_gen_family_with_no_size_is_refused(no_family_drawn, capsys):
     )
     assert time.perf_counter() - t0 < 2
     assert (code, out, err) == (2, "", "error: deterministic family generation needs --M\n")
-
-
-def test_gen_family_writes_every_pair_at_the_full_size(capsys):
-    code, out, err = run(capsys, "gen-family", "--a-copy", 1, "--b-copy", 1, "--gen",
-                         "deterministic", "--M", 64, "--max-dm", 65)
-    assert (code, err) == (0, "")
-    assert out == deterministic_family(1, 1).dumps()
-    assert len(MapFamily.loads(out)) == 64
 
 
 def test_gen_family_without_gen_is_refused(capsys):
@@ -1637,7 +1656,7 @@ def test_gen_family_guards_its_copy_sizes_before_drawing_every_pair(no_family_dr
     assert (code, out) == (3, "")
     assert err == (
         "refused: |A| = 100000000 and |B| = 2 at d + M = 1: the program would have 1600000000 "
-        "variables, more than the 1048576 the bound 16 allows; raise max_dm to override\n"
+        "variables, more than the 1048576 the bound 16 allows\n"
     )
 
 
@@ -1660,11 +1679,11 @@ SHARED_REFUSALS = {
     "M-over-the-bound": (
         (1, 1, 1), {"gen": "random", "M": 16}, ("certify", "batch", "gen-family"), 3,
         "d + M = 1 + 16 = 17 exceeds the bound 16: the program would have 524288 variables "
-        "and about 2228224 selector rows; raise max_dm to override"),
+        "and about 2228224 selector rows"),
     "huge-copy-alphabets": (
         (10**12, 2, 1), {"gen": "random", "M": 1}, ("certify", "batch", "gen-family"), 3,
         "|A| = 1000000000000 and |B| = 2 at d + M = 2: the program would have 32000000000000 "
-        "variables, more than the 1048576 the bound 16 allows; raise max_dm to override"),
+        "variables, more than the 1048576 the bound 16 allows"),
 }
 
 
@@ -1693,20 +1712,32 @@ def test_generators_refuse_a_family_spec_alike(no_family_drawn, workdir, capsys,
     assert code == want_code
 
 
-@pytest.mark.parametrize("command", ["certify", "gen-family"])
-def test_the_cap_flag_is_refused_by_the_parser(no_family_drawn, workdir, capsys, command):
-    argv = ["certify", workdir / "triv.json"] if command == "certify" else [
-        "gen-family", "--a-copy", 1, "--b-copy", 1]
+@pytest.mark.parametrize(
+    "flag, command",
+    [("--cap", "certify"), ("--cap", "gen-family"),
+     *(("--max-dm", command) for command in ("certify", "verify", "batch", "gen-family"))],
+    ids=["certify", "gen-family", "max-dm-certify", "max-dm-verify", "max-dm-batch",
+         "max-dm-gen-family"],
+)
+def test_the_cap_flag_is_refused_by_the_parser(no_family_drawn, workdir, capsys, flag, command):
+    """The size has one spelling, M, and its bound none: the old --cap and
+    --max-dm flags are unrecognized, and so are their keys in a manifest family."""
+    argv = {
+        "certify": ("certify", workdir / "triv.json", "--gen", "deterministic"),
+        "verify": ("verify", workdir / "triv.json", workdir / "fam1.json", workdir / "cert.json"),
+        "batch": ("batch", workdir / "manifest.json"),
+        "gen-family": ("gen-family", "--a-copy", 1, "--b-copy", 1, "--gen", "deterministic"),
+    }[command]
     with pytest.raises(SystemExit) as exc:
-        run(capsys, *argv, "--gen", "deterministic", "--cap", 3)
+        run(capsys, *argv, flag, 3)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "nodistill: error: unrecognized arguments: --cap 3\n")
-    # a manifest family spells its size M alone too
-    path = workdir / "manifest_cap.json"
-    path.write_text(json.dumps([{"g": "triv.json", "family": {"gen": "deterministic", "cap": 1}}]))
+    assert (out, err) == ("", f"nodistill: error: unrecognized arguments: {flag} 3\n")
+    key = flag[2:].replace("-", "_")
+    path = workdir / f"manifest_{key}.json"
+    path.write_text(json.dumps([{"g": "triv.json", "family": {"gen": "deterministic", key: 1}}]))
     code, out, _ = run(capsys, "batch", path)
-    assert (code, out.splitlines()[1:]) == (2, ["triv.json\t?\t?\tERROR\tfamily has unknown key 'cap'"])
+    assert (code, out.splitlines()[1:]) == (2, [f"triv.json\t?\t?\tERROR\tfamily has unknown key '{key}'"])
 
 
 def test_one_parser_serves_every_command_of_a_process(workdir, capsys):
