@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Mutation check of the checkers, the rows and objective verify places, the
 input decoders, the rational formatter, build_lp's integer tables and row
-dedup, the simplex tableau's row scans and rhs column, the stage-1 search,
-the stage-2 refit, the size guards, the inputs measures refuses, the CLI's
-generator flags, its argparse refusals and its exit codes: every mutant below
-must fail a test.
+dedup, the simplex tableau's row scans and rhs column, the tensor power, the
+stage-1 search, the stage-2 refit, the size guards, the inputs measures
+refuses, the CLI's generator flags, its empty flag values, its argparse
+refusals and its exit codes: every mutant below must fail a test.
 
 A mutant is one exact string replacement in one file, plus the test that
 killed it in the last full sweep: (name, file, old, new, killer).  The runner
@@ -17,9 +17,11 @@ first, and the whole suite only if the killer passes (DeMillo, Lipton and
 Sayward, IEEE Computer 11(4), 1978, order tests by how likely they are to
 kill).  It prints the test that failed, and the recorded killer too when
 that was another test.  A mutant whose runs pass has survived: the tests do
-not pin the check it breaks.  The exit code is 1 if any mutant survived.  A
-sweep takes about three minutes on a 2-vCPU host, one of them the unmutated
-run; it is not part of the test suite.
+not pin the check it breaks.  A pytest run still going after RUN_TIMEOUT_S is
+stopped, and its mutant is TIMED OUT, neither killed nor survived: a mutant
+that removes a guard can make a test run without end.  The exit code is 1 if
+any mutant survived or timed out.  A sweep takes about three minutes on a
+2-vCPU host, one of them the unmutated run; it is not part of the test suite.
 
 Usage:
     python scripts/mutants.py
@@ -37,6 +39,9 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml", "perfbench/stored")
 # It checks the mutant list against the tree it runs in, so every mutated copy
 # fails it; it is left out of mutant runs, or every mutant would count as killed.
 STALENESS_TEST = "tests/test_scripts.py::test_every_mutant_applies_exactly_once"
+# seconds one pytest run may take; the whole suite takes under a minute on a 2-vCPU host
+RUN_TIMEOUT_S = 300
+TIMED_OUT = "TIMED OUT"
 
 RATLP = "src/nodistill/ratlp.py"
 CERTIFIER = "src/nodistill/certifier.py"
@@ -196,6 +201,10 @@ MUTANTS = (
     ("ratio-tie-to-greatest-basic", RATLP,
      "basis[r] > basis[leaving]", "basis[r] < basis[leaving]",
      "tests/test_certifier.py::test_certificate_digests_pinned[eka-det4]"),
+    # the tensor power
+    ("tensor-power-radix-of-the-first-axis", PROBVEC,
+     "i * ax.size + j", "i * p.axes[0].size + j",
+     "tests/test_probvec.py::test_tensor_power_matches_the_composition_oracle[2-axis-2]"),
     # input decoding
     ("rational-underscores", RAT,
      '(?P<num>[+-]?[0-9]+)', '(?P<num>[+-]?[0-9_]+)',
@@ -228,6 +237,13 @@ MUTANTS = (
     ("argparse-refusal-prints-usage", CLI,
      "    def error(self, message):\n", "    def error(self, message):\n        super().error(message)\n",
      "tests/test_cli.py::test_an_argparse_refusal_is_one_stderr_line[unknown-flag]"),
+    # the CLI's empty flag values
+    ("empty-family-path-ignored", CLI,
+     "    if args.family is not None:\n", "    if args.family:\n",
+     "tests/test_cli.py::test_an_empty_flag_value_is_refused[certify-family]"),
+    ("empty-verify-lambda0-ignored", CLI,
+     "if args.lambda0 is not None else", "if args.lambda0 else",
+     "tests/test_cli.py::test_an_empty_flag_value_is_refused[verify-lambda0]"),
     # the CLI's exit codes
     ("runtime-error-escapes-main", CLI,
      "except (ValueError, KeyError, RuntimeError) as exc:",
@@ -309,10 +325,6 @@ MUTANTS = (
     ("masks-drop-the-last-symbol", MEASURES,
      "for i, act in enumerate(code) if", "for i, act in enumerate(code[:-1]) if",
      "tests/test_measures.py::test_stage1_pairs_match_the_fraction_kernel[rand-3x3x2]"),
-    ("distillable-at-lambda0", MEASURES,
-     "if num * lambda0.denominator > lambda0.numerator * den:",
-     "if num * lambda0.denominator >= lambda0.numerator * den:",
-     "tests/test_measures.py::test_distillability_eve_knows_all_none"),
     # the stage-2 refit
     ("refit-without-bit-1-bound", MEASURES,
      "for row in diag[key])", "for row in diag[key][:1])",
@@ -324,21 +336,27 @@ MUTANTS = (
 
 
 def run_tests(tree: Path, target: str = "tests") -> str | None:
-    """The first failing test's id in `target` (a directory or a test id), or None if it passes."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect",
-         STALENESS_TEST, target],
-        cwd=tree, capture_output=True, text=True,
-    )
+    """The first failing test's id in `target` (a directory or a test id),
+    TIMED_OUT if the run takes longer than RUN_TIMEOUT_S, or None if it passes."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect",
+             STALENESS_TEST, target],
+            cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return TIMED_OUT
     if proc.returncode == 0:
         return None
     return first_failure(proc.stdout) or f"pytest exit {proc.returncode}"
 
 
 def killed_by(tree: Path, killer: str) -> str | None:
-    """The test that fails on `tree`: `killer` if it does, else the suite's first failure."""
-    if run_tests(tree, killer) == killer:
-        return killer
+    """The test that fails on `tree`: `killer` if it does, else the suite's
+    first failure; TIMED_OUT as soon as a run times out."""
+    failed = run_tests(tree, killer)
+    if failed in (killer, TIMED_OUT):
+        return failed
     return run_tests(tree)
 
 
@@ -368,9 +386,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         failed = run_tests(copy_tree(Path(tmp) / "base"))
         if failed:
-            print(f"the unmutated tree fails {failed}; fix that first")
+            print(f"the unmutated tree {'timed out' if failed == TIMED_OUT else f'fails {failed}'}; "
+                  "fix that first")
             return 2
-        survivors = []
+        survivors, timed_out = [], []
         for i, (name, file, old, new, killer) in enumerate(MUTANTS):
             tree = copy_tree(Path(tmp) / f"m{i}")
             path = tree / file
@@ -381,14 +400,19 @@ def main() -> int:
             path.write_text(text.replace(old, new))
             t0 = time.perf_counter()
             failed = killed_by(tree, killer)
-            note = "" if failed in (killer, None) else f" (recorded {killer})"
-            print(f"{name}\t{f'killed by {failed}' if failed else 'SURVIVED'}{note}\t"
-                  f"{time.perf_counter() - t0:.0f}s", flush=True)
-            if not failed:
+            if failed == TIMED_OUT:
+                outcome = TIMED_OUT
+                timed_out.append(name)
+            elif failed is None:
+                outcome = "SURVIVED"
                 survivors.append(name)
+            else:
+                outcome = f"killed by {failed}" + ("" if failed == killer else f" (recorded {killer})")
+            print(f"{name}\t{outcome}\t{time.perf_counter() - t0:.0f}s", flush=True)
             shutil.rmtree(tree)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
-    return 1 if survivors else 0
+    killed = len(MUTANTS) - len(survivors) - len(timed_out)
+    print(f"{killed} of {len(MUTANTS)} killed, {len(timed_out)} timed out")
+    return 1 if survivors or timed_out else 0
 
 
 if __name__ == "__main__":

@@ -5,15 +5,9 @@ floating point and no tolerance parameter anywhere.
 """
 
 from .certifier import Certificate, certify, verify_certificate
-from .families import MapFamily, MapPair, deterministic_family, random_filter_family, strip_pair
-from .measures import (
-    LambdaWitness,
-    distillability_witness,
-    estimate_lambda_max,
-    lambda_advantage,
-    secret_bit_fraction,
-)
-from .probvec import Axis, JointDist, LocalMap, apply_local, marginal, secret_bit, tensor
+from .families import MapFamily, MapPair, deterministic_family, random_filter_family
+from .measures import LambdaWitness, estimate_lambda_max, secret_bit_fraction
+from .probvec import Axis, JointDist, LocalMap, apply_local
 
 __all__ = [
     "Axis",
@@ -26,15 +20,9 @@ __all__ = [
     "apply_local",
     "certify",
     "deterministic_family",
-    "distillability_witness",
     "estimate_lambda_max",
-    "lambda_advantage",
-    "marginal",
     "random_filter_family",
-    "secret_bit",
     "secret_bit_fraction",
-    "strip_pair",
-    "tensor",
     "verify_certificate",
 ]
 

@@ -78,12 +78,12 @@ def _parse_lambda0(text: str) -> Fraction:
 
 def _family_for(args, g: JointDist) -> families.MapFamily:
     """Resolve --family / --gen flags against g's alphabet sizes."""
-    if args.family:
+    if args.family is not None:
         for name in ("gen", *GEN_FIELDS):
             if getattr(args, name) is not None:
                 raise ValueError(f"--family and --{name.replace('_', '-')} cannot be combined")
         return _load_family(args.family)
-    if not args.gen:
+    if args.gen is None:
         raise ValueError("need --family PATH or --gen deterministic|random")
     sizes = certifier.alphabet_sizes(g)
     return _generate(args.gen, sizes, args.M, args.seed, args.denom_bound)
@@ -133,13 +133,13 @@ def cmd_certify(args) -> int:
     family = _family_for(args, g)
     lambda0 = _parse_lambda0(args.lambda0)
     t0 = time.perf_counter()
-    if args.dump_lp:
+    if args.dump_lp is not None:
         build = certifier.build_lp(certifier.CertificationProblem(g, family, lambda0))
         _write("program", args.dump_lp, ratlp.dump_lp(build.problem))
         cert = certifier.certify_lp(build)
     else:
         cert = certifier.certify(g, family, lambda0=lambda0)
-    if args.out:
+    if args.out is not None:
         _write("certificate", args.out, cert.dumps())
     print(f"solved in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     if cert.verdict == certifier.UNDISTILLABLE:
@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
     g = _load_dist(args.g)
     family = _load_family(args.family)
     cert = _read("certificate", args.cert, certifier.Certificate.loads)
-    lambda0 = _parse_lambda0(args.lambda0) if args.lambda0 else cert.lambda0
+    lambda0 = _parse_lambda0(args.lambda0) if args.lambda0 is not None else cert.lambda0
     result = certifier.verify_certificate(g, family, lambda0, cert)
     if result:
         print("certificate valid")
@@ -227,7 +227,7 @@ def cmd_gen_family(args) -> int:
     sizes = (args.a_copy, args.b_copy, 1)
     fam = _generate(args.gen, sizes, args.M, args.seed, args.denom_bound)
     text = fam.dumps()
-    if args.out:
+    if args.out is not None:
         _write("family", args.out, text)
     else:
         print(text, end="")

@@ -115,14 +115,6 @@ def _strip_code(copy_size: int) -> tuple[int, ...]:
     return tuple([0] * copy_size + [1] * copy_size)
 
 
-def strip_pair(a_copy_size: int, b_copy_size: int) -> MapPair:
-    """Project the bit factor on both sides, tracing out the copy factor."""
-    return MapPair(
-        map_a=_map_from_code("A", a_copy_size, _strip_code(a_copy_size)),
-        map_b=_map_from_code("B", b_copy_size, _strip_code(b_copy_size)),
-    )
-
-
 def deterministic_codes(n_symbols: int):
     """All deterministic filter codes, lexicographic, all-discard dropped.
 

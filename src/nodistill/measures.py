@@ -30,8 +30,8 @@ from operator import add
 from . import ratlp
 from .certifier import SizeGuardError
 from .families import BOTH, OUTPUTS, code_map, deterministic_codes
-from .probvec import Axis, JointDist, LocalMap, apply_local, tensor_power
-from .rat import ensure_fraction, format_rational, parse_rational
+from .probvec import Axis, JointDist, LocalMap, apply_local
+from .rat import format_rational, parse_rational
 
 MAX_AB = 12  # bound on |A| + |B|: stage 1 ranges over 3^(|A| + |B|) map pairs
 
@@ -76,8 +76,8 @@ def _ab_eve_split(p: JointDist):
     return pos_a, pos_b, eve
 
 
-def _diagonal_mins_and_mass(p: JointDist) -> tuple[Fraction, Fraction]:
-    """sum_e min_a p(a,a,e) and the total mass of p; A and B must be bits."""
+def secret_bit_fraction(p: JointDist) -> Fraction:
+    """Exact secret bit fraction; axes beyond A and B count jointly as Eve."""
     pos_a, pos_b, eve = _ab_eve_split(p)
     for party, pos in (("A", pos_a), ("B", pos_b)):
         if p.axes[pos].size != 2:
@@ -89,22 +89,9 @@ def _diagonal_mins_and_mass(p: JointDist) -> tuple[Fraction, Fraction]:
         a = idx[pos_a]
         if a == idx[pos_b]:
             diag.setdefault(tuple(idx[i] for i in eve), [Fraction(0), Fraction(0)])[a] += v
-    return sum((min(c) for c in diag.values()), Fraction(0)), mass
-
-
-def secret_bit_fraction(p: JointDist) -> Fraction:
-    """Exact secret bit fraction; axes beyond A and B count jointly as Eve."""
-    mins, mass = _diagonal_mins_and_mass(p)
     if mass == 0:
         raise ValueError("undefined fraction: distribution has zero total mass")
-    return 2 * mins / mass
-
-
-def lambda_advantage(p: JointDist, lambda0: Fraction) -> Fraction:
-    """2 * sum_e min_a p(a,a,e) - lambda0 * mass(p); positive iff fraction > lambda0."""
-    lambda0 = ensure_fraction(lambda0)
-    mins, mass = _diagonal_mins_and_mass(p)
-    return 2 * mins - lambda0 * mass
+    return 2 * sum((min(c) for c in diag.values()), Fraction(0)) / mass
 
 
 # -- stage-1 enumeration -------------------------------------------------------
@@ -244,27 +231,6 @@ def estimate_lambda_max(p: JointDist, refine_rounds: int = 0) -> LambdaWitness:
             if refined.value > witness.value:
                 witness = refined
     return witness
-
-
-def distillability_witness(
-    p: JointDist, max_n: int, lambda0: Fraction = Fraction(1, 2)
-) -> LambdaWitness | None:
-    """First stage-1 witness on any tensor power up to max_n with value > lambda0.
-
-    Returns None when the search over powers 1..max_n finds nothing; that is
-    not a proof of non-distillability.  The first power whose |A| + |B|
-    exceeds MAX_AB, reached with no witness found below it, raises
-    SizeGuardError.
-    """
-    lambda0 = ensure_fraction(lambda0)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    for n in range(1, max_n + 1):
-        pn = tensor_power(p, n)
-        for num, den, code_a, code_b in _stage1_pairs(pn):
-            if num * lambda0.denominator > lambda0.numerator * den:
-                return _witness(pn, num, den, code_a, code_b)
-    return None
 
 
 # -- stage-2 refinement --------------------------------------------------------

@@ -3,7 +3,7 @@
 A distribution is a non-negative vector over a product of finite alphabets,
 one axis per party.  Total mass is *not* required to be 1: filtering maps
 (non-negative matrices with no column-sum constraint) may shrink or grow it.
-Axes are identified by label, not position; relabeling is explicit.
+Axes are identified by label, not position.
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent use needs no locking.
@@ -11,7 +11,9 @@ functions, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -26,9 +28,9 @@ class Axis:
     """One party's alphabet: a label and an alphabet size.
 
     Labels may be composite ("A-bit", "A-copy"); `factors` optionally records
-    the sizes of the merged sub-alphabets, outermost first, for axes produced
-    by merging.  Factors are part of identity: two axes are equal, and hash
-    alike, only when label, size and factors all agree.
+    the sizes of the merged sub-alphabets, outermost first, for composite
+    axes such as a tensor power's.  Factors are part of identity: two axes
+    are equal, and hash alike, only when label, size and factors all agree.
     """
 
     party: str
@@ -164,65 +166,6 @@ class JointDist:
         shape = "x".join(f"{ax.party}:{ax.size}" for ax in self.axes)
         return f"JointDist({shape}, nnz={self.nnz()}, mass={self.total_mass()})"
 
-    # -- algebra ---------------------------------------------------------
-
-    def relabel(self, mapping: Mapping[str, str]) -> "JointDist":
-        axes = tuple(
-            Axis(mapping.get(ax.party, ax.party), ax.size, ax.factors) for ax in self.axes
-        )
-        return JointDist(axes, self._entries)
-
-    def permute(self, order: Sequence[str]) -> "JointDist":
-        """Reorder axes to the given label order (must be a permutation)."""
-        if sorted(order) != sorted(self.labels):
-            raise ValueError(f"order {list(order)} is not a permutation of {list(self.labels)}")
-        perm = [self.axis_pos(l) for l in order]
-        axes = tuple(self.axes[p] for p in perm)
-        entries = {tuple(idx[p] for p in perm): v for idx, v in self.items()}
-        return JointDist(axes, entries)
-
-    def merge_axes(self, labels: Sequence[str], new_label: str) -> "JointDist":
-        """Merge consecutive-in-`labels`-order axes into one composite axis.
-
-        The merged index is mixed-radix with the first listed axis outermost:
-        idx = ((i0 * s1 + i1) * s2 + i2) ...  The composite axis lands at the
-        position of the first merged axis and records the factor sizes.
-        """
-        if len(labels) == 0:
-            raise ValueError("merge_axes needs at least one label")
-        positions = [self.axis_pos(l) for l in labels]
-        sizes = [self.axes[p].size for p in positions]
-        pos_set = set(positions)
-        if len(pos_set) != len(positions):
-            raise ValueError("merge_axes labels must be distinct")
-        first = min(positions)
-        merged_size = 1
-        for s in sizes:
-            merged_size *= s
-        new_axes: list[Axis] = []
-        for pos, ax in enumerate(self.axes):
-            if pos == first:
-                new_axes.append(Axis(new_label, merged_size, tuple(sizes)))
-            elif pos not in pos_set:
-                new_axes.append(ax)
-        labels_after = [ax.party for ax in new_axes]
-        if labels_after.count(new_label) > 1:
-            raise ValueError(f"merged label {new_label!r} collides with an existing axis")
-        entries: dict[Index, Fraction] = {}
-        for idx, v in self.items():
-            combined = 0
-            for p, s in zip(positions, sizes):
-                combined = combined * s + idx[p]
-            out_idx = []
-            for pos in range(len(self.axes)):
-                if pos == first:
-                    out_idx.append(combined)
-                elif pos not in pos_set:
-                    out_idx.append(idx[pos])
-            key = tuple(out_idx)
-            entries[key] = entries.get(key, Fraction(0)) + v
-        return JointDist(new_axes, entries)
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -322,19 +265,6 @@ class LocalMap:
 # -- module-level operations ----------------------------------------------
 
 
-def tensor(p: JointDist, q: JointDist) -> JointDist:
-    """Tensor product; axis labels must be disjoint (relabel first)."""
-    collision = set(p.labels) & set(q.labels)
-    if collision:
-        raise ValueError(f"axis label collision in tensor: {sorted(collision)!r}")
-    axes = p.axes + q.axes
-    entries = {}
-    for ip, vp in p.items():
-        for iq, vq in q.items():
-            entries[ip + iq] = vp * vq
-    return JointDist(axes, entries)
-
-
 def apply_local(m: LocalMap, p: JointDist, axis: str) -> JointDist:
     """Contract a map into the named axis: out(..,y,..) = sum_x m[y,x] p(..,x,..)."""
     pos = p.axis_pos(axis)
@@ -361,27 +291,6 @@ def apply_local(m: LocalMap, p: JointDist, axis: str) -> JointDist:
     return JointDist(new_axes, entries)
 
 
-def marginal(p: JointDist, keep: Iterable[str]) -> JointDist:
-    """Sum out every axis not in `keep`; mass is preserved exactly."""
-    keep = list(keep)
-    for l in keep:
-        p.axis(l)  # raises on unknown label
-    keep_set = set(keep)
-    positions = [pos for pos, ax in enumerate(p.axes) if ax.party in keep_set]
-    axes = tuple(p.axes[pos] for pos in positions)
-    entries: dict[Index, Fraction] = {}
-    for idx, v in p.items():
-        key = tuple(idx[pos] for pos in positions)
-        entries[key] = entries.get(key, Fraction(0)) + v
-    return JointDist(axes, entries)
-
-
-def secret_bit() -> JointDist:
-    """Perfectly correlated uniform bit pair: entries 1/2 on the diagonal."""
-    axes = (Axis("A", 2), Axis("B", 2))
-    return JointDist(axes, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
-
-
 def tensor_power(p: JointDist, n: int) -> JointDist:
     """n-fold tensor power with each party's copies merged into one axis.
 
@@ -392,12 +301,11 @@ def tensor_power(p: JointDist, n: int) -> JointDist:
         raise ValueError("tensor power needs n >= 1")
     if n == 1:
         return p
-    base_labels = p.labels
-    result = p
-    for copy in range(2, n + 1):
-        q = p.relabel({l: f"{l}#{copy}" for l in base_labels})
-        result = tensor(result, q)
-    for l in base_labels:
-        merged = [l] + [f"{l}#{c}" for c in range(2, n + 1)]
-        result = result.merge_axes(merged, l)
-    return result.permute(base_labels)
+    axes = tuple(Axis(ax.party, ax.size**n, (ax.size,) * n) for ax in p.axes)
+    entries = {}
+    for copies in itertools.product(p.items(), repeat=n):
+        idx = [0] * len(axes)
+        for copy_idx, _ in copies:
+            idx = [i * ax.size + j for i, ax, j in zip(idx, p.axes, copy_idx)]
+        entries[tuple(idx)] = math.prod(v for _, v in copies)
+    return JointDist(axes, entries)

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from nodistill.probvec import Axis, JointDist, secret_bit, tensor
+from nodistill.probvec import Axis, JointDist
 
-from oracles import scale
+from oracles import scale, secret_bit, tensor
 
 # Property tests draw the same examples on every run, so a failure seen once
 # recurs; each test keeps its own max_examples.  For a wider search, draw

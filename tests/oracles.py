@@ -4,17 +4,19 @@ No command reaches these.  They are the constructions that justify the
 certification program (the universal copy-matching map, currying, lifted
 products, selector grouping, true-minimum lifted values, feasible-point spot
 checks), independent recomputations of values the program works out
-another way (the decomposition form of the secret bit fraction, the
-stage-1 search with one Fraction sum per map pair, the stage-2 refit with
-one LP per sign vector over Eve's symbols, the certification rows written
-out block by block, the certification program from per-bit tables summed
-in Fractions, the witness check with one dot product per row, the dual
-check in Fractions, the LP text parser),
-and the distribution and map algebra those constructions are stated in
-(entry lookup, scaling, sums, axis splitting, the identity map,
-map composition and Kronecker products, the duplicate-pair test).  Each
-reaches its value by a route other than the one the program takes, which is
-what makes it an oracle.
+another way (the decomposition form of the secret bit fraction and the
+advantage over lambda0 built on it, the stage-1 search with one Fraction
+sum per map pair, the stage-2 refit with one LP per sign vector over Eve's
+symbols, the certification rows written out block by block, the
+certification program from per-bit tables summed in Fractions, the witness
+check with one dot product per row, the dual check in Fractions, the LP
+text parser, the tensor power composed from relabeling, tensor products,
+axis merging and permutation), and the distribution and map algebra those
+constructions are stated in (the secret bit, entry lookup, scaling, sums,
+tensor products, relabeling, permuting, merging and splitting axes,
+marginals, the identity map, map composition and Kronecker products, the
+duplicate-pair test).  Each reaches its value by a route other than the one
+the program takes, which is what makes it an oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from nodistill.certifier import (
     build_lp,
 )
 from nodistill.families import BOTH, OUTPUTS, MapFamily, deterministic_codes
-from nodistill.measures import LambdaWitness, _ab_eve_split, lambda_advantage
+from nodistill.measures import LambdaWitness, _ab_eve_split
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local
 from nodistill.ratlp import LpProblem, LpRow
 from nodistill.rat import ensure_fraction, parse_rational
@@ -64,8 +66,108 @@ def add(p: JointDist, q: JointDist) -> JointDist:
     return JointDist(p.axes, out)
 
 
+def secret_bit() -> JointDist:
+    """Perfectly correlated uniform bit pair: entries 1/2 on the diagonal."""
+    axes = (Axis("A", 2), Axis("B", 2))
+    return JointDist(axes, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+
+
+def tensor(p: JointDist, q: JointDist) -> JointDist:
+    """Tensor product; axis labels must be disjoint (relabel first)."""
+    collision = set(p.labels) & set(q.labels)
+    if collision:
+        raise ValueError(f"axis label collision in tensor: {sorted(collision)!r}")
+    entries = {}
+    for ip, vp in p.items():
+        for iq, vq in q.items():
+            entries[ip + iq] = vp * vq
+    return JointDist(p.axes + q.axes, entries)
+
+
+def relabel(p: JointDist, mapping: dict[str, str]) -> JointDist:
+    axes = tuple(Axis(mapping.get(ax.party, ax.party), ax.size, ax.factors) for ax in p.axes)
+    return JointDist(axes, dict(p.items()))
+
+
+def permute(p: JointDist, order: Sequence[str]) -> JointDist:
+    """Reorder axes to the given label order (must be a permutation)."""
+    if sorted(order) != sorted(p.labels):
+        raise ValueError(f"order {list(order)} is not a permutation of {list(p.labels)}")
+    perm = [p.axis_pos(l) for l in order]
+    axes = tuple(p.axes[i] for i in perm)
+    return JointDist(axes, {tuple(idx[i] for i in perm): v for idx, v in p.items()})
+
+
+def merge_axes(p: JointDist, labels: Sequence[str], new_label: str) -> JointDist:
+    """Merge the listed axes into one composite axis.
+
+    The merged index is mixed-radix with the first listed axis outermost:
+    idx = ((i0 * s1 + i1) * s2 + i2) ...  The composite axis lands at the
+    position of the first merged axis and records the factor sizes.
+    """
+    if len(labels) == 0:
+        raise ValueError("merge_axes needs at least one label")
+    positions = [p.axis_pos(l) for l in labels]
+    sizes = [p.axes[i].size for i in positions]
+    pos_set = set(positions)
+    if len(pos_set) != len(positions):
+        raise ValueError("merge_axes labels must be distinct")
+    first = min(positions)
+    merged_size = 1
+    for s in sizes:
+        merged_size *= s
+    new_axes = []
+    for pos, ax in enumerate(p.axes):
+        if pos == first:
+            new_axes.append(Axis(new_label, merged_size, tuple(sizes)))
+        elif pos not in pos_set:
+            new_axes.append(ax)
+    if [ax.party for ax in new_axes].count(new_label) > 1:
+        raise ValueError(f"merged label {new_label!r} collides with an existing axis")
+    entries: dict[tuple[int, ...], Fraction] = {}
+    for idx, v in p.items():
+        combined = 0
+        for i, s in zip(positions, sizes):
+            combined = combined * s + idx[i]
+        key = tuple(
+            combined if pos == first else idx[pos]
+            for pos in range(len(p.axes))
+            if pos == first or pos not in pos_set
+        )
+        entries[key] = entries.get(key, Fraction(0)) + v
+    return JointDist(new_axes, entries)
+
+
+def marginal(p: JointDist, keep: Iterable[str]) -> JointDist:
+    """Sum out every axis not in `keep`; mass is preserved exactly."""
+    keep = list(keep)
+    for l in keep:
+        p.axis(l)  # raises on unknown label
+    positions = [pos for pos, ax in enumerate(p.axes) if ax.party in keep]
+    entries: dict[tuple[int, ...], Fraction] = {}
+    for idx, v in p.items():
+        key = tuple(idx[pos] for pos in positions)
+        entries[key] = entries.get(key, Fraction(0)) + v
+    return JointDist(tuple(p.axes[pos] for pos in positions), entries)
+
+
+def tensor_power_by_composition(p: JointDist, n: int) -> JointDist:
+    """`probvec.tensor_power` composed from relabel, tensor, merge_axes and
+    permute: copy c is relabeled "<party>#c", the copies are tensored, each
+    party's copies are merged in copy order and the axes are put back in p's
+    order.  n == 1 returns p itself."""
+    if n == 1:
+        return p
+    result = p
+    for copy in range(2, n + 1):
+        result = tensor(result, relabel(p, {l: f"{l}#{copy}" for l in p.labels}))
+    for l in p.labels:
+        result = merge_axes(result, [l] + [f"{l}#{c}" for c in range(2, n + 1)], l)
+    return permute(result, p.labels)
+
+
 def split_axis(p: JointDist, label: str, sizes: Sequence[int], new_labels: Sequence[str]) -> JointDist:
-    """Inverse of merge_axes: unpack a composite axis into factor axes."""
+    """Inverse of `merge_axes`: unpack a composite axis into factor axes."""
     pos = p.axis_pos(label)
     ax = p.axes[pos]
     sizes = list(sizes)
@@ -353,18 +455,18 @@ def group_by_selector(q: JointDist, g: JointDist, family: MapFamily) -> JointDis
 
 def lifted_objective_value(q: JointDist, g: JointDist, lambda0: Fraction) -> Fraction:
     """Objective evaluated with true minima on an explicit helper alphabet."""
-    return 2 * lambda_advantage(lift(q, g), ensure_fraction(lambda0))
+    return 2 * advantage(lift(q, g), lambda0)
 
 
 def filtered_by_pair(q: JointDist, pair) -> JointDist:
     """Apply a family pair to the merged composite alphabets of q."""
-    merged = q.merge_axes(["A-bit", "A-copy"], "A").merge_axes(["B-bit", "B-copy"], "B")
+    merged = merge_axes(merge_axes(q, ["A-bit", "A-copy"], "A"), ["B-bit", "B-copy"], "B")
     return apply_local(pair.map_a, apply_local(pair.map_b, merged, "B"), "A")
 
 
 def family_constraint_value(q: JointDist, pair, lambda0: Fraction) -> Fraction:
     """Filtered advantage (doubled), the quantity each family row bounds by 0."""
-    return 2 * lambda_advantage(filtered_by_pair(q, pair), ensure_fraction(lambda0))
+    return 2 * advantage(filtered_by_pair(q, pair), lambda0)
 
 
 def canonical_witness_q(g: JointDist) -> JointDist:
@@ -450,7 +552,7 @@ def activation_spotcheck(
     max_adv: Fraction | None = None
     violations = []
     for n, qk in enumerate(points):
-        adv = lambda_advantage(lift(qk, g), lambda0)
+        adv = advantage(lift(qk, g), lambda0)
         if max_adv is None or adv > max_adv:
             max_adv = adv
         if adv > 0:
@@ -500,6 +602,16 @@ def secret_bit_fraction_by_decomposition(p: JointDist) -> Fraction:
     if sol.status != ratlp.OPTIMAL:
         raise RuntimeError(f"decomposition program unexpectedly {sol.status}")
     return sol.objective_value
+
+
+def advantage(p: JointDist, lambda0) -> Fraction:
+    """2 * sum_e min_a p(a,a,e) - lambda0 * mass(p), positive iff the fraction
+    exceeds lambda0, as mass * (fraction - lambda0) with the fraction from the
+    decomposition program; 0 at zero mass."""
+    mass = p.total_mass()
+    if mass == 0:
+        return Fraction(0)
+    return mass * (secret_bit_fraction_by_decomposition(scale(p, 1 / mass)) - ensure_fraction(lambda0))
 
 
 # -- the stage-1 search, one Fraction sum per map pair ----------------------------

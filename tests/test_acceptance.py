@@ -28,15 +28,7 @@ from nodistill.measures import (
     estimate_lambda_max,
     secret_bit_fraction,
 )
-from nodistill.probvec import (
-    Axis,
-    JointDist,
-    LocalMap,
-    apply_local,
-    secret_bit,
-    tensor,
-    tensor_power,
-)
+from nodistill.probvec import Axis, JointDist, LocalMap, apply_local, tensor_power
 
 from conftest import normalized, rand_dist, trivial_eve
 from oracles import (
@@ -48,8 +40,13 @@ from oracles import (
     lift,
     lifted_objective_value,
     map_tensor,
+    merge_axes,
+    permute,
+    relabel,
+    secret_bit,
     secret_bit_fraction_by_decomposition,
     split_axis,
+    tensor,
     universal_map,
 )
 from test_ratlp import brute_force, random_problem
@@ -112,9 +109,9 @@ def test_criterion_3_lift_factoring_identity():
             q = apply_local(cb, apply_local(ca, g, "A"), "B")
             q = split_axis(q, ca.output_axis.party, [2, 2], ["A-bit", "A-copy"])
             q = split_axis(q, cb.output_axis.party, [2, 2], ["B-bit", "B-copy"])
-            q = q.permute(["A-bit", "A-copy", "B-bit", "B-copy", "E"])
-            lifted = lift(q, g.relabel({"E": "E2"}))
-            lifted = lifted.merge_axes(["E", "E2"], "E").permute(["A", "B", "E"])
+            q = permute(q, ["A-bit", "A-copy", "B-bit", "B-copy", "E"])
+            lifted = lift(q, relabel(g, {"E": "E2"}))
+            lifted = permute(merge_axes(lifted, ["E", "E2"], "E"), ["A", "B", "E"])
             assert lifted == direct
 
 

@@ -20,7 +20,7 @@ from nodistill.certifier import (
     problem_fingerprint,
     verify_certificate,
 )
-from nodistill.families import MapFamily, MapPair, deterministic_family, random_filter_family, strip_pair
+from nodistill.families import MapFamily, MapPair, deterministic_family, random_filter_family
 from nodistill.probvec import Axis, JointDist, LocalMap
 
 from conftest import normalized, rand_dist
@@ -192,7 +192,7 @@ def test_canonical_witness_needs_binary_alphabets():
 
 
 def test_trivial_g_with_strip_family_is_undistillable():
-    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    fam = deterministic_family(1, 1, 1)
     cert = certify(trivial_g(), fam)
     assert cert.verdict == UNDISTILLABLE
     assert cert.optimum == 0
@@ -527,7 +527,7 @@ def test_verify_math_catches_resigned_primal_tamper(secret_bit_e):
 
 
 def test_verify_math_catches_resigned_optimum_tamper():
-    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    fam = deterministic_family(1, 1, 1)
     cert = certify(trivial_g(), fam)
     data = cert.to_json_dict()
     data["optimum"] = "-1/1000"
@@ -536,7 +536,7 @@ def test_verify_math_catches_resigned_optimum_tamper():
 
 
 def test_verify_math_catches_resigned_dual_sign_tamper():
-    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    fam = deterministic_family(1, 1, 1)
     cert = certify(trivial_g(), fam)
     data = cert.to_json_dict()
     data["dual"]["row_multipliers"][0] = "-1/1000"
@@ -545,7 +545,7 @@ def test_verify_math_catches_resigned_dual_sign_tamper():
 
 
 def test_verify_reports_negative_multiplier_row():
-    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    fam = deterministic_family(1, 1, 1)
     cert = certify(trivial_g(), fam)
     data = cert.to_json_dict()
     data["dual"]["row_multipliers"][3] = "-1/1000"
@@ -554,7 +554,7 @@ def test_verify_reports_negative_multiplier_row():
 
 
 def test_verify_reports_first_dual_infeasible_variable():
-    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    fam = deterministic_family(1, 1, 1)
     cert = certify(trivial_g(), fam)
     data = cert.to_json_dict()
     # raising the family row's multiplier (rhs 0, bound unchanged) breaks the
@@ -567,11 +567,11 @@ def test_verify_reports_first_dual_infeasible_variable():
 
 def strip_certificate() -> Certificate:
     """The undistillable certificate of the trivial g under the strip pair (8 rows)."""
-    return certify(trivial_g(), MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic"))
+    return certify(trivial_g(), deterministic_family(1, 1, 1))
 
 
 def verify_trivial(data: dict):
-    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    fam = deterministic_family(1, 1, 1)
     return verify_certificate(trivial_g(), fam, HALF, redigest(data)).failure
 
 
@@ -864,7 +864,7 @@ def test_fingerprint_distinguishes_lambda0(secret_bit_e):
 
 
 def test_spotcheck_on_certified_trivial_g():
-    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    fam = deterministic_family(1, 1, 1)
     cert = certify(trivial_g(), fam)
     report = activation_spotcheck(trivial_g(), fam, HALF, cert, seed=1, vertices=6, mixtures=6)
     assert report.ok()
@@ -873,7 +873,7 @@ def test_spotcheck_on_certified_trivial_g():
 
 
 def test_spotcheck_sees_zero_advantage_at_the_optimum():
-    fam = MapFamily(pairs=(strip_pair(1, 1),), generator="deterministic")
+    fam = deterministic_family(1, 1, 1)
     cert = certify(trivial_g(), fam)
     report = activation_spotcheck(trivial_g(), fam, HALF, cert, seed=2)
     assert report.max_advantage == 0

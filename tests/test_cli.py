@@ -18,9 +18,10 @@ from nodistill import families
 from nodistill.cli import main
 from nodistill.families import MapFamily, deterministic_family
 from nodistill.measures import LambdaWitness
-from nodistill.probvec import Axis, JointDist, secret_bit, tensor
+from nodistill.probvec import Axis, JointDist
 
 from conftest import rand_dist, trivial_eve
+from oracles import secret_bit, tensor
 
 
 @pytest.fixture
@@ -393,6 +394,34 @@ def test_an_unwritable_output_path_is_an_input_error(workdir, capsys, write, tar
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {kind} {path}: ") and UNWRITABLE[target] in err
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+CERTIFY_TRIV = ("certify", "triv.json", "--family", "fam1.json")
+# a flag given the empty string, and the start of the line that refuses it
+EMPTY_FLAG_VALUES = {
+    "certify-family": (("certify", "triv.json", "--family", "", "--gen", "deterministic", "--M", 1),
+                       "error: --family and --gen cannot be combined\n"),
+    "certify-lambda0": ((*CERTIFY_TRIV, "--lambda0", ""), "error: malformed rational: ''\n"),
+    "verify-lambda0": (("verify", "triv.json", "fam1.json", "cert.json", "--lambda0", ""),
+                       "error: malformed rational: ''\n"),
+    "certify-out": ((*CERTIFY_TRIV, "--out", ""), "error: cannot write certificate : "),
+    "certify-dump-lp": ((*CERTIFY_TRIV, "--dump-lp", ""), "error: cannot write program : "),
+    "gen-family-out": (("gen-family", "--a-copy", 1, "--b-copy", 1, "--gen", "deterministic",
+                        "--M", 1, "--out", ""), "error: cannot write family : "),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_FLAG_VALUES))
+def test_an_empty_flag_value_is_refused(workdir, capsys, monkeypatch, case):
+    """An empty value is a value: it is read, and refused, not taken for an absent flag."""
+    monkeypatch.chdir(workdir)
+    assert run(capsys, *CERTIFY_TRIV, "--out", "cert.json")[0] == 0
+    files = sorted(workdir.iterdir())
+    argv, refusal = EMPTY_FLAG_VALUES[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(refusal) and err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(workdir.iterdir()) == files
 
 
 def test_certify_guard_refusal_exits_3(workdir, capsys):

@@ -7,12 +7,11 @@ from nodistill.families import (
     MapPair,
     deterministic_family,
     random_filter_family,
-    strip_pair,
 )
 from nodistill.measures import secret_bit_fraction
 from nodistill.probvec import Axis, JointDist, LocalMap, apply_local
 
-from oracles import has_duplicates
+from oracles import has_duplicates, merge_axes
 
 
 def test_deterministic_count_copy_one():
@@ -26,10 +25,20 @@ def test_cap_zero_is_empty():
     assert len(deterministic_family(2, 2, cap=0)) == 0
 
 
+def strip_pair(a_copy_size: int, b_copy_size: int) -> MapPair:
+    """The pair that measures the bit factor and ignores the copy factor."""
+    return deterministic_family(a_copy_size, b_copy_size, cap=1).pairs[0]
+
+
 def test_strip_pair_is_first():
-    fam = deterministic_family(2, 3, cap=1)
-    strip = strip_pair(2, 3)
-    assert fam.pairs[0] == strip
+    # (bit, copy) symbols with bit outermost: bit 0 symbols map to 0, bit 1 to 1
+    assert strip_pair(2, 3).map_b.coeffs == (
+        (F(1), F(1), F(1), F(0), F(0), F(0)),
+        (F(0), F(0), F(0), F(1), F(1), F(1)),
+    )
+    # and it is not repeated at its place in code order (the tenth pair)
+    fam = deterministic_family(1, 1, cap=100)
+    assert fam.pairs[0] not in fam.pairs[1:]
 
 
 def test_strip_pair_matrices():
@@ -93,7 +102,7 @@ def correlated_q(sa: int, sb: int) -> JointDist:
 
 
 def strip_filtered(q: JointDist, pair: MapPair) -> JointDist:
-    merged = q.merge_axes(["A-bit", "A-copy"], "A").merge_axes(["B-bit", "B-copy"], "B")
+    merged = merge_axes(merge_axes(q, ["A-bit", "A-copy"], "A"), ["B-bit", "B-copy"], "B")
     return apply_local(pair.map_a, apply_local(pair.map_b, merged, "B"), "A")
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nodistill.probvec import Axis, JointDist, LocalMap, marginal, tensor_power
+from nodistill.probvec import Axis, JointDist, LocalMap, tensor_power
 
 from conftest import rand_dist
 from oracles import (
@@ -13,6 +13,10 @@ from oracles import (
     identity_map,
     lift,
     map_tensor,
+    marginal,
+    merge_axes,
+    permute,
+    relabel,
     scale,
     split_axis,
     universal_map,
@@ -112,7 +116,7 @@ def test_lift_of_canonical_embedding_is_quarter_g():
     g = rand_dist(rng, (2, 2, 3))
     out = lift(canonical_q(2, 2), g)
     flat = marginal(out, ["A", "B", "E"])
-    assert flat == scale(g, F(1, 4)).permute(flat.labels)
+    assert flat == permute(scale(g, F(1, 4)), flat.labels)
 
 
 def test_lift_rejects_copy_size_mismatch():
@@ -170,9 +174,9 @@ def lifted_equals_global_filtering(g: JointDist, rng: random.Random) -> bool:
     q = apply_local(cb, apply_local(ca, g, "A"), "B")
     q = split_axis(q, ca.output_axis.party, [2, sa], ["A-bit", "A-copy"])
     q = split_axis(q, cb.output_axis.party, [2, sb], ["B-bit", "B-copy"])
-    q = q.permute(["A-bit", "A-copy", "B-bit", "B-copy", "E"])
-    lifted = lift(q, g.relabel({"E": "E2"}))
-    lifted = lifted.merge_axes(["E", "E2"], "E").permute(["A", "B", "E"])
+    q = permute(q, ["A-bit", "A-copy", "B-bit", "B-copy", "E"])
+    lifted = lift(q, relabel(g, {"E": "E2"}))
+    lifted = permute(merge_axes(lifted, ["E", "E2"], "E"), ["A", "B", "E"])
     return lifted == direct
 
 

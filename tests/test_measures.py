@@ -13,19 +13,20 @@ from nodistill.measures import (
     LambdaWitness,
     _refit_side,
     _stage1_pairs,
-    distillability_witness,
     estimate_lambda_max,
-    lambda_advantage,
     secret_bit_fraction,
 )
-from nodistill.probvec import Axis, JointDist, LocalMap, apply_local, tensor, tensor_power
+from nodistill.probvec import Axis, JointDist, LocalMap, apply_local, tensor_power
 
 from conftest import normalized, rand_dist, trivial_eve
 from oracles import (
+    advantage,
     refit_side_by_branches,
     scale,
+    secret_bit,
     secret_bit_fraction_by_decomposition,
     stage1_pairs,
+    tensor,
 )
 
 
@@ -43,8 +44,6 @@ def test_fraction_of_private_bit_is_one(secret_bit_e):
     assert secret_bit_fraction(secret_bit_e) == 1
     rng = random.Random(0)
     pe = normalized(rand_dist(rng, (3,), labels=("E",)))
-    from nodistill.probvec import secret_bit
-
     assert secret_bit_fraction(tensor(secret_bit(), pe)) == 1
 
 
@@ -123,14 +122,15 @@ def test_oracle_equivalence_property(p):
     assert secret_bit_fraction(q) == secret_bit_fraction_by_decomposition(q)
 
 
-# -- the advantage --------------------------------------------------------------
+# -- the advantage oracle ---------------------------------------------------------
 
 
 def test_advantage_examples(secret_bit_e, uniform_bits):
-    assert lambda_advantage(secret_bit_e, F(1, 2)) == F(1, 2)
-    assert lambda_advantage(uniform_bits, F(1, 2)) == 0
+    assert advantage(secret_bit_e, F(1, 2)) == F(1, 2)
+    assert advantage(scale(secret_bit_e, 3), F(1, 2)) == F(3, 2)
+    assert advantage(uniform_bits, F(1, 2)) == 0
     zero = JointDist((Axis("A", 2), Axis("B", 2), Axis("E", 1)), {})
-    assert lambda_advantage(zero, F(1, 2)) == 0
+    assert advantage(zero, F(1, 2)) == 0
 
 
 @given(tripartite(), st.fractions(min_value=F(1, 2), max_value=F(9, 10), max_denominator=10))
@@ -138,7 +138,7 @@ def test_advantage_examples(secret_bit_e, uniform_bits):
 def test_advantage_sign_bridge(p, lam0):
     if p.total_mass() == 0:
         return
-    adv = lambda_advantage(p, lam0)
+    adv = advantage(p, lam0)
     frac = secret_bit_fraction(p)
     assert (adv > 0) == (frac > lam0)
     assert (adv == 0) == (frac == lam0)
@@ -357,42 +357,36 @@ def test_stage1_pairs_match_the_fraction_kernel_on_random_shapes(p):
     assert got == list(stage1_pairs(p))
 
 
-# -- tensor-power witness search ---------------------------------------------------
+# -- the stage-1 search on tensor powers ---------------------------------------------
 
 
 def test_distillability_secret_bit_immediate(secret_bit_e):
-    w = distillability_witness(secret_bit_e, max_n=1)
-    assert w is not None and w.value == 1
+    assert estimate_lambda_max(tensor_power(secret_bit_e, 1)).value == 1
 
 
 def test_two_axis_inputs_treat_adversary_as_trivial():
-    from nodistill.probvec import secret_bit
-
     assert secret_bit_fraction(secret_bit()) == 1
-    w = distillability_witness(secret_bit(), max_n=1)
-    assert w is not None and w.value == 1
+    assert estimate_lambda_max(tensor_power(secret_bit(), 1)).value == 1
 
 
 def test_distillability_eve_knows_all_none(eve_knows_all):
-    assert distillability_witness(eve_knows_all, max_n=2) is None
+    # no pair of either power beats the coin's 1/2
+    for n in (1, 2):
+        assert estimate_lambda_max(tensor_power(eve_knows_all, n)).value == F(1, 2)
 
 
 def test_distillability_uniform_bits_none(uniform_bits):
-    assert distillability_witness(uniform_bits, max_n=2) is None
+    for n in (1, 2):
+        assert estimate_lambda_max(tensor_power(uniform_bits, n)).value == F(1, 2)
 
 
 def test_distillability_ends_at_the_search_bound(eve_knows_all):
-    # powers 1 and 2 hold no witness; power 3 has 8 + 8 symbols, past MAX_AB
+    # power 3 has 8 + 8 symbols, past MAX_AB
     with pytest.raises(SizeGuardError) as exc:
-        distillability_witness(eve_knows_all, max_n=3)
+        estimate_lambda_max(tensor_power(eve_knows_all, 3))
     assert str(exc.value) == (
         "|A| + |B| = 8 + 8 = 16 exceeds the bound 12: the search would range over 3^16 map pairs"
     )
-
-
-def test_distillability_needs_a_positive_power(secret_bit_e):
-    with pytest.raises(ValueError, match="^max_n must be >= 1$"):
-        distillability_witness(secret_bit_e, max_n=0)
 
 
 # -- witness serialization ----------------------------------------------------------

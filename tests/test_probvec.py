@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodistill.probvec import (
-    Axis,
-    JointDist,
-    LocalMap,
-    apply_local,
-    marginal,
-    secret_bit,
-    tensor,
-    tensor_power,
-)
+from nodistill.probvec import Axis, JointDist, LocalMap, apply_local, tensor_power
 
 from conftest import rand_dist
-from oracles import identity_map, scale, split_axis, value
+from oracles import (
+    identity_map,
+    marginal,
+    merge_axes,
+    permute,
+    relabel,
+    scale,
+    secret_bit,
+    split_axis,
+    tensor,
+    tensor_power_by_composition,
+    value,
+)
 
 
 def unit_scalar(label="S"):
@@ -44,7 +47,7 @@ def test_tensor_uniform_bits():
 
 
 def test_tensor_secret_bit_with_itself():
-    s2 = tensor(secret_bit(), secret_bit().relabel({"A": "A2", "B": "B2"}))
+    s2 = tensor(secret_bit(), relabel(secret_bit(), {"A": "A2", "B": "B2"}))
     expected = {
         (0, 0, 0, 0): F(1, 4),
         (0, 0, 1, 1): F(1, 4),
@@ -102,7 +105,7 @@ def test_apply_commutes_across_distinct_axes():
     nb = LocalMap(Axis("B", 3), Axis("B", 2), [[1, 0, F(2, 5)], [0, F(1, 7), 1]])
     ab = apply_local(nb, apply_local(ma, p, "A"), "B")
     ba = apply_local(ma, apply_local(nb, p, "B"), "A")
-    assert ab.permute(ba.labels) == ba
+    assert permute(ab, ba.labels) == ba
 
 
 def test_column_stochastic_preserves_mass():
@@ -197,7 +200,7 @@ def test_marginal_preserves_mass(p):
 @given(dists(labels=("A", "B")))
 @settings(max_examples=40, deadline=None)
 def test_merge_then_split_roundtrip(p):
-    merged = p.merge_axes(["A", "B"], "AB")
+    merged = merge_axes(p, ["A", "B"], "AB")
     back = split_axis(merged, "AB", [p.axis("A").size, p.axis("B").size], ["A", "B"])
     assert back == p
 
@@ -209,7 +212,7 @@ def test_tensor_associative_up_to_order():
     r = rand_dist(rng, (2,), labels=("C",))
     left = tensor(tensor(p, q), r)
     right = tensor(p, tensor(q, r))
-    assert left == right.permute(left.labels)
+    assert left == permute(right, left.labels)
 
 
 def test_tensor_power_merges_party_axes():
@@ -220,6 +223,43 @@ def test_tensor_power_merges_party_axes():
     # spot value: entry ((a1,a2),(b1,b2),(e1,e2)) = p(a1,b1,e1) p(a2,b2,e2)
     v = value(p2, (0 * 2 + 1, 1 * 2 + 0, 0 * 2 + 1))
     assert v == value(p, (0, 1, 0)) * value(p, (1, 0, 1))
+
+
+def tensor_power_input(name):
+    """Two to four axes, sizes 1 to 3, a factored axis, an empty distribution
+    and one with no axes."""
+    rng = random.Random(11)
+    if name == "2-axis":
+        return rand_dist(rng, (2, 3), labels=("A", "B"))
+    if name == "3-axis":
+        return rand_dist(rng, (2, 2, 3))
+    if name == "4-axis-size-1":
+        return rand_dist(rng, (3, 1, 2, 2), labels=("A", "B", "E", "F"))
+    if name == "factored":
+        return JointDist(
+            (Axis("A", 4, (2, 2)), Axis("B", 2), Axis("E", 3)),
+            {(3, 0, 2): F(1, 3), (1, 1, 0): F(1, 6), (0, 1, 1): F(1, 2)},
+        )
+    if name == "empty":
+        return JointDist((Axis("A", 2), Axis("B", 3), Axis("E", 2)), {})
+    if name == "no-axes":
+        return JointDist((), {(): F(2, 3)})
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["2-axis", "3-axis", "4-axis-size-1", "factored", "empty", "no-axes"])
+def test_tensor_power_matches_the_composition_oracle(name, n):
+    p = tensor_power_input(name)
+    got, want = tensor_power(p, n), tensor_power_by_composition(p, n)
+    assert got == want
+    assert got.dumps() == want.dumps()
+
+
+@given(dists(labels=("A", "B")), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_tensor_power_matches_the_composition_oracle_property(p, n):
+    assert tensor_power(p, n).dumps() == tensor_power_by_composition(p, n).dumps()
 
 
 def test_tensor_power_needs_a_positive_power():

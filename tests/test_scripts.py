@@ -1,8 +1,10 @@
-"""Smoke tests: both experiment scripts run end to end through certify; the mutant list is current."""
+"""Smoke tests: both experiment scripts run end to end through certify; the mutant
+list is current, and the mutation sweep's runs are bounded in time."""
 
 import importlib.util
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -57,6 +59,27 @@ def test_every_mutant_applies_exactly_once():
         path, _, test = killer.partition("::")
         assert path.startswith("tests/") and test, name
         assert f"\ndef {test.partition('[')[0]}(" in (mutants.ROOT / path).read_text(), name
+
+
+def test_a_run_past_the_time_limit_is_timed_out(tmp_path, monkeypatch):
+    mutants = load_mutants()
+    monkeypatch.setattr(mutants, "RUN_TIMEOUT_S", 1)
+    (tmp_path / "tests").mkdir()
+    sleeper = "import time\n\n\ndef test_sleep():\n    time.sleep(60)\n"
+    (tmp_path / "tests" / "test_sleep.py").write_text(sleeper)
+    run_tests, targets = mutants.run_tests, []
+
+    def counted(tree, target="tests"):
+        targets.append(target)
+        return run_tests(tree, target)
+
+    monkeypatch.setattr(mutants, "run_tests", counted)
+    killer = "tests/test_sleep.py::test_sleep"
+    t0 = time.perf_counter()
+    assert mutants.killed_by(tmp_path, killer) == mutants.TIMED_OUT
+    assert time.perf_counter() - t0 < 10
+    # the killer's run timed out, so the suite was not run after it
+    assert targets == [killer]
 
 
 def test_the_killing_test_id_keeps_its_spaces():
