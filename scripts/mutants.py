@@ -213,14 +213,23 @@ MUTANTS = (
      "if den == 0:", "if den < 0:",
      "tests/test_rat.py::test_parse_rejects_non_rationals[1/0]"),
     ("manifest-unknown-keys", CLI,
-     '_known_keys(entry, "manifest entry", ("g", "family", "lambda0"))', "pass",
+     '("g", "family"), ("lambda0",))', '("g", "family"), ("lambda0", "extra"))',
      "tests/test_cli.py::test_batch_refuses_a_loose_entry[unknown-key]"),
     ("distribution-unknown-keys", PROBVEC,
-     '_known_keys(data, "distribution", ("axes", "entries"))', "pass",
+     '_json_object(data, "distribution", ("axes", "entries"))', "pass",
      "tests/test_cli.py::test_an_unknown_key_in_an_input_file_exits_2[distribution]"),
     ("certificate-dual-unknown-keys", CERTIFIER,
-     '_known_keys(dual, "certificate dual", ("row_multipliers",))', "pass",
+     '_json_object(dual, "certificate dual", ("row_multipliers",))', "pass",
      "tests/test_cli.py::test_an_unknown_key_in_an_input_file_exits_2[certificate-dual]"),
+    ("json-object-accepts-unknown-keys", PROBVEC,
+     'raise ValueError(f"{what} has unknown key {k!r}")', "pass",
+     "tests/test_cli.py::test_an_unknown_key_in_an_input_file_exits_2[distribution]"),
+    ("json-object-skips-missing-keys", PROBVEC,
+     'raise ValueError(f"missing key {k!r}")', "pass",
+     "tests/test_cli.py::test_missing_key_or_non_object_entry_exits_2[dist-party]"),
+    ("json-str-accepts-any-type", PROBVEC,
+     "if not isinstance(value, str):", "if False:",
+     "tests/test_cli.py::test_missing_key_or_non_object_entry_exits_2[cert-verdict-not-string]"),
     ("manifest-g-any-type", CLI,
      "if not isinstance(g_path, str):", "if False:",
      "tests/test_cli.py::test_batch_refuses_a_loose_entry[g-not-string]"),
@@ -238,15 +247,15 @@ MUTANTS = (
      "    def error(self, message):\n", "    def error(self, message):\n        super().error(message)\n",
      "tests/test_cli.py::test_an_argparse_refusal_is_one_stderr_line[unknown-flag]"),
     # the CLI's empty flag values
-    ("empty-family-path-ignored", CLI,
-     "    if args.family is not None:\n", "    if args.family:\n",
-     "tests/test_cli.py::test_an_empty_flag_value_is_refused[certify-family]"),
+    ("empty-path-accepted", CLI,
+     "    if not text:\n", "    if False:\n",
+     "tests/test_cli.py::test_an_empty_flag_value_is_refused[verify-cert]"),
     ("empty-verify-lambda0-ignored", CLI,
      "if args.lambda0 is not None else", "if args.lambda0 else",
      "tests/test_cli.py::test_an_empty_flag_value_is_refused[verify-lambda0]"),
     # the CLI's exit codes
     ("runtime-error-escapes-main", CLI,
-     "except (ValueError, KeyError, RuntimeError) as exc:",
+     "except (ValueError, RuntimeError) as exc:",
      "except (ValueError, KeyError, ratlp.PivotBudgetExceeded, certifier.CertifierError) as exc:",
      "tests/test_cli.py::test_lambda_max_exits_4_when_a_refined_witness_fails_its_recheck"),
     ("batch-guard-row-exits-2", CLI,

@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from . import ratlp
 from .families import MapFamily
-from .probvec import Axis, JointDist, _known_keys
+from .probvec import Axis, JointDist, _json_object, _json_str
 from .rat import ensure_fraction, format_rational, parse_rational
 
 UNDISTILLABLE = "undistillable"
@@ -410,8 +410,8 @@ class Certificate:
     def from_json_dict(data: dict) -> "Certificate":
         if not isinstance(data, dict):
             raise ValueError("certificate JSON must be an object")
-        _known_keys(data, "certificate",
-                    ("verdict", "optimum", "lambda0", "fingerprint", "primal", "dual", "digest"))
+        _json_object(data, "certificate", ("verdict", "optimum", "lambda0", "fingerprint"),
+                     ("primal", "dual", "digest"))
         dual = data.get("dual")
         if dual is not None and not (
             isinstance(dual, dict) and isinstance(dual.get("row_multipliers"), list)
@@ -421,15 +421,15 @@ class Certificate:
                 f"got {json.dumps(dual)}"
             )
         if dual is not None:
-            _known_keys(dual, "certificate dual", ("row_multipliers",))
+            _json_object(dual, "certificate dual", ("row_multipliers",))
         return Certificate(
-            verdict=str(data["verdict"]),
+            verdict=_json_str(data["verdict"], "certificate verdict"),
             optimum=parse_rational(data["optimum"]),
             lambda0=parse_rational(data["lambda0"]),
-            fingerprint=str(data["fingerprint"]),
+            fingerprint=_json_str(data["fingerprint"], "certificate fingerprint"),
             primal=None if data.get("primal") is None else JointDist.from_json_dict(data["primal"]),
             dual=None if dual is None else _parse_multipliers(dual["row_multipliers"]),
-            digest=str(data.get("digest", "")),
+            digest=_json_str(data.get("digest", ""), "certificate digest"),
         )
 
     @staticmethod

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import certifier, families, measures, ratlp
-from .probvec import JointDist, _json_int, _known_keys
+from .probvec import JointDist, _json_int, _json_object
 from .rat import format_rational, parse_rational
 
 EXIT_OK = 0
@@ -30,16 +30,11 @@ GENERATORS = ("deterministic", "random")
 GEN_FIELDS = ("M", "seed", "denom_bound")
 
 
-def _reason(exc: Exception) -> str:
-    """Why an input failed, in one line: a KeyError names the missing key."""
-    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
-
-
 def _exit_code(exc: Exception) -> int:
     """The exit code of a refusal: the size guard 3, an input error 2, anything else 4."""
     if isinstance(exc, certifier.SizeGuardError):
         return EXIT_GUARD
-    return EXIT_INPUT if isinstance(exc, (ValueError, KeyError)) else EXIT_SOLVER
+    return EXIT_INPUT if isinstance(exc, ValueError) else EXIT_SOLVER
 
 
 def _read(kind: str, path: str, loads):
@@ -49,8 +44,8 @@ def _read(kind: str, path: str, loads):
     """
     try:
         return loads(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"cannot read {kind} {path}: {_reason(exc)}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read {kind} {path}: {exc}") from exc
 
 
 def _write(kind: str, path: str, text: str):
@@ -163,9 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def _batch_row(entry: dict, base: Path):
-    if not isinstance(entry, dict):
-        raise ValueError(f"manifest entry must be an object, got {json.dumps(entry)}")
-    _known_keys(entry, "manifest entry", ("g", "family", "lambda0"))
+    entry = _json_object(entry, "manifest entry", ("g", "family"), ("lambda0",))
     g_path = entry["g"]
     if not isinstance(g_path, str):
         raise ValueError(f"manifest g must be a path string, got {json.dumps(g_path)}")
@@ -177,7 +170,7 @@ def _batch_row(entry: dict, base: Path):
     elif not isinstance(fam_spec, dict):
         raise ValueError(f"family must be a path or an object, got {json.dumps(fam_spec)}")
     else:
-        _known_keys(fam_spec, "family", ("gen", *GEN_FIELDS))
+        _json_object(fam_spec, "family", ("gen",), GEN_FIELDS)
         gen = fam_spec["gen"]
         if not isinstance(gen, str):
             raise ValueError("family gen must be a string")
@@ -206,7 +199,7 @@ def cmd_batch(args) -> int:
         try:
             row, code = _batch_row(entry, base), EXIT_OK
         except Exception as exc:
-            row, code = (label, "?", "?", "ERROR", _reason(exc)), _exit_code(exc)
+            row, code = (label, "?", "?", "ERROR", str(exc)), _exit_code(exc)
         results.append((row, code, time.perf_counter() - t0))
 
     rows = sorted(r for r, _, _ in results)
@@ -245,6 +238,13 @@ def _add_family_flags(sp, gen_required: bool):
                     help="coefficient grid 0, 1/b, ..., 1 for random generation")
 
 
+def _path(text: str) -> str:
+    """A path argument: the empty string names no file, and is refused before any work."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose refusal is one stderr line, without the usage line."""
 
@@ -260,40 +260,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("lambda", help="secret bit fraction of a distribution")
-    sp.add_argument("dist")
+    sp.add_argument("dist", type=_path)
     sp.set_defaults(func=cmd_lambda)
 
     sp = sub.add_parser("lambda-max", help="witnessed lower bound on the extractable fraction")
-    sp.add_argument("dist")
+    sp.add_argument("dist", type=_path)
     sp.add_argument("--refine-rounds", type=int, default=0, dest="refine_rounds")
     sp.set_defaults(func=cmd_lambda_max)
 
     sp = sub.add_parser("certify", help="run the certification program")
-    sp.add_argument("g")
-    sp.add_argument("--family", help="path to a family JSON file")
+    sp.add_argument("g", type=_path)
+    sp.add_argument("--family", type=_path, help="path to a family JSON file")
     _add_family_flags(sp, gen_required=False)
     sp.add_argument("--lambda0", default="1/2")
-    sp.add_argument("--out", help="write the certificate JSON here")
-    sp.add_argument("--dump-lp", dest="dump_lp",
+    sp.add_argument("--out", type=_path, help="write the certificate JSON here")
+    sp.add_argument("--dump-lp", type=_path, dest="dump_lp",
                     help="also write the assembled program in text form")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("verify", help="re-verify a certificate")
-    sp.add_argument("g")
-    sp.add_argument("family")
-    sp.add_argument("cert")
+    sp.add_argument("g", type=_path)
+    sp.add_argument("family", type=_path)
+    sp.add_argument("cert", type=_path)
     sp.add_argument("--lambda0", default=None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("batch", help="run a manifest of certifications")
-    sp.add_argument("manifest")
+    sp.add_argument("manifest", type=_path)
     sp.set_defaults(func=cmd_batch)
 
     sp = sub.add_parser("gen-family", help="generate and save a map family")
     sp.add_argument("--a-copy", type=int, required=True, dest="a_copy")
     sp.add_argument("--b-copy", type=int, required=True, dest="b_copy")
     _add_family_flags(sp, gen_required=True)
-    sp.add_argument("--out")
+    sp.add_argument("--out", type=_path)
     sp.set_defaults(func=cmd_gen_family)
 
     return ap
@@ -306,9 +306,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         code = _exit_code(exc)
-        print(f"{_STDERR_PREFIX[code]}: {_reason(exc)}", file=sys.stderr)
+        print(f"{_STDERR_PREFIX[code]}: {exc}", file=sys.stderr)
         return code
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .probvec import Axis, LocalMap, _json_int, _known_keys
+from .probvec import Axis, LocalMap, _json_int, _json_list, _json_object, _json_str
 
 # per-symbol action codes: 0 -> bit 0, 1 -> bit 1, DISCARD -> drop, BOTH -> both bits
 DISCARD = 2
@@ -41,9 +41,7 @@ class MapPair:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MapPair":
-        if not isinstance(data, dict):
-            raise ValueError(f"family pair must be an object, got {json.dumps(data)}")
-        _known_keys(data, "family pair", ("map_a", "map_b"))
+        data = _json_object(data, "family pair", ("map_a", "map_b"))
         return MapPair(
             map_a=LocalMap.from_json_dict(data["map_a"]),
             map_b=LocalMap.from_json_dict(data["map_b"]),
@@ -73,13 +71,11 @@ class MapFamily:
     def from_json_dict(data: dict) -> "MapFamily":
         if not isinstance(data, dict):
             raise ValueError(f"family JSON must be an object, got {json.dumps(data)}")
-        _known_keys(data, "family", ("pairs", "generator", "seed"))
-        if not isinstance(data["pairs"], list):
-            raise ValueError(f"family pairs must be a list, got {json.dumps(data['pairs'])}")
-        seed = data.get("seed")
+        _json_object(data, "family", ("pairs",), ("generator", "seed"))
+        pairs, seed = _json_list(data["pairs"], "family pairs"), data.get("seed")
         return MapFamily(
-            pairs=tuple(MapPair.from_json_dict(p) for p in data["pairs"]),
-            generator=str(data.get("generator", "custom")),
+            pairs=tuple(MapPair.from_json_dict(p) for p in pairs),
+            generator=_json_str(data.get("generator", "custom"), "family generator"),
             seed=None if seed is None else _json_int(seed, "family seed"),
         )
 

@@ -31,7 +31,7 @@ from . import ratlp
 from .certifier import SizeGuardError
 from .families import BOTH, OUTPUTS, code_map, deterministic_codes
 from .probvec import Axis, JointDist, LocalMap, apply_local
-from .rat import format_rational, parse_rational
+from .rat import format_rational
 
 MAX_AB = 12  # bound on |A| + |B|: stage 1 ranges over 3^(|A| + |B|) map pairs
 
@@ -55,14 +55,6 @@ class LambdaWitness:
             "map_a": self.map_a.to_json_dict(),
             "map_b": self.map_b.to_json_dict(),
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "LambdaWitness":
-        return LambdaWitness(
-            value=parse_rational(data["value"]),
-            map_a=LocalMap.from_json_dict(data["map_a"]),
-            map_b=LocalMap.from_json_dict(data["map_b"]),
-        )
 
 
 # -- the fraction itself ------------------------------------------------------

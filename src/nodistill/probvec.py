@@ -65,11 +65,26 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-def _known_keys(obj: dict, what: str, keys: tuple[str, ...]):
-    """Refuse a key of a JSON object that its reader does not read."""
-    for k in obj:
-        if k not in keys:
+def _json_str(value, what: str) -> str:
+    """A string read from JSON; any other type is refused."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _json_object(value, what: str, required: tuple[str, ...],
+                 optional: tuple[str, ...] = ()) -> dict:
+    """A JSON object with every key of `required` and no key outside `required +
+    optional`; a non-object, an unknown key and a missing key are refused."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {json.dumps(value)}")
+    for k in value:
+        if k not in required and k not in optional:
             raise ValueError(f"{what} has unknown key {k!r}")
+    for k in required:
+        if k not in value:
+            raise ValueError(f"missing key {k!r}")
+    return value
 
 
 def _axis_to_json(ax: Axis) -> dict:
@@ -79,13 +94,9 @@ def _axis_to_json(ax: Axis) -> dict:
     return d
 
 
-def _axis_from_json(d: dict) -> Axis:
-    if not isinstance(d, dict):
-        raise ValueError(f"axis must be an object, got {json.dumps(d)}")
-    _known_keys(d, "axis", ("party", "size", "factors"))
-    party = d["party"]
-    if not isinstance(party, str):
-        raise ValueError(f"axis party must be a string, got {json.dumps(party)}")
+def _axis_from_json(d) -> Axis:
+    d = _json_object(d, "axis", ("party", "size"), ("factors",))
+    party = _json_str(d["party"], "axis party")
     factors = d.get("factors")
     if factors is not None:
         factors = tuple(_json_int(f, "axis factor") for f in _json_list(factors, "axis factors"))
@@ -179,13 +190,11 @@ class JointDist:
     def from_json_dict(data: dict) -> "JointDist":
         if not isinstance(data, dict) or "axes" not in data or "entries" not in data:
             raise ValueError("distribution JSON needs 'axes' and 'entries'")
-        _known_keys(data, "distribution", ("axes", "entries"))
+        _json_object(data, "distribution", ("axes", "entries"))
         axes = [_axis_from_json(d) for d in _json_list(data["axes"], "distribution axes")]
         entries = []
         for e in _json_list(data["entries"], "distribution entries"):
-            if not isinstance(e, dict):
-                raise ValueError(f"distribution entry must be an object, got {json.dumps(e)}")
-            _known_keys(e, "distribution entry", ("index", "p"))
+            e = _json_object(e, "distribution entry", ("index", "p"))
             idx = tuple(_json_int(i, "entry index") for i in _json_list(e["index"], "entry index"))
             entries.append((idx, parse_rational(e["p"])))
         return JointDist(axes, entries)
@@ -251,9 +260,7 @@ class LocalMap:
 
     @staticmethod
     def from_json_dict(data: dict) -> "LocalMap":
-        if not isinstance(data, dict):
-            raise ValueError(f"map must be an object, got {json.dumps(data)}")
-        _known_keys(data, "map", ("input", "output", "coeffs"))
+        data = _json_object(data, "map", ("input", "output", "coeffs"))
         input_axis, output_axis = _axis_from_json(data["input"]), _axis_from_json(data["output"])
         coeffs = data["coeffs"]
         if not (isinstance(coeffs, list) and all(isinstance(row, list) for row in coeffs)):

@@ -16,7 +16,8 @@ constructions are stated in (the secret bit, entry lookup, scaling, sums,
 tensor products, relabeling, permuting, merging and splitting axes,
 marginals, the identity map, map composition and Kronecker products, the
 duplicate-pair test).  Each reaches its value by a route other than the one
-the program takes, which is what makes it an oracle.
+the program takes, which is what makes it an oracle.  The reader of the
+witness `lambda-max` prints is here too: no command reads a witness back.
 """
 
 from __future__ import annotations
@@ -995,3 +996,15 @@ def parse_lp(text: str) -> LpProblem:
         rhs = parse_rational(tokens[-1])
         rows.append(LpRow(parse_terms(tokens[1:-2]), sense, rhs))
     return LpProblem(num_vars=num_vars, objective=objective, rows=tuple(rows))
+
+
+# -- reading back a lambda-max witness ----------------------------------------------
+
+
+def witness_from_json_dict(data: dict) -> LambdaWitness:
+    """The witness `lambda-max` prints, read back from its JSON object."""
+    return LambdaWitness(
+        value=parse_rational(data["value"]),
+        map_a=LocalMap.from_json_dict(data["map_a"]),
+        map_b=LocalMap.from_json_dict(data["map_b"]),
+    )

@@ -21,7 +21,7 @@ from nodistill.measures import LambdaWitness
 from nodistill.probvec import Axis, JointDist
 
 from conftest import rand_dist, trivial_eve
-from oracles import secret_bit, tensor
+from oracles import secret_bit, tensor, witness_from_json_dict
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ def test_lambda_max_refine_rounds(workdir, capsys):
     value0 = F(head0.removeprefix("lower bound "))
     value1 = F(head1.removeprefix("lower bound "))
     assert value1 > value0
-    witness = LambdaWitness.from_json_dict(json.loads(body1))
+    witness = witness_from_json_dict(json.loads(body1))
     assert witness.value == value1
     assert witness.recheck(p) == value1
 
@@ -183,7 +183,7 @@ def test_lambda_max_refines_an_eleven_symbol_eve_alphabet(workdir, capsys):
     head0, _, _ = out0.partition("\n")
     head1, _, body1 = out1.partition("\n")
     assert (head0, head1) == ("lower bound 1/2", "lower bound 6/11")
-    witness = LambdaWitness.from_json_dict(json.loads(body1))
+    witness = witness_from_json_dict(json.loads(body1))
     assert witness.recheck(split) == witness.value == F(6, 11)
 
 
@@ -397,28 +397,37 @@ def test_an_unwritable_output_path_is_an_input_error(workdir, capsys, write, tar
 
 
 CERTIFY_TRIV = ("certify", "triv.json", "--family", "fam1.json")
-# a flag given the empty string, and the start of the line that refuses it
+# an argument given the empty string, and the start of the line that refuses it
 EMPTY_FLAG_VALUES = {
     "certify-family": (("certify", "triv.json", "--family", "", "--gen", "deterministic", "--M", 1),
-                       "error: --family and --gen cannot be combined\n"),
+                       "nodistill certify: error: argument --family: empty path\n"),
     "certify-lambda0": ((*CERTIFY_TRIV, "--lambda0", ""), "error: malformed rational: ''\n"),
     "verify-lambda0": (("verify", "triv.json", "fam1.json", "cert.json", "--lambda0", ""),
                        "error: malformed rational: ''\n"),
-    "certify-out": ((*CERTIFY_TRIV, "--out", ""), "error: cannot write certificate : "),
-    "certify-dump-lp": ((*CERTIFY_TRIV, "--dump-lp", ""), "error: cannot write program : "),
+    "certify-out": ((*CERTIFY_TRIV, "--out", ""),
+                    "nodistill certify: error: argument --out: empty path\n"),
+    "certify-dump-lp": ((*CERTIFY_TRIV, "--dump-lp", ""),
+                        "nodistill certify: error: argument --dump-lp: empty path\n"),
     "gen-family-out": (("gen-family", "--a-copy", 1, "--b-copy", 1, "--gen", "deterministic",
-                        "--M", 1, "--out", ""), "error: cannot write family : "),
+                        "--M", 1, "--out", ""),
+                       "nodistill gen-family: error: argument --out: empty path\n"),
+    "verify-cert": (("verify", "triv.json", "fam1.json", ""),
+                    "nodistill verify: error: argument cert: empty path\n"),
 }
 
 
 @pytest.mark.parametrize("case", list(EMPTY_FLAG_VALUES))
 def test_an_empty_flag_value_is_refused(workdir, capsys, monkeypatch, case):
-    """An empty value is a value: it is read, and refused, not taken for an absent flag."""
+    """An empty value is a value: it is read, and refused, not taken for an absent
+    flag.  An empty path is refused by the parser, before any file is read."""
     monkeypatch.chdir(workdir)
     assert run(capsys, *CERTIFY_TRIV, "--out", "cert.json")[0] == 0
     files = sorted(workdir.iterdir())
     argv, refusal = EMPTY_FLAG_VALUES[case]
-    code, out, err = run(capsys, *argv)
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:
+        code, (out, err) = exc.code, capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith(refusal) and err.count("\n") == 1 and err.endswith("\n")
     assert sorted(workdir.iterdir()) == files
@@ -930,11 +939,23 @@ MAP_A = {"input": {"party": "A", "size": 1}, "output": {"party": "A", "size": 2}
             ("verify", "{dir}/triv.json", "{dir}/fam1.json", "{bad}"),
             "missing key 'verdict'",
         ),
+        (
+            "certificate",
+            {"verdict": 5, "optimum": "0/1", "lambda0": "1/2", "fingerprint": "", "dual": None},
+            ("verify", "{dir}/triv.json", "{dir}/fam1.json", "{bad}"),
+            "certificate verdict must be a string, got 5",
+        ),
+        (
+            "family",
+            {"pairs": [], "generator": None},
+            ("certify", "{dir}/triv.json", "--family", "{bad}"),
+            "family generator must be a string, got null",
+        ),
     ],
     ids=["dist-party", "dist-index", "dist-entry-not-object", "dist-axis-not-object",
          "dist-axes-not-list", "dist-entries-not-list", "dist-index-not-list",
          "dist-factors-not-list", "dist-party-not-string", "dist-entries", "family-input",
-         "cert-verdict"],
+         "cert-verdict", "cert-verdict-not-string", "family-generator-null"],
 )
 def test_missing_key_or_non_object_entry_exits_2(workdir, capsys, kind, doc, argv, reason):
     bad = workdir / "incomplete.json"
@@ -985,9 +1006,15 @@ def undistillable_cert_doc(workdir):
         ("certificate", {"dual": {"row_multipliers": 5}},
          "certificate dual must be null or an object with a row_multipliers list, "
          'got {"row_multipliers": 5}'),
+        ("family", {"pairs": [], "generator": 7}, "family generator must be a string, got 7"),
+        ("certificate", {"verdict": ["undistillable"]},
+         'certificate verdict must be a string, got ["undistillable"]'),
+        ("certificate", {"fingerprint": 5}, "certificate fingerprint must be a string, got 5"),
+        ("certificate", {"digest": None}, "certificate digest must be a string, got null"),
     ],
     ids=["family-not-object", "pairs-not-list", "pair-not-object", "map-not-object",
-         "coeffs-not-rows", "dual-not-object", "multipliers-not-list"],
+         "coeffs-not-rows", "dual-not-object", "multipliers-not-list", "generator-not-string",
+         "verdict-not-string", "fingerprint-not-string", "digest-not-string"],
 )
 def test_non_object_pair_map_or_dual_exits_2(workdir, capsys, kind, doc, reason):
     if kind == "certificate":
@@ -1371,6 +1398,26 @@ def manifest_rows(workdir):
         {"g": "triv.json", "family": {"gen": "deterministic", "M": 1}},
         {"g": "sb.json", "family": {"gen": "deterministic", "M": 2}},
     ]
+
+
+def test_a_program_fault_is_not_an_input_error(workdir, capsys, monkeypatch):
+    """A KeyError raised by the program, not by a reader, is not taken for a
+    missing key: certify lets it propagate, and a batch row reports exit 4."""
+    from nodistill import certifier
+
+    def fault(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(certifier, "certify", fault)
+    with pytest.raises(KeyError):
+        main(["certify", str(workdir / "triv.json"), "--family", str(workdir / "fam1.json")])
+    out, err = capsys.readouterr()
+    assert "missing key" not in out + err
+    path = workdir / "manifest_fault.json"
+    path.write_text(json.dumps([{"g": "triv.json", "family": "fam1.json"}]))
+    code, out, _ = run(capsys, "batch", path)
+    assert code == 4 and "missing key" not in out
+    assert out.splitlines()[1:] == ["triv.json\t?\t?\tERROR\t'x'"]
 
 
 def test_batch_empty_manifest(workdir, capsys):

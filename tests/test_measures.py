@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nodistill.certifier import SizeGuardError
 from nodistill.measures import (
-    LambdaWitness,
     _refit_side,
     _stage1_pairs,
     estimate_lambda_max,
@@ -27,6 +26,7 @@ from oracles import (
     secret_bit_fraction_by_decomposition,
     stage1_pairs,
     tensor,
+    witness_from_json_dict,
 )
 
 
@@ -395,7 +395,7 @@ def test_distillability_ends_at_the_search_bound(eve_knows_all):
 def test_witness_json_roundtrip(secret_bit_e):
     w = estimate_lambda_max(secret_bit_e)
     data = w.to_json_dict()
-    back = LambdaWitness.from_json_dict(data)
+    back = witness_from_json_dict(data)
     assert back.value == w.value
     assert back.map_a.coeffs == w.map_a.coeffs
     assert back.map_b.coeffs == w.map_b.coeffs
@@ -405,4 +405,4 @@ def test_witness_json_number_value_is_refused(secret_bit_e):
     data = estimate_lambda_max(secret_bit_e).to_json_dict()
     data["value"] = 1
     with pytest.raises(ValueError, match="rational must be a string, got int"):
-        LambdaWitness.from_json_dict(data)
+        witness_from_json_dict(data)
