@@ -10,18 +10,21 @@ A mutant is one exact string replacement in one file, plus the test that
 killed it in the last full sweep: (name, file, old, new, killer).  The runner
 copies src/, tests/, scripts/, pyproject.toml and the stored certificates the
 tests read (perfbench/stored/) to a temporary directory and runs
-`python -m pytest -x -q tests` there (less the test that checks this list
-against the tree), unmutated, which must pass.  Then, once per mutant on a
-fresh copy with that one replacement applied, it runs the recorded killer
-first, and the whole suite only if the killer passes (DeMillo, Lipton and
-Sayward, IEEE Computer 11(4), 1978, order tests by how likely they are to
-kill).  It prints the test that failed, and the recorded killer too when
-that was another test.  A mutant whose runs pass has survived: the tests do
-not pin the check it breaks.  A pytest run still going after RUN_TIMEOUT_S is
-stopped, and its mutant is TIMED OUT, neither killed nor survived: a mutant
-that removes a guard can make a test run without end.  The exit code is 1 if
-any mutant survived or timed out.  A sweep takes about three minutes on a
-2-vCPU host, one of them the unmutated run; it is not part of the test suite.
+`python -m pytest -x -q tests` there (less the two tests that check this list
+against the tree and against the last sweep), unmutated, which must pass.
+Then, once per mutant on a fresh copy with that one replacement applied, it
+runs the recorded killer first, and the whole suite only if the killer passes
+(DeMillo, Lipton and Sayward, IEEE Computer 11(4), 1978, order tests by how
+likely they are to kill).  It prints the test that failed, and the recorded
+killer too when that was another test.  A mutant whose runs pass has
+survived: the tests do not pin the check it breaks.  A pytest run still going
+after RUN_TIMEOUT_S is stopped, and its mutant is TIMED OUT, neither killed
+nor survived: a mutant that removes a guard can make a test run without end.
+At the end of a full sweep it writes one line per mutant to SWEEP_FILE,
+tab-separated: name, outcome (killed, SURVIVED or TIMED OUT), the test that
+failed (empty unless killed) and seconds.  The exit code is 1 if any mutant
+survived or timed out.  A sweep takes about three minutes on a 2-vCPU host,
+one of them the unmutated run; it is not part of the test suite.
 
 Usage:
     python scripts/mutants.py
@@ -36,9 +39,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scripts", "pyproject.toml", "perfbench/stored")
-# It checks the mutant list against the tree it runs in, so every mutated copy
-# fails it; it is left out of mutant runs, or every mutant would count as killed.
-STALENESS_TEST = "tests/test_scripts.py::test_every_mutant_applies_exactly_once"
+# The first checks the mutant list against the tree it runs in, so every mutated
+# copy fails it, and every mutant would count as killed; the second checks the
+# list against the last sweep, which a new mutant is not in until a sweep runs.
+DESELECTED = ("tests/test_scripts.py::test_every_mutant_applies_exactly_once",
+              "tests/test_scripts.py::test_the_last_sweep_killed_every_mutant")
+SWEEP_FILE = ROOT / "scripts" / "mutants_last_sweep.tsv"
 # seconds one pytest run may take; the whole suite takes under a minute on a 2-vCPU host
 RUN_TIMEOUT_S = 300
 TIMED_OUT = "TIMED OUT"
@@ -219,20 +225,48 @@ MUTANTS = (
      '_json_object(data, "distribution", ("axes", "entries"))', "pass",
      "tests/test_cli.py::test_an_unknown_key_in_an_input_file_exits_2[distribution]"),
     ("certificate-dual-unknown-keys", CERTIFIER,
-     '_json_object(dual, "certificate dual", ("row_multipliers",))', "pass",
+     'dual = _json_object(dual, "certificate dual", ("row_multipliers",))', "dual = dual",
      "tests/test_cli.py::test_an_unknown_key_in_an_input_file_exits_2[certificate-dual]"),
+    ("certificate-multipliers-any-type", CERTIFIER,
+     '_json_list(dual["row_multipliers"], "certificate row_multipliers")',
+     'dual["row_multipliers"]',
+     "tests/test_cli.py::test_non_object_pair_map_or_dual_exits_2[multipliers-not-list]"),
+    ("map-coeffs-any-type", PROBVEC,
+     '_json_list(data["coeffs"], "map coeffs")', 'data["coeffs"]',
+     "tests/test_cli.py::test_non_object_pair_map_or_dual_exits_2[coeffs-not-rows]"),
+    ("map-row-any-type", PROBVEC,
+     '_json_list(row, "map row")', "row",
+     "tests/test_cli.py::test_non_object_pair_map_or_dual_exits_2[row-not-list]"),
+    ("axis-factor-below-1", PROBVEC,
+     "if f < 1:", "if False:",
+     "tests/test_cli.py::test_inconsistent_distribution_exits_2[negative-factors]"),
+    ("json-object-accepts-non-objects", PROBVEC,
+     "if not isinstance(value, dict):", "if False:",
+     "tests/test_cli.py::test_missing_key_or_non_object_entry_exits_2[dist-not-object]"),
     ("json-object-accepts-unknown-keys", PROBVEC,
      'raise ValueError(f"{what} has unknown key {k!r}")', "pass",
      "tests/test_cli.py::test_an_unknown_key_in_an_input_file_exits_2[distribution]"),
     ("json-object-skips-missing-keys", PROBVEC,
-     'raise ValueError(f"missing key {k!r}")', "pass",
+     'raise ValueError(f"{what} is missing key {k!r}")', "pass",
      "tests/test_cli.py::test_missing_key_or_non_object_entry_exits_2[dist-party]"),
+    ("missing-key-names-no-object", PROBVEC,
+     'f"{what} is missing key {k!r}"', 'f"missing key {k!r}"',
+     "tests/test_cli.py::test_missing_key_or_non_object_entry_exits_2[dist-party]"),
+    ("json-list-accepts-any-type", PROBVEC,
+     "if not isinstance(value, list):", "if False:",
+     "tests/test_cli.py::test_missing_key_or_non_object_entry_exits_2[dist-axes-not-list]"),
     ("json-str-accepts-any-type", PROBVEC,
      "if not isinstance(value, str):", "if False:",
      "tests/test_cli.py::test_missing_key_or_non_object_entry_exits_2[cert-verdict-not-string]"),
     ("manifest-g-any-type", CLI,
-     "if not isinstance(g_path, str):", "if False:",
+     '_json_str(entry["g"], "manifest g")', 'entry["g"]',
      "tests/test_cli.py::test_batch_refuses_a_loose_entry[g-not-string]"),
+    ("family-gen-any-type", CLI,
+     '_json_str(fam_spec["gen"], "family gen")', 'fam_spec["gen"]',
+     "tests/test_cli.py::test_batch_refuses_a_loose_entry[gen-null]"),
+    ("manifest-any-type", CLI,
+     '_json_list(json.loads(text), "manifest")', "json.loads(text)",
+     "tests/test_cli.py::test_batch_manifest_must_be_a_list"),
     # the CLI's generator flags
     ("unread-generator-field-accepted", CLI,
      'raise ValueError(f"{kind} family generation does not read {name}")', "pass",
@@ -255,9 +289,14 @@ MUTANTS = (
      "tests/test_cli.py::test_an_empty_flag_value_is_refused[verify-lambda0]"),
     # the CLI's exit codes
     ("runtime-error-escapes-main", CLI,
-     "except (ValueError, RuntimeError) as exc:",
-     "except (ValueError, KeyError, ratlp.PivotBudgetExceeded, certifier.CertifierError) as exc:",
+     "except (ValueError, RuntimeError) as exc:\n        code = _exit_code(exc)",
+     "except (ValueError, KeyError, ratlp.PivotBudgetExceeded, certifier.CertifierError) as exc:"
+     "\n        code = _exit_code(exc)",
      "tests/test_cli.py::test_lambda_max_exits_4_when_a_refined_witness_fails_its_recheck"),
+    ("batch-catches-every-exception", CLI,
+     "except (ValueError, RuntimeError) as exc:\n            row, code",
+     "except Exception as exc:\n            row, code",
+     "tests/test_cli.py::test_a_program_fault_is_not_an_input_error"),
     ("batch-guard-row-exits-2", CLI,
      "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_GUARD",
      "if isinstance(exc, certifier.SizeGuardError):\n        return EXIT_INPUT",
@@ -349,8 +388,8 @@ def run_tests(tree: Path, target: str = "tests") -> str | None:
     TIMED_OUT if the run takes longer than RUN_TIMEOUT_S, or None if it passes."""
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect",
-             STALENESS_TEST, target],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *(arg for test in DESELECTED for arg in ("--deselect", test)), target],
             cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
@@ -398,7 +437,7 @@ def main() -> int:
             print(f"the unmutated tree {'timed out' if failed == TIMED_OUT else f'fails {failed}'}; "
                   "fix that first")
             return 2
-        survivors, timed_out = [], []
+        rows = []
         for i, (name, file, old, new, killer) in enumerate(MUTANTS):
             tree = copy_tree(Path(tmp) / f"m{i}")
             path = tree / file
@@ -409,19 +448,17 @@ def main() -> int:
             path.write_text(text.replace(old, new))
             t0 = time.perf_counter()
             failed = killed_by(tree, killer)
-            if failed == TIMED_OUT:
-                outcome = TIMED_OUT
-                timed_out.append(name)
-            elif failed is None:
-                outcome = "SURVIVED"
-                survivors.append(name)
-            else:
-                outcome = f"killed by {failed}" + ("" if failed == killer else f" (recorded {killer})")
-            print(f"{name}\t{outcome}\t{time.perf_counter() - t0:.0f}s", flush=True)
+            outcome = {None: "SURVIVED", TIMED_OUT: TIMED_OUT}.get(failed, "killed")
+            rows.append((name, outcome, failed if outcome == "killed" else "",
+                         f"{time.perf_counter() - t0:.0f}"))
+            recorded = "" if outcome != "killed" or failed == killer else f"\t(recorded {killer})"
+            print("\t".join(rows[-1]) + recorded, flush=True)
             shutil.rmtree(tree)
-    killed = len(MUTANTS) - len(survivors) - len(timed_out)
-    print(f"{killed} of {len(MUTANTS)} killed, {len(timed_out)} timed out")
-    return 1 if survivors or timed_out else 0
+    SWEEP_FILE.write_text("".join("\t".join(row) + "\n" for row in rows))
+    outcomes = [outcome for _, outcome, _, _ in rows]
+    print(f"{outcomes.count('killed')} of {len(MUTANTS)} killed, "
+          f"{outcomes.count(TIMED_OUT)} timed out")
+    return 0 if outcomes.count("killed") == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

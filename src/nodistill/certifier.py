@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from . import ratlp
 from .families import MapFamily
-from .probvec import Axis, JointDist, _json_object, _json_str
+from .probvec import Axis, JointDist, _json_list, _json_object, _json_str
 from .rat import ensure_fraction, format_rational, parse_rational
 
 UNDISTILLABLE = "undistillable"
@@ -408,27 +408,19 @@ class Certificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Certificate":
-        if not isinstance(data, dict):
-            raise ValueError("certificate JSON must be an object")
         _json_object(data, "certificate", ("verdict", "optimum", "lambda0", "fingerprint"),
                      ("primal", "dual", "digest"))
         dual = data.get("dual")
-        if dual is not None and not (
-            isinstance(dual, dict) and isinstance(dual.get("row_multipliers"), list)
-        ):
-            raise ValueError(
-                "certificate dual must be null or an object with a row_multipliers list, "
-                f"got {json.dumps(dual)}"
-            )
         if dual is not None:
-            _json_object(dual, "certificate dual", ("row_multipliers",))
+            dual = _json_object(dual, "certificate dual", ("row_multipliers",))
+            dual = _json_list(dual["row_multipliers"], "certificate row_multipliers")
         return Certificate(
             verdict=_json_str(data["verdict"], "certificate verdict"),
             optimum=parse_rational(data["optimum"]),
             lambda0=parse_rational(data["lambda0"]),
             fingerprint=_json_str(data["fingerprint"], "certificate fingerprint"),
             primal=None if data.get("primal") is None else JointDist.from_json_dict(data["primal"]),
-            dual=None if dual is None else _parse_multipliers(dual["row_multipliers"]),
+            dual=None if dual is None else _parse_multipliers(dual),
             digest=_json_str(data.get("digest", ""), "certificate digest"),
         )
 

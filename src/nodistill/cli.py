@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import certifier, families, measures, ratlp
-from .probvec import JointDist, _json_int, _json_object
+from .probvec import JointDist, _json_int, _json_list, _json_object, _json_str
 from .rat import format_rational, parse_rational
 
 EXIT_OK = 0
@@ -159,9 +159,7 @@ def cmd_verify(args) -> int:
 
 def _batch_row(entry: dict, base: Path):
     entry = _json_object(entry, "manifest entry", ("g", "family"), ("lambda0",))
-    g_path = entry["g"]
-    if not isinstance(g_path, str):
-        raise ValueError(f"manifest g must be a path string, got {json.dumps(g_path)}")
+    g_path = _json_str(entry["g"], "manifest g")
     g = _load_dist(str(base / g_path))
     fam_spec = entry["family"]
     if isinstance(fam_spec, str):
@@ -171,9 +169,7 @@ def _batch_row(entry: dict, base: Path):
         raise ValueError(f"family must be a path or an object, got {json.dumps(fam_spec)}")
     else:
         _json_object(fam_spec, "family", ("gen",), GEN_FIELDS)
-        gen = fam_spec["gen"]
-        if not isinstance(gen, str):
-            raise ValueError("family gen must be a string")
+        gen = _json_str(fam_spec["gen"], "family gen")
         ints = [
             None if fam_spec.get(k) is None else _json_int(fam_spec[k], f"family {k}")
             for k in GEN_FIELDS
@@ -187,9 +183,8 @@ def _batch_row(entry: dict, base: Path):
 
 def cmd_batch(args) -> int:
     base = Path(args.manifest).parent
-    manifest = _read("manifest", args.manifest, json.loads)
-    if not isinstance(manifest, list):
-        raise ValueError("manifest must be a JSON list of {g, family, lambda0} entries")
+    manifest = _read("manifest", args.manifest,
+                     lambda text: _json_list(json.loads(text), "manifest"))
 
     results = []
     for entry in manifest:
@@ -198,7 +193,7 @@ def cmd_batch(args) -> int:
         label = g if isinstance(g, str) else "?"
         try:
             row, code = _batch_row(entry, base), EXIT_OK
-        except Exception as exc:
+        except (ValueError, RuntimeError) as exc:
             row, code = (label, "?", "?", "ERROR", str(exc)), _exit_code(exc)
         results.append((row, code, time.perf_counter() - t0))
 

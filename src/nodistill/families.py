@@ -69,8 +69,6 @@ class MapFamily:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MapFamily":
-        if not isinstance(data, dict):
-            raise ValueError(f"family JSON must be an object, got {json.dumps(data)}")
         _json_object(data, "family", ("pairs",), ("generator", "seed"))
         pairs, seed = _json_list(data["pairs"], "family pairs"), data.get("seed")
         return MapFamily(

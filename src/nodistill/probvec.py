@@ -44,6 +44,8 @@ class Axis:
             object.__setattr__(self, "factors", tuple(self.factors))
             prod = 1
             for f in self.factors:
+                if f < 1:
+                    raise ValueError(f"axis {self.party!r}: factor {f} must be >= 1")
                 prod *= f
             if prod != self.size:
                 raise ValueError(
@@ -75,7 +77,8 @@ def _json_str(value, what: str) -> str:
 def _json_object(value, what: str, required: tuple[str, ...],
                  optional: tuple[str, ...] = ()) -> dict:
     """A JSON object with every key of `required` and no key outside `required +
-    optional`; a non-object, an unknown key and a missing key are refused."""
+    optional`; a non-object, an unknown key and a missing key are refused, each
+    in a line that begins with `what`."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be an object, got {json.dumps(value)}")
     for k in value:
@@ -83,7 +86,7 @@ def _json_object(value, what: str, required: tuple[str, ...],
             raise ValueError(f"{what} has unknown key {k!r}")
     for k in required:
         if k not in value:
-            raise ValueError(f"missing key {k!r}")
+            raise ValueError(f"{what} is missing key {k!r}")
     return value
 
 
@@ -188,8 +191,6 @@ class JointDist:
 
     @staticmethod
     def from_json_dict(data: dict) -> "JointDist":
-        if not isinstance(data, dict) or "axes" not in data or "entries" not in data:
-            raise ValueError("distribution JSON needs 'axes' and 'entries'")
         _json_object(data, "distribution", ("axes", "entries"))
         axes = [_axis_from_json(d) for d in _json_list(data["axes"], "distribution axes")]
         entries = []
@@ -262,10 +263,8 @@ class LocalMap:
     def from_json_dict(data: dict) -> "LocalMap":
         data = _json_object(data, "map", ("input", "output", "coeffs"))
         input_axis, output_axis = _axis_from_json(data["input"]), _axis_from_json(data["output"])
-        coeffs = data["coeffs"]
-        if not (isinstance(coeffs, list) and all(isinstance(row, list) for row in coeffs)):
-            raise ValueError(f"map coeffs must be a list of rows, got {json.dumps(coeffs)}")
-        rows = [[parse_rational(c) for c in row] for row in coeffs]
+        rows = [[parse_rational(c) for c in _json_list(row, "map row")]
+                for row in _json_list(data["coeffs"], "map coeffs")]
         return LocalMap(input_axis, output_axis, rows)
 
 

@@ -869,13 +869,13 @@ MAP_A = {"input": {"party": "A", "size": 1}, "output": {"party": "A", "size": 2}
             "distribution",
             {"axes": [{"size": 2}], "entries": []},
             ("lambda", "{bad}"),
-            "missing key 'party'",
+            "axis is missing key 'party'",
         ),
         (
             "distribution",
             {"axes": axes_doc(2, 2, 1), "entries": [{"p": "1/1"}]},
             ("lambda", "{bad}"),
-            "missing key 'index'",
+            "distribution entry is missing key 'index'",
         ),
         (
             "distribution",
@@ -924,20 +924,46 @@ MAP_A = {"input": {"party": "A", "size": 1}, "output": {"party": "A", "size": 2}
             "distribution",
             {"axes": axes_doc(2, 2, 1)},
             ("lambda", "{bad}"),
-            "distribution JSON needs 'axes' and 'entries'",
+            "distribution is missing key 'entries'",
         ),
+        ("distribution", 5, ("lambda", "{bad}"), "distribution must be an object, got 5"),
         (
             "family",
             {"pairs": [{"map_a": {k: v for k, v in MAP_A.items() if k != "input"},
                         "map_b": MAP_A}]},
             ("certify", "{dir}/triv.json", "--family", "{bad}"),
-            "missing key 'input'",
+            "map is missing key 'input'",
+        ),
+        (
+            "family",
+            {"pairs": [{"map_a": MAP_A}]},
+            ("certify", "{dir}/triv.json", "--family", "{bad}"),
+            "family pair is missing key 'map_b'",
+        ),
+        (
+            "family",
+            {"generator": "custom"},
+            ("certify", "{dir}/triv.json", "--family", "{bad}"),
+            "family is missing key 'pairs'",
         ),
         (
             "certificate",
             {"optimum": "0/1", "lambda0": "1/2", "fingerprint": "", "dual": None},
             ("verify", "{dir}/triv.json", "{dir}/fam1.json", "{bad}"),
-            "missing key 'verdict'",
+            "certificate is missing key 'verdict'",
+        ),
+        (
+            "certificate",
+            {"verdict": "undistillable", "optimum": "0/1", "lambda0": "1/2", "fingerprint": "",
+             "dual": {}},
+            ("verify", "{dir}/triv.json", "{dir}/fam1.json", "{bad}"),
+            "certificate dual is missing key 'row_multipliers'",
+        ),
+        (
+            "certificate",
+            ["undistillable"],
+            ("verify", "{dir}/triv.json", "{dir}/fam1.json", "{bad}"),
+            'certificate must be an object, got ["undistillable"]',
         ),
         (
             "certificate",
@@ -954,8 +980,9 @@ MAP_A = {"input": {"party": "A", "size": 1}, "output": {"party": "A", "size": 2}
     ],
     ids=["dist-party", "dist-index", "dist-entry-not-object", "dist-axis-not-object",
          "dist-axes-not-list", "dist-entries-not-list", "dist-index-not-list",
-         "dist-factors-not-list", "dist-party-not-string", "dist-entries", "family-input",
-         "cert-verdict", "cert-verdict-not-string", "family-generator-null"],
+         "dist-factors-not-list", "dist-party-not-string", "dist-entries", "dist-not-object",
+         "family-input", "family-map-b", "family-pairs", "cert-verdict", "cert-dual-multipliers",
+         "cert-not-object", "cert-verdict-not-string", "family-generator-null"],
 )
 def test_missing_key_or_non_object_entry_exits_2(workdir, capsys, kind, doc, argv, reason):
     bad = workdir / "incomplete.json"
@@ -974,8 +1001,11 @@ def test_missing_key_or_non_object_entry_exits_2(workdir, capsys, kind, doc, arg
         (axes_doc(2, 2, 0), [0, 0, 0], "axis 'E' must have size >= 1, got 0"),
         ([{"party": "A", "size": 2, "factors": [3]}, *axes_doc(2, 2, 1)[1:]], [0, 0, 0],
          "axis 'A': factors (3,) do not multiply to size 2"),
+        ([{"party": "A", "size": 4, "factors": [-2, -2]}, *axes_doc(2, 2, 1)[1:]], [0, 0, 0],
+         "axis 'A': factor -2 must be >= 1"),
     ],
-    ids=["index-out-of-range", "index-arity", "duplicate-label", "size-0", "factors"],
+    ids=["index-out-of-range", "index-arity", "duplicate-label", "size-0", "factors",
+         "negative-factors"],
 )
 def test_inconsistent_distribution_exits_2(workdir, capsys, axes, index, reason):
     bad = workdir / "inconsistent.json"
@@ -995,17 +1025,17 @@ def undistillable_cert_doc(workdir):
 @pytest.mark.parametrize(
     "kind, doc, reason",
     [
-        ("family", 5, "family JSON must be an object, got 5"),
+        ("family", 5, "family must be an object, got 5"),
         ("family", {"pairs": 5}, "family pairs must be a list, got 5"),
         ("family", {"pairs": [5]}, "family pair must be an object, got 5"),
         ("family", {"pairs": [{"map_a": 5, "map_b": MAP_A}]}, "map must be an object, got 5"),
         ("family", {"pairs": [{"map_a": {**MAP_A, "coeffs": 5}, "map_b": MAP_A}]},
-         "map coeffs must be a list of rows, got 5"),
-        ("certificate", {"dual": 5},
-         "certificate dual must be null or an object with a row_multipliers list, got 5"),
+         "map coeffs must be a list, got 5"),
+        ("family", {"pairs": [{"map_a": {**MAP_A, "coeffs": [["1/1"], 5]}, "map_b": MAP_A}]},
+         "map row must be a list, got 5"),
+        ("certificate", {"dual": 5}, "certificate dual must be an object, got 5"),
         ("certificate", {"dual": {"row_multipliers": 5}},
-         "certificate dual must be null or an object with a row_multipliers list, "
-         'got {"row_multipliers": 5}'),
+         "certificate row_multipliers must be a list, got 5"),
         ("family", {"pairs": [], "generator": 7}, "family generator must be a string, got 7"),
         ("certificate", {"verdict": ["undistillable"]},
          'certificate verdict must be a string, got ["undistillable"]'),
@@ -1013,8 +1043,9 @@ def undistillable_cert_doc(workdir):
         ("certificate", {"digest": None}, "certificate digest must be a string, got null"),
     ],
     ids=["family-not-object", "pairs-not-list", "pair-not-object", "map-not-object",
-         "coeffs-not-rows", "dual-not-object", "multipliers-not-list", "generator-not-string",
-         "verdict-not-string", "fingerprint-not-string", "digest-not-string"],
+         "coeffs-not-rows", "row-not-list", "dual-not-object", "multipliers-not-list",
+         "generator-not-string", "verdict-not-string", "fingerprint-not-string",
+         "digest-not-string"],
 )
 def test_non_object_pair_map_or_dual_exits_2(workdir, capsys, kind, doc, reason):
     if kind == "certificate":
@@ -1402,7 +1433,7 @@ def manifest_rows(workdir):
 
 def test_a_program_fault_is_not_an_input_error(workdir, capsys, monkeypatch):
     """A KeyError raised by the program, not by a reader, is not taken for a
-    missing key: certify lets it propagate, and a batch row reports exit 4."""
+    missing key: certify and batch both let it propagate."""
     from nodistill import certifier
 
     def fault(*args, **kwargs):
@@ -1415,9 +1446,10 @@ def test_a_program_fault_is_not_an_input_error(workdir, capsys, monkeypatch):
     assert "missing key" not in out + err
     path = workdir / "manifest_fault.json"
     path.write_text(json.dumps([{"g": "triv.json", "family": "fam1.json"}]))
-    code, out, _ = run(capsys, "batch", path)
-    assert code == 4 and "missing key" not in out
-    assert out.splitlines()[1:] == ["triv.json\t?\t?\tERROR\t'x'"]
+    with pytest.raises(KeyError):
+        main(["batch", str(path)])
+    out, err = capsys.readouterr()
+    assert out == "" and "missing key" not in err
 
 
 def test_batch_empty_manifest(workdir, capsys):
@@ -1505,19 +1537,22 @@ DEEP_LIST = json.loads("[" * 900 + "]" * 900)
          "manifest entry has unknown key 'extra'"),
         ({"g": "triv.json", "family": {"gen": "deterministic", "M": 1, "m": 2}},
          "family has unknown key 'm'"),
-        ({"g": 5, "family": "fam1.json"}, "manifest g must be a path string, got 5"),
+        ({"g": 5, "family": "fam1.json"}, "manifest g must be a string, got 5"),
         ({"g": {"a": 1}, "family": "fam1.json"},
-         'manifest g must be a path string, got {"a": 1}'),
+         'manifest g must be a string, got {"a": 1}'),
         ({"g": "triv.json", "family": "fam1.json", "lambda0": 0.5},
          "rational must be a string, got float"),
         ({"g": "triv.json", "family": "fam1.json", "lambda0": 1},
          "rational must be a string, got int"),
-        ({"family": "fam1.json"}, "missing key 'g'"),
-        ({"g": "triv.json"}, "missing key 'family'"),
-        ({"g": "triv.json", "family": {"M": 1}}, "missing key 'gen'"),
-        ({"g": "triv.json", "family": {"gen": None, "M": 1}}, "family gen must be a string"),
-        ({"g": "triv.json", "family": {"gen": {"a": 1}}}, "family gen must be a string"),
-        ({"g": "triv.json", "family": {"gen": DEEP_LIST}}, "family gen must be a string"),
+        ({"family": "fam1.json"}, "manifest entry is missing key 'g'"),
+        ({"g": "triv.json"}, "manifest entry is missing key 'family'"),
+        ({"g": "triv.json", "family": {"M": 1}}, "family is missing key 'gen'"),
+        ({"g": "triv.json", "family": {"gen": None, "M": 1}},
+         "family gen must be a string, got null"),
+        ({"g": "triv.json", "family": {"gen": {"a": 1}}},
+         'family gen must be a string, got {"a": 1}'),
+        ({"g": "triv.json", "family": {"gen": DEEP_LIST}},
+         f"family gen must be a string, got {json.dumps(DEEP_LIST)}"),
         ({"g": "triv.json", "family": {"gen": "cover"}}, "unknown generator 'cover'"),
         ({"g": "triv.json", "family": {"gen": "cover", "M": 1}}, "unknown generator 'cover'"),
         ({"g": "triv.json", "family": {"gen": "deterministic"}},
@@ -1565,7 +1600,8 @@ def test_batch_manifest_must_be_a_list(workdir, capsys):
     path.write_text(json.dumps({"g": "triv.json", "family": "fam1.json"}))
     code, out, err = run(capsys, "batch", path)
     assert (code, out) == (2, "")
-    assert err == "error: manifest must be a JSON list of {g, family, lambda0} entries\n"
+    assert err == (f"error: cannot read manifest {path}: manifest must be a list, "
+                   'got {"g": "triv.json", "family": "fam1.json"}\n')
 
 
 def test_batch_unreadable_manifest_exits_2(workdir, capsys):

@@ -1,5 +1,6 @@
 """Smoke tests: both experiment scripts run end to end through certify; the mutant
-list is current, and the mutation sweep's runs are bounded in time."""
+list is current, the last sweep killed every mutant, and the mutation sweep's
+runs are bounded in time."""
 
 import importlib.util
 import subprocess
@@ -59,6 +60,14 @@ def test_every_mutant_applies_exactly_once():
         path, _, test = killer.partition("::")
         assert path.startswith("tests/") and test, name
         assert f"\ndef {test.partition('[')[0]}(" in (mutants.ROOT / path).read_text(), name
+
+
+def test_the_last_sweep_killed_every_mutant():
+    mutants = load_mutants()
+    rows = [line.split("\t") for line in mutants.SWEEP_FILE.read_text().splitlines()]
+    assert sorted(name for name, *_ in rows) == sorted(name for name, *_ in mutants.MUTANTS)
+    for name, outcome, killer, seconds in rows:
+        assert outcome == "killed" and killer.startswith("tests/") and seconds.isdigit(), name
 
 
 def test_a_run_past_the_time_limit_is_timed_out(tmp_path, monkeypatch):
